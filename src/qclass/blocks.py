@@ -21,7 +21,7 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .su2 import HalfInteger, HalfIntLike, _cg_doubled, as_half, multiplicity
+from .su2 import HalfInteger, HalfIntLike, _cg_doubled, as_half
 
 HERMITICITY_TOL = 1e-10
 
@@ -74,23 +74,44 @@ class BlockWeights:
     p: float
 
 
+def _block_spectrum(tj: int, r: float) -> tuple[np.ndarray, float]:
+    """Weights a_m (ascending m) and log c_j of one spin-j block at purity r.
+
+    With x = (1-r)/(1+r) the weights are geometric, a_m = x^(j-m) (1-x) / (1-x^(2j+1)),
+    and c_j = ((1+r)/2)^(2j+1) (1 - x^(2j+1)) / r; both are evaluated through
+    log1p/expm1 so that neither cancels at small r nor underflows at large j.
+    """
+    if r == 1.0:
+        a = np.zeros(tj + 1)
+        a[-1] = 1.0
+        return a, 0.0
+    L = math.log1p(-r) - math.log1p(r)  # log x < 0
+    tail = -math.expm1((tj + 1) * L)     # 1 - x^(2j+1)
+    a = np.exp(L * np.arange(tj, -1, -1)) * (-math.expm1(L) / tail)
+    log_c = (tj + 1) * (math.log1p(r) - math.log(2.0)) + math.log(tail / r)
+    return a, log_c
+
+
 def block_weights(params: SpectrumParams) -> list[BlockWeights]:
     """Weights a_m^j, normalizations c_j and probabilities p_j^n for all j.
 
     a_m^j = ((1-r)/2)^(j-m) ((1+r)/2)^(j+m) / c_j,
     c_j   = (((1+r)/2)^(2j+1) - ((1-r)/2)^(2j+1)) / r,
-    p_j^n = nu_j^n c_j ((1-r^2)/4)^(n/2-j).
+    p_j^n = nu_j^n c_j ((1-r^2)/4)^(n/2-j),
+
+    with p_j^n formed in log space, so any n is admissible.
     """
     n, r = params.n, params.r
-    lo, hi = (1.0 - r) / 2.0, (1.0 + r) / 2.0
+    log_q = -math.inf if r == 1.0 else math.log1p(-r) + math.log1p(r) - math.log(4.0)
     out = []
     for tj in range(n % 2, n + 1, 2):
-        c = (hi ** (tj + 1) - lo ** (tj + 1)) / r
-        a = np.array([lo ** ((tj - tm) // 2) * hi ** ((tj + tm) // 2)
-                      for tm in range(-tj, tj + 1, 2)]) / c
-        p = multiplicity(n, HalfInteger(tj)) * c * ((1.0 - r * r) / 4.0) ** ((n - tj) // 2)
+        a, log_c = _block_spectrum(tj, r)
+        k = (n - tj) // 2
+        log_nu = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                  + math.log((tj + 1) / (n - k + 1)))
+        p = math.exp(log_nu + log_c + (k * log_q if k else 0.0))  # 0 * -inf at r = 1
         a.flags.writeable = False
-        out.append(BlockWeights(j=HalfInteger(tj), a=a, c=c, p=p))
+        out.append(BlockWeights(j=HalfInteger(tj), a=a, c=math.exp(log_c), p=p))
     return out
 
 
@@ -103,9 +124,8 @@ def jz_expectation(j: HalfIntLike, r: float) -> float:
         raise ValueError(f"purity must lie in (0, 1], got {r}")
     if tj == 0:
         return 0.0
-    w = block_weights(SpectrumParams(n=tj, r=r))[-1]  # j = n/2 block of 2j qubits
     ms = np.arange(-tj, tj + 1, 2) / 2.0
-    return float(ms @ w.a)
+    return float(ms @ _block_spectrum(tj, r)[0])
 
 
 @dataclass
@@ -201,22 +221,20 @@ def coupled_jz_sector(label: BlockLabel, which: Literal["A", "C"], tm: int) -> n
 
 @lru_cache(maxsize=None)
 def _coupled_jz_sector_cached(ta: int, tc: int, which: str, tm: int) -> np.ndarray:
+    """Jz_A is tridiagonal in j (Wigner-Eckart); Jz_C = m 1 - Jz_A."""
     if which not in ("A", "C"):
         raise ValueError(f"which must be 'A' or 'C', got {which!r}")
-    tjs = coupled_sector_index(BlockLabel(HalfInteger(ta), HalfInteger(tc)), tm)
-    d = len(tjs)
-    mat = np.zeros((d, d))
-    tma_lo, tma_hi = max(-ta, tm - tc), min(ta, tm + tc)
-    for a, tj in enumerate(tjs):
-        for b in range(a, d):
-            tjp = tjs[b]
-            s = 0.0
-            for tma in range(tma_lo, tma_hi + 1, 2):
-                w = 0.5 * (tma if which == "A" else tm - tma)
-                if w != 0.0:
-                    s += w * _cg_doubled(ta, tma, tc, tm - tma, tj, tm) \
-                           * _cg_doubled(ta, tma, tc, tm - tma, tjp, tm)
-            mat[a, b] = mat[b, a] = s
+    js = np.array(coupled_sector_index(BlockLabel(HalfInteger(ta), HalfInteger(tc)), tm)) / 2.0
+    m, ja, jc = tm / 2.0, ta / 2.0, tc / 2.0
+    jj = js * (js + 1.0)
+    diag = np.divide(m * (jj + ja * (ja + 1.0) - jc * (jc + 1.0)), 2.0 * jj,
+                     out=np.zeros_like(js), where=jj > 0)
+    hi = js[1:]  # <j-1, m| Jz_A |j, m>
+    off = np.sqrt((hi ** 2 - m * m) * (hi ** 2 - (ja - jc) ** 2)
+                  * ((ja + jc + 1.0) ** 2 - hi ** 2)) / (2.0 * hi * np.sqrt(4.0 * hi ** 2 - 1.0))
+    mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    if which == "C":
+        mat = m * np.eye(len(js)) - mat
     mat.flags.writeable = False
     return mat
 
@@ -290,25 +308,11 @@ def _sigma_pair_block(label: BlockLabel, params: SpectrumParams) -> tuple[np.nda
     ab = aA * sym_plus_projector(ta) / (ta + 2) + (1.0 - aA) * np.kron(iA, iB) / (2 * dA)
     s0 = np.kron(ab, iC / dC)
     # sigma1: data qubit correlated with side C; qubit sits left of C in (B, C) order
-    bc = aC * _plus_projector_qubit_first(tc) / (tc + 2) + (1.0 - aC) * np.kron(iB, iC) / (2 * dC)
+    plus_bc = sym_plus_projector(tc).reshape(dC, 2, dC, 2).transpose(1, 0, 3, 2)
+    plus_bc = plus_bc.reshape(2 * dC, 2 * dC)
+    bc = aC * plus_bc / (tc + 2) + (1.0 - aC) * np.kron(iB, iC) / (2 * dC)
     s1 = np.kron(iA / dA, bc)
     return s0, s1
-
-
-@lru_cache(maxsize=None)
-def _plus_projector_qubit_first(tj: int) -> np.ndarray:
-    """Projector onto total momentum j + 1/2 inside qubit x spin-j (product basis)."""
-    d = tj + 1
-    P = np.zeros((2 * d, 2 * d))
-    for tM in range(-(tj + 1), tj + 2, 2):
-        v = np.zeros(2 * d)
-        for ib, tmb in enumerate((-1, 1)):
-            for i, tm in enumerate(range(-tj, tj + 1, 2)):
-                if tm + tmb == tM:
-                    v[ib * d + i] = _cg_doubled(1, tmb, tj, tm, tj + 1, tM)
-        P += np.outer(v, v)
-    P.flags.writeable = False
-    return P
 
 
 def product_sector_index(label: BlockLabel, tm: int) -> tuple[tuple[int, int, int], ...]:

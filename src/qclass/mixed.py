@@ -6,11 +6,11 @@ operator of every block, computes the absolute error floor from the block
 trace norms, optimizes the learning-machine seed block by block with the
 semidefinite solver, and drives the (n, r) sweep grid.
 
-Trace norms of the block difference operators are evaluated two ways: dense
-per-magnetic-sector eigendecomposition (default at small n) and a spectral
-route that reduces each total-momentum sector to at most two rank-one
-projectors whose principal cosine is a recoupling coefficient (used at large
-n, cross-checked against the dense route in the tests).
+Block trace norms take one route: each total-momentum sector of a block
+difference holds at most two rank-one projectors, whose principal cosine
+has a closed form, so no dense eigendecomposition is needed at any n.  The
+dense per-sector eigendecomposition of ``blocks.average_state_diff_mixed``
+remains the cross-check in the tests and in ``qclass verify``.
 """
 from __future__ import annotations
 
@@ -23,9 +23,7 @@ import numpy as np
 from . import blocks as blk
 from . import machines, sdp
 from .blocks import BlockLabel, BlockOperator, SpectrumParams
-from .su2 import HalfInteger, _w6j_doubled, triangle_ok
-
-SPECTRAL_NORM_THRESHOLD = 12  # switch block trace norms to the spectral route above this n
+from .su2 import HalfInteger, triangle_ok
 
 
 def gamma_up_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
@@ -53,31 +51,15 @@ def gamma_up_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
 # Block trace norms
 
 
-def _block_trace_norm_dense(label: BlockLabel, params: SpectrumParams) -> float:
-    return blk.trace_norm(blk.average_state_diff_mixed(label, params))
-
-
-def _block_trace_norm_spectral(label: BlockLabel, params: SpectrumParams) -> float:
-    """Trace norm of the block difference from its total-momentum sectors.
+def block_trace_norm(label: BlockLabel, params: SpectrumParams) -> float:
+    """Trace norm of sigma0 - sigma1 on one block.
 
     In each total-J sector the difference is a Jz_A-aligned projector minus a
     Jz_C-aligned one plus a multiple of the identity; at most two dimensions,
-    with the principal cosine given by a recoupling coefficient.
+    with the principal cosine given by ``_recoupling_cos2``.
     """
     ta, tc = label.jA.twice_value, label.jC.twice_value
     return _trace_norm_from_alphas(ta, tc, blk._alpha(ta, params.r), blk._alpha(tc, params.r))
-
-
-def block_trace_norm(label: BlockLabel, params: SpectrumParams,
-                     method: str = "auto") -> float:
-    """Trace norm of sigma0 - sigma1 on one block."""
-    if method == "auto":
-        method = "spectral" if params.n > SPECTRAL_NORM_THRESHOLD else "dense"
-    if method == "dense":
-        return _block_trace_norm_dense(label, params)
-    if method == "spectral":
-        return _block_trace_norm_spectral(label, params)
-    raise ValueError(f"unknown trace-norm method {method!r}")
 
 
 def block_labels(n: int) -> list[BlockLabel]:
@@ -98,7 +80,7 @@ def block_probabilities(n: int, r: float) -> dict[tuple[int, int], float]:
     }
 
 
-def mixed_programmable_risk(n: int, r: float, method: str = "auto",
+def mixed_programmable_risk(n: int, r: float,
                             weight_cutoff: float = 1e-15) -> machines.MachineReport:
     """Absolute error floor at (n, r) from the weighted block trace norms.
 
@@ -116,7 +98,7 @@ def mixed_programmable_risk(n: int, r: float, method: str = "auto",
         if ta > tc or p <= weight_cutoff:
             continue
         label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
-        norm = block_trace_norm(label, params, method=method)
+        norm = block_trace_norm(label, params)
         if ta == tc:
             bias += p * norm
         else:
@@ -239,11 +221,15 @@ def _trace_norm_from_alphas(ta: int, tc: int, aA: float, aC: float) -> float:
         if int(u_ok) + int(u2_ok) == 1:
             total += mult * abs(a * int(u_ok) - b * int(v_ok) + c)
         else:
-            w6 = _w6j_doubled(ta, 1, ta + 1, tc, tJ, tc + 1)
-            t2 = min(max((ta + 2) * (tc + 2) * w6 * w6, 0.0), 1.0)
+            t2 = _recoupling_cos2(ta, tc, tJ)
             disc = math.sqrt((a - b) ** 2 + 4.0 * a * b * (1.0 - t2))
             total += mult * (abs(c + 0.5 * ((a - b) + disc)) + abs(c + 0.5 * ((a - b) - disc)))
     return total
+
+
+def _recoupling_cos2(ta: int, tc: int, tJ: int) -> float:
+    """Squared principal cosine (2jA+2)(2jC+2) {jA 1/2 jA+1/2; jC J jC+1/2}^2, closed form."""
+    return (tJ + tc - ta + 1) * (tJ + ta - tc + 1) / (4.0 * (ta + 1) * (tc + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -346,10 +346,3 @@ def solve(
         )
     return seed
 
-
-def dual_bound(problem: BlockSdpProblem, primal: Seed) -> float:
-    """Certified upper bound on the optimum from the primal's multipliers."""
-    ws = _Workspace(problem)
-    y = np.array([primal.multipliers.get(c, 0.0) for c in ws.chan_list])
-    bound, _ = ws.repaired_dual_value(y)
-    return bound

@@ -78,31 +78,6 @@ def as_half(x: HalfIntLike) -> HalfInteger:
     )
 
 
-@dataclass(frozen=True)
-class CouplingScheme:
-    """One way of combining the two training sides and the data qubit.
-
-    ``ordering`` is "(AC)B" (training pair coupled first, to ``intermediate``)
-    or "A(CB)" (the label-1 side couples with the data qubit first).
-    """
-
-    ordering: str
-    intermediate: HalfInteger
-
-    ORDERINGS = ("(AC)B", "A(CB)")
-
-    def __post_init__(self):
-        if self.ordering not in self.ORDERINGS:
-            raise ValueError(f"ordering must be one of {self.ORDERINGS}, got {self.ordering!r}")
-
-    def valid_for(self, n: int) -> bool:
-        """Intermediate momentum consistent with n training qubits per side."""
-        t = self.intermediate.twice_value
-        if self.ordering == "(AC)B":   # two spin-n/2 systems couple to an integer j
-            return t % 2 == 0 and 0 <= t <= 2 * n
-        return t in (n - 1, n + 1) and t >= 0  # spin-n/2 with the data qubit
-
-
 def _check_jm(tj: int, tm: int, name: str = "j") -> None:
     if tj < 0:
         raise ValueError(f"{name} must be non-negative, got {tj}/2")

@@ -289,8 +289,8 @@ def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
             for r in (0.25, 0.65, 1.0):
                 label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
                 params = SpectrumParams(max(ta, tc) + 2, r)
-                worst = max(worst, abs(mixed._block_trace_norm_dense(label, params)
-                                       - mixed._block_trace_norm_spectral(label, params)))
+                dense = blk.trace_norm(blk.average_state_diff_mixed(label, params))
+                worst = max(worst, abs(dense - mixed.block_trace_norm(label, params)))
     checks.append(_check("spectral_norm_route", "sector-spectral norms match dense norms",
                          0.0, worst, 1e-12))
 

@@ -10,7 +10,7 @@ from qclass.blocks import (
     average_state_diff_mixed, average_state_diff_pure, asymptotic_block_distribution,
     block_weights, coupled_jz, jz_expectation, trace_norm,
 )
-from qclass.su2 import HalfInteger
+from qclass.su2 import HalfInteger, _cg_doubled
 
 
 class TestSpectrumParams:
@@ -40,13 +40,20 @@ class TestBlockWeights:
         assert w.p == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
-    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("r", [1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0])
     def test_normalization(self, n, r):
         ws = block_weights(SpectrumParams(n, r))
-        assert sum(w.p for w in ws) == pytest.approx(1.0, abs=1e-12)
+        assert sum(w.p for w in ws) == pytest.approx(1.0, abs=1e-13)
         for w in ws:
-            assert w.a.sum() == pytest.approx(1.0, abs=1e-12)
+            assert w.a.sum() == pytest.approx(1.0, abs=1e-13)
             assert (w.a >= 0).all()
+
+    @pytest.mark.parametrize("n", [2000, 10_000])
+    @pytest.mark.parametrize("r", [1e-6, 0.5, 0.999])
+    def test_normalization_large_n(self, n, r):
+        # the multiplicities nu_j exceed the float range here
+        ws = block_weights(SpectrumParams(n, r))
+        assert sum(w.p for w in ws) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestJzExpectation:
@@ -63,7 +70,30 @@ class TestJzExpectation:
         assert jz_expectation(10, 0.8) == pytest.approx(10 - 0.2 / 1.6, abs=1e-12)
 
 
+def coupled_jz_cg_sum(ta, tc, which, tm):
+    """Reference: Jz of one side summed over Clebsch-Gordan coefficients."""
+    tjs = blk.coupled_sector_index(BlockLabel(HalfInteger(ta), HalfInteger(tc)), tm)
+    mat = np.zeros((len(tjs), len(tjs)))
+    for a, tj in enumerate(tjs):
+        for b, tjp in enumerate(tjs):
+            for tma in range(max(-ta, tm - tc), min(ta, tm + tc) + 1, 2):
+                w = 0.5 * (tma if which == "A" else tm - tma)
+                mat[a, b] += w * _cg_doubled(ta, tma, tc, tm - tma, tj, tm) \
+                    * _cg_doubled(ta, tma, tc, tm - tma, tjp, tm)
+    return mat
+
+
 class TestCoupledJz:
+    def test_closed_form_matches_cg_sum(self):
+        for ta in range(9):
+            for tc in range(9):
+                label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
+                for which in "AC":
+                    for tm in blk.sector_range(label):
+                        np.testing.assert_allclose(blk.coupled_jz_sector(label, which, tm),
+                                                   coupled_jz_cg_sum(ta, tc, which, tm),
+                                                   rtol=0, atol=1e-13)
+
     def test_pair_of_half_spins(self):
         op = coupled_jz(BlockLabel.of("1/2", "1/2"), "A")
         assert op.sectors[0][1, 0] == pytest.approx(0.5, abs=1e-14)

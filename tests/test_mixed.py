@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qclass import blocks as blk
-from qclass import machines, mixed, sdp
+from qclass import machines, mixed, sdp, su2
 from qclass.blocks import BlockLabel, SpectrumParams, coupling_isometry
-from qclass.su2 import HalfInteger
+from qclass.su2 import HalfInteger, triangle_ok
 
 S3 = math.sqrt(3.0)
 
@@ -68,8 +68,28 @@ class TestBlockTraceNorms:
             for tc in range(ta % 2, 7, 2):
                 label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
                 params = SpectrumParams(max(ta, tc) + 2, r)
-                assert mixed._block_trace_norm_spectral(label, params) == pytest.approx(
-                    mixed._block_trace_norm_dense(label, params), abs=1e-12)
+                dense = blk.trace_norm(blk.average_state_diff_mixed(label, params))
+                assert mixed.block_trace_norm(label, params) == pytest.approx(dense, abs=1e-12)
+
+    def test_recoupling_cosine_matches_6j(self):
+        for ta in range(1, 41):
+            for tc in range(41):
+                for tJ in range(abs(ta + 1 - tc), ta + tc + 2, 2):
+                    if not (triangle_ok(ta + 1, tc, tJ) and triangle_ok(ta - 1, tc, tJ)):
+                        continue
+                    w6 = su2.wigner_6j(HalfInteger(ta), "1/2", HalfInteger(ta + 1),
+                                       HalfInteger(tc), HalfInteger(tJ), HalfInteger(tc + 1))
+                    assert mixed._recoupling_cos2(ta, tc, tJ) == pytest.approx(
+                        (ta + 2) * (tc + 2) * w6 * w6, abs=1e-14)
+
+    def test_production_paths_skip_exact_coefficients(self):
+        # the floor and the seed problem are built from closed forms alone
+        for cached in (su2._cg_doubled, su2._w6j_doubled, blk._coupled_jz_sector_cached):
+            cached.cache_clear()
+        mixed.mixed_programmable_risk(6, 0.7)
+        mixed.build_lm_problem(3, 0.6)
+        assert su2._cg_doubled.cache_info().misses == 0
+        assert su2._w6j_doubled.cache_info().misses == 0
 
     def test_probabilities(self):
         for n, r in [(1, 0.4), (4, 0.9), (7, 0.2)]:

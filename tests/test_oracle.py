@@ -11,7 +11,7 @@ from qclass.oracle import (
     ed_error_finite, haar_qubit, helstrom, partial_transpose, ppt_check,
     schur_isometries, simulate_lm,
 )
-from qclass.su2 import HalfInteger
+from qclass.su2 import HalfInteger, multiplicity
 
 
 class TestRandomness:
@@ -187,8 +187,8 @@ class TestGammaConditioning:
                     sel = [pos[(tj, tm)] for tj in g.index[tm]]
                     full[np.ix_(sel, sel)] = mat
                 nu = (probs[(ta, tc)]
-                      / (blk.multiplicity(n, HalfInteger(ta))
-                         * blk.multiplicity(n, HalfInteger(tc))))
+                      / (multiplicity(n, HalfInteger(ta))
+                         * multiplicity(n, HalfInteger(tc))))
                 want = nu * iso.T @ full @ iso
                 np.testing.assert_allclose(reduced, want, atol=1e-10)
 
@@ -199,7 +199,7 @@ class TestSchur:
         schur = schur_isometries(k)
         total = 0
         for tj, paths in schur.items():
-            assert len(paths) == blk.multiplicity(k, HalfInteger(tj))
+            assert len(paths) == multiplicity(k, HalfInteger(tj))
             for W in paths:
                 np.testing.assert_allclose(W.conj().T @ W, np.eye(tj + 1), atol=1e-12)
                 total += tj + 1

@@ -5,7 +5,7 @@ import pytest
 
 from qclass import machines, mixed
 from qclass.sdp import (
-    BlockSdpProblem, InfeasibleError, SdpBlock, Seed, SolverError, dual_bound, solve,
+    BlockSdpProblem, InfeasibleError, SdpBlock, Seed, SolverError, solve,
 )
 
 
@@ -87,7 +87,7 @@ class TestSeed:
 
     def test_dual_bound_dominates(self):
         seed = solve(n1_pure_problem(), tol=1e-8)
-        assert dual_bound(n1_pure_problem(), seed) >= seed.objective - 1e-9
+        assert seed.bound >= seed.objective - 1e-9
 
     def test_json_dump(self):
         seed = solve(n1_pure_problem(), tol=1e-8)

@@ -314,19 +314,3 @@ class TestMultiplicity:
         with pytest.raises(ValueError):
             multiplicity(3, 1)
 
-
-class TestCouplingScheme:
-    def test_orderings(self):
-        from qclass.su2 import CouplingScheme
-        s = CouplingScheme("(AC)B", HalfInteger(4))
-        assert s.valid_for(2) and s.valid_for(3)
-        assert not s.valid_for(1)          # j = 2 exceeds two spin-1/2 sides
-        t = CouplingScheme("A(CB)", HalfInteger(3))
-        assert t.valid_for(2)              # spin-1 side with the qubit gives 3/2
-        assert not t.valid_for(5)
-        with pytest.raises(ValueError):
-            CouplingScheme("B(AC)", HalfInteger(0))
-
-    def test_odd_intermediate_invalid_for_pair(self):
-        from qclass.su2 import CouplingScheme
-        assert not CouplingScheme("(AC)B", HalfInteger(3)).valid_for(2)
