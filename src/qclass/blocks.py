@@ -224,19 +224,30 @@ def _coupled_jz_sector_cached(ta: int, tc: int, which: str, tm: int) -> np.ndarr
     """Jz_A is tridiagonal in j (Wigner-Eckart); Jz_C = m 1 - Jz_A."""
     if which not in ("A", "C"):
         raise ValueError(f"which must be 'A' or 'C', got {which!r}")
+    diag, off = jz_a_bands(ta, tc, tm)
+    mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    if which == "C":
+        mat = tm / 2.0 * np.eye(len(diag)) - mat
+    mat.flags.writeable = False
+    return mat
+
+
+def jz_a_bands(ta: int, tc: int, tm: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of Jz_A in the coupled sector tm of (ta/2) x (tc/2).
+
+    <j, m| Jz_A |j, m> = m [j(j+1) + jA(jA+1) - jC(jC+1)] / (2 j(j+1)) and
+    <j-1, m| Jz_A |j, m> = sqrt((j^2-m^2)(j^2-(jA-jC)^2)((jA+jC+1)^2-j^2)) / (2j sqrt(4j^2-1)),
+    over the sector's j ascending.
+    """
     js = np.array(coupled_sector_index(BlockLabel(HalfInteger(ta), HalfInteger(tc)), tm)) / 2.0
     m, ja, jc = tm / 2.0, ta / 2.0, tc / 2.0
     jj = js * (js + 1.0)
     diag = np.divide(m * (jj + ja * (ja + 1.0) - jc * (jc + 1.0)), 2.0 * jj,
                      out=np.zeros_like(js), where=jj > 0)
-    hi = js[1:]  # <j-1, m| Jz_A |j, m>
+    hi = js[1:]
     off = np.sqrt((hi ** 2 - m * m) * (hi ** 2 - (ja - jc) ** 2)
                   * ((ja + jc + 1.0) ** 2 - hi ** 2)) / (2.0 * hi * np.sqrt(4.0 * hi ** 2 - 1.0))
-    mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    if which == "C":
-        mat = m * np.eye(len(js)) - mat
-    mat.flags.writeable = False
-    return mat
+    return diag, off
 
 
 def coupled_jz(label: BlockLabel, which: Literal["A", "C"]) -> BlockOperator:

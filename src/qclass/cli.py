@@ -291,6 +291,9 @@ def main(argv=None) -> int:
     except sdp.SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or type(exc).__name__})", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -185,13 +185,16 @@ def gamma_up_pure(n: int) -> BlockOperator:
 
 
 def _lm_bias_from_seed(n: int) -> float:
-    """2 <phi|Gamma|phi> with phi the optimal seed, using the m = 0 sector only."""
-    label = BlockLabel(HalfInteger(n), HalfInteger(n))
-    jzA = blocks.coupled_jz_sector(label, "A", 0)
-    jzC = blocks.coupled_jz_sector(label, "C", 0)
+    """2 <phi|Gamma|phi> with phi the optimal seed, using the m = 0 sector only.
+
+    At m = 0, Jz_C = -Jz_A and Jz_A has a zero diagonal, so the overlap needs
+    only the off-diagonal band of Jz_A: no (n+1) x (n+1) matrix is formed.
+    """
+    _, off = blocks.jz_a_bands(n, n, 0)
     d = n + 1
     v = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
-    return 2.0 * float(v @ (jzA - jzC) @ v) / (d * d * (d + 1))
+    # v (Jz_A - Jz_C) v = 2 v Jz_A v = 4 sum_j off_j v_{j-1} v_j
+    return 8.0 * float(off @ (v[:-1] * v[1:])) / (d * d * (d + 1))
 
 
 def _lm_error_projection(n: int) -> float:

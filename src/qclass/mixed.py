@@ -8,14 +8,22 @@ semidefinite solver, and drives the (n, r) sweep grid.
 
 Block trace norms take one route: each total-momentum sector of a block
 difference holds at most two rank-one projectors, whose principal cosine
-has a closed form, so no dense eigendecomposition is needed at any n.  The
-dense per-sector eigendecomposition of ``blocks.average_state_diff_mixed``
-remains the cross-check in the tests and in ``qclass verify``.
+has a closed form, so no dense eigendecomposition is needed at any n; the
+sum over total momenta is one numpy expression.  The dense per-sector
+eigendecomposition of ``blocks.average_state_diff_mixed`` remains the
+cross-check in the tests and in ``qclass verify``.
+
+The seed problem never couples two block labels, so ``solve_lm`` hands the
+solver one label at a time and uses two symmetries: a label and its mirror
+(jC, jA) share one solve, and a label with jA = jC or jA = 0 costs a
+non-negative multiple of one r-independent matrix, solved once and scaled.
+Solving the whole problem jointly is the cross-check in the tests.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -23,7 +31,7 @@ import numpy as np
 from . import blocks as blk
 from . import machines, sdp
 from .blocks import BlockLabel, BlockOperator, SpectrumParams
-from .su2 import HalfInteger, triangle_ok
+from .su2 import HalfInteger
 
 
 def gamma_up_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
@@ -33,18 +41,23 @@ def gamma_up_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
     a side with jS = 0 contributes nothing.
     """
     ta, tc = label.jA.twice_value, label.jC.twice_value
-    r = params.r
-    scale = 2.0 * (ta + 1) * (tc + 1)
+    return _gamma(label, _kappa(ta, params.r), _kappa(tc, params.r))
 
-    def kappa(tj: int) -> float:
-        if tj == 0:
-            return 0.0
-        j = tj / 2.0
-        return r * blk.jz_expectation(HalfInteger(tj), r) / (j * (j + 1.0))
 
+def _kappa(tj: int, r: float) -> float:
+    """kS = r <Jz>_{jS} / (jS (jS+1)) of one side; 0 for jS = 0."""
+    if tj == 0:
+        return 0.0
+    j = tj / 2.0
+    return r * blk.jz_expectation(HalfInteger(tj), r) / (j * (j + 1.0))
+
+
+def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
+    """[kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) for given side coefficients."""
+    scale = 2.0 * (label.jA.twice_value + 1) * (label.jC.twice_value + 1)
     jzA = blk.coupled_jz(label, "A")
     jzC = blk.coupled_jz(label, "C")
-    return blk.combine([jzA, jzC], [kappa(ta) / scale, -kappa(tc) / scale])
+    return blk.combine([jzA, jzC], [kA / scale, -kC / scale])
 
 
 # ---------------------------------------------------------------------------
@@ -121,24 +134,113 @@ def build_lm_problem(n: int, r: float) -> sdp.BlockSdpProblem:
     out = []
     for label in block_labels(n):
         xi = (label.jA.twice_value, label.jC.twice_value)
-        gamma = gamma_up_mixed(label, params)
-        for tm, cost in gamma.iter_sectors():
-            out.append(sdp.SdpBlock(
-                xi=xi, tm=tm, cost=np.asarray(cost), weight=probs[xi],
-                channels=gamma.index[tm],
-            ))
+        out += _label_blocks(xi, gamma_up_mixed(label, params), probs[xi])
     return sdp.BlockSdpProblem(out)
+
+
+def _label_blocks(xi: tuple[int, int], gamma: BlockOperator, weight: float) -> list[sdp.SdpBlock]:
+    return [sdp.SdpBlock(xi=xi, tm=tm, cost=np.asarray(cost), weight=weight,
+                         channels=gamma.index[tm])
+            for tm, cost in gamma.iter_sectors()]
 
 
 def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
              x0: Optional[dict] = None,
              max_iter: int = sdp.DEFAULT_MAX_ITER) -> tuple[machines.MachineReport, sdp.Seed]:
-    """Optimal learning-machine risk at (n, r); returns (report, solved seed)."""
+    """Optimal learning-machine risk at (n, r); returns (report, solved seed).
+
+    The problem of ``build_lm_problem`` is solved one block label at a time,
+    since no constraint couples two labels.  Only labels with jA <= jC are
+    solved: the mirror (jC, jA) has the same cost with m negated, so its
+    sectors are X[(tc, ta), -tm] = X[(ta, tc), tm].  Labels with jA = jC or
+    jA = 0 have cost s(r) C_unit with s = p_xi kappa >= 0; their unit problem
+    is solved once per tolerance (``_unit_label_seed``) and scaled.  The
+    other labels are solved at (n, r), warm-started from ``x0``.  Each label
+    gets tol / (number of labels), so the assembled certified gap, the sum of
+    the labels' scaled gaps, stays within ``tol``; above it, ``SolverError``
+    carries the assembled seed.
+    """
     problem = build_lm_problem(n, r)
-    seed = sdp.solve(problem, tol=tol, max_iter=max_iter, x0=x0)
+    by_label: dict[tuple[int, int], list[sdp.SdpBlock]] = {}
+    for b in problem.blocks:
+        by_label.setdefault(b.xi, []).append(b)
+    label_tol = tol / len(by_label)
+    parts = []
+    for (ta, tc), blocks in by_label.items():
+        if ta > tc:
+            continue
+        if ta == tc or ta == 0:
+            parts.append(((ta, tc), _unit_label_seed(ta, tc, label_tol, max_iter),
+                          blocks[0].weight * _kappa(tc, r)))
+            continue
+        try:
+            seed = sdp.solve(sdp.BlockSdpProblem(blocks), tol=label_tol,
+                             max_iter=max_iter, x0=x0)
+        except sdp.SolverError as exc:
+            seed = exc.seed
+        parts.append(((ta, tc), seed, 1.0))
+    seed = _assemble_seed(problem, parts)
+    if not seed.gap <= tol:
+        raise sdp.SolverError(
+            f"gap {seed.gap:.3e} above tolerance {tol:.3e} after "
+            f"{seed.iterations} iterations over {len(parts)} labels", seed)
     error = 0.5 * (1.0 - seed.objective / 2.0)
     report = machines.make_report("lm", n, error, r=r, method="sdp", solver_gap=seed.gap)
     return report, seed
+
+
+@lru_cache(maxsize=None)
+def _unit_label_seed(ta: int, tc: int, tol: float, max_iter: int) -> sdp.Seed:
+    """Cold solve of one label at unit cost (Jz_A - Jz_C) / (2 d_{2jA} d_{2jC}).
+
+    For jA = jC, and for jA = 0 where Jz_A vanishes, this is the label's cost
+    divided by p_xi kappa_C, which is the only place r enters.  The best
+    iterate is kept if the gap does not close; the caller judges its gap.
+    Its sectors are read-only, as every seed assembled from it shares them.
+    """
+    label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
+    problem = sdp.BlockSdpProblem(_label_blocks((ta, tc), _gamma(label, 1.0, 1.0), 1.0))
+    try:
+        seed = sdp.solve(problem, tol=tol, max_iter=max_iter)
+    except sdp.SolverError as exc:
+        seed = exc.seed
+    for X in seed.blocks.values():
+        X.flags.writeable = False
+    return seed
+
+
+def _assemble_seed(problem: sdp.BlockSdpProblem, parts: list) -> sdp.Seed:
+    """The whole problem's seed from (label, label seed, cost scale) triples, mirrors filled in.
+
+    Objective, bound, gap and multipliers of a label scale with its cost;
+    a label with a mirror counts twice.  The objective trace sums the
+    labels' scaled traces, each held at its last value once it ends.
+    """
+    blocks, multipliers, traces = {}, {}, []
+    objective = bound = gap = 0.0
+    iterations = 0
+    for (ta, tc), seed, scale in parts:
+        mirrors = [(ta, tc)] if ta == tc else [(ta, tc), (tc, ta)]
+        weight = len(mirrors) * scale
+        objective += weight * seed.objective
+        bound += weight * seed.bound
+        gap += weight * seed.gap
+        iterations += seed.iterations
+        traces.append([weight * v for v in seed.objective_trace])
+        for (_, tm), X in seed.blocks.items():
+            for k, xi in enumerate(mirrors):
+                blocks[xi, -tm if k else tm] = X
+        for (_, tj), y in seed.multipliers.items():
+            for xi in mirrors:
+                multipliers[xi, tj] = scale * y
+    steps = max(len(t) for t in traces)
+    trace = [sum(t[min(k, len(t) - 1)] for t in traces) for k in range(steps)]
+    return sdp.Seed(
+        blocks={b.key: blocks[b.key] for b in problem.blocks}, objective=objective,
+        bound=bound, gap=gap, iterations=iterations,
+        multipliers={c: multipliers[c] for c in sorted(multipliers)},
+        objective_trace=trace, problem=problem,
+    )
 
 
 def mixed_lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
@@ -202,32 +304,28 @@ def unbalanced_block_diff_asymptotic(n: int, r: float, delta: float = 0.0) -> Un
 
 
 def _trace_norm_from_alphas(ta: int, tc: int, aA: float, aC: float) -> float:
-    """Spectral block trace norm directly from the two coupling fractions."""
+    """Spectral block trace norm directly from the two coupling fractions.
+
+    Summed over the total momenta J of (jA +- 1/2) x jC at once: where one of
+    jA +- 1/2 couples to J the sector holds one projector, where both do it
+    holds two, at the principal cosine of ``_recoupling_cos2``.
+    """
     a = aA / ((ta + 2) * (tc + 1))
     b = aC / ((ta + 1) * (tc + 2))
     c = (aC - aA) / (2.0 * (ta + 1) * (tc + 1))
-    total = 0.0
-    tJs = set()
-    for tab in (ta + 1, abs(ta - 1)):
-        if ta == 0 and tab != 1:
-            continue
-        for tJ in range(abs(tab - tc), tab + tc + 1, 2):
-            tJs.add(tJ)
-    for tJ in sorted(tJs):
-        u_ok = triangle_ok(ta + 1, tc, tJ)
-        u2_ok = ta >= 1 and triangle_ok(ta - 1, tc, tJ)
-        v_ok = triangle_ok(ta, tc + 1, tJ)
-        mult = tJ + 1
-        if int(u_ok) + int(u2_ok) == 1:
-            total += mult * abs(a * int(u_ok) - b * int(v_ok) + c)
-        else:
-            t2 = _recoupling_cos2(ta, tc, tJ)
-            disc = math.sqrt((a - b) ** 2 + 4.0 * a * b * (1.0 - t2))
-            total += mult * (abs(c + 0.5 * ((a - b) + disc)) + abs(c + 0.5 * ((a - b) - disc)))
-    return total
+    tJ = np.arange(min(abs(ta + 1 - tc), abs(ta - 1 - tc)), ta + tc + 2, 2)
+    u_ok = tJ >= abs(ta + 1 - tc)
+    u2_ok = (ta >= 1) & (tJ >= abs(ta - 1 - tc)) & (tJ <= ta + tc - 1)
+    v_ok = tJ >= abs(ta - tc - 1)
+    mult = tJ + 1
+    single = mult * np.abs(a * u_ok - b * v_ok + c)
+    t2 = _recoupling_cos2(ta, tc, tJ)
+    disc = np.sqrt(np.maximum((a - b) ** 2 + 4.0 * a * b * (1.0 - t2), 0.0))
+    double = mult * (np.abs(c + 0.5 * ((a - b) + disc)) + np.abs(c + 0.5 * ((a - b) - disc)))
+    return float(np.where(u_ok & u2_ok, double, single).sum())
 
 
-def _recoupling_cos2(ta: int, tc: int, tJ: int) -> float:
+def _recoupling_cos2(ta: int, tc: int, tJ: int | np.ndarray) -> float | np.ndarray:
     """Squared principal cosine (2jA+2)(2jC+2) {jA 1/2 jA+1/2; jC J jC+1/2}^2, closed form."""
     return (tJ + tc - ta + 1) * (tJ + ta - tc + 1) / (4.0 * (ta + 1) * (tc + 1))
 

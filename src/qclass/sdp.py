@@ -13,13 +13,13 @@ eigenvalues, batched over blocks of equal dimension.
 
 The engine is a dependency-free split iteration: a gradient step on the
 linear objective folded into alternating projections onto the two sets, with
-persistent Dykstra-style correction terms carrying the accumulated normal
-components.  Its fixed points are the problem optima.  Progress is certified
-independently of the iteration: the current iterate is projected exactly onto
-the feasible intersection, constraint multipliers are fitted on its active
-eigenspaces, lifted channel-by-channel to exact dual feasibility, and the
-resulting upper bound minus the feasible objective is the reported gap.
-Everything is deterministic for fixed inputs.
+persistent Dykstra-style correction terms; its fixed points are the optima.
+Progress is certified independently: the iterate is projected exactly onto
+the feasible intersection, multipliers are fitted on its active eigenspaces
+and lifted channel-by-channel to exact dual feasibility, and that upper bound
+minus the feasible objective is the reported gap.  Deterministic for fixed
+inputs; blind to block symmetries, which ``mixed.solve_lm`` uses when it
+passes in one block label at a time.
 """
 from __future__ import annotations
 

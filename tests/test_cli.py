@@ -72,6 +72,15 @@ class TestMachineCommand:
         assert run_cli("machine", "lm", "--n", "0").returncode == 1
         assert run_cli("machine", "lm", "--n", "1", "--r", "0").returncode == 1
 
+    def test_memory_error_exit_1(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(cli, "cmd_machine", exhausted)
+        assert cli.main(["machine", "lm", "--n", "100000"]) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "74.5 GiB" in err
+
     def test_usage_error_exit_2(self):
         assert run_cli("machine", "bogus").returncode == 2
         assert run_cli("nonsense").returncode == 2

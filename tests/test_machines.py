@@ -12,6 +12,7 @@ from qclass.machines import (
     programmable_error_pure, programmable_error_unbalanced, reversed_lm_error,
     verify_seed,
 )
+from qclass.su2 import HalfInteger
 
 S2, S3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -129,6 +130,19 @@ class TestLearningMachine:
             p1 = machines._lm_error_projection(n)
             p2 = 0.5 * (1.0 - machines._lm_bias_from_seed(n) / 2.0)
             assert p1 == pytest.approx(p2, abs=1e-12)
+
+    def test_bias_bands_match_dense_sectors(self):
+        # the old route: both dense m = 0 sectors of the (n, n) label
+        for n in (1, 2, 5, 12):
+            label = blk.BlockLabel(HalfInteger(n), HalfInteger(n))
+            diff = blk.coupled_jz_sector(label, "A", 0) - blk.coupled_jz_sector(label, "C", 0)
+            v = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
+            dense = 2.0 * float(v @ diff @ v) / ((n + 1) ** 2 * (n + 2))
+            assert machines._lm_bias_from_seed(n) == pytest.approx(dense, abs=1e-14)
+
+    def test_large_n(self):
+        # a dense (n+1)^2 sector at n = 10^5 would take 75 GiB
+        assert lm_error(10 ** 5) == pytest.approx(programmable_error_pure(10 ** 5), abs=1e-12)
 
 
 class TestEstimateAndDiscriminate:

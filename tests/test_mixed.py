@@ -21,6 +21,33 @@ def gamma_from_conditioning(label, params):
     return V @ diff.reshape(dA * dC, dA * dC) @ V.T
 
 
+def trace_norm_loop(ta, tc, aA, aC):
+    """Block trace norm one total momentum at a time: the reference for the
+    vectorized ``mixed._trace_norm_from_alphas``."""
+    a = aA / ((ta + 2) * (tc + 1))
+    b = aC / ((ta + 1) * (tc + 2))
+    c = (aC - aA) / (2.0 * (ta + 1) * (tc + 1))
+    total = 0.0
+    tJs = set()
+    for tab in (ta + 1, abs(ta - 1)):
+        if ta == 0 and tab != 1:
+            continue
+        for tJ in range(abs(tab - tc), tab + tc + 1, 2):
+            tJs.add(tJ)
+    for tJ in sorted(tJs):
+        u_ok = triangle_ok(ta + 1, tc, tJ)
+        u2_ok = ta >= 1 and triangle_ok(ta - 1, tc, tJ)
+        v_ok = triangle_ok(ta, tc + 1, tJ)
+        mult = tJ + 1
+        if int(u_ok) + int(u2_ok) == 1:
+            total += mult * abs(a * int(u_ok) - b * int(v_ok) + c)
+        else:
+            t2 = mixed._recoupling_cos2(ta, tc, tJ)
+            disc = math.sqrt((a - b) ** 2 + 4.0 * a * b * (1.0 - t2))
+            total += mult * (abs(c + 0.5 * ((a - b) + disc)) + abs(c + 0.5 * ((a - b) - disc)))
+    return total
+
+
 def coupled_order(ta, tc):
     return [(tj, tm) for tj in range(abs(ta - tc), ta + tc + 1, 2)
             for tm in range(-tj, tj + 1, 2)]
@@ -81,6 +108,14 @@ class TestBlockTraceNorms:
                                        HalfInteger(tc), HalfInteger(tJ), HalfInteger(tc + 1))
                     assert mixed._recoupling_cos2(ta, tc, tJ) == pytest.approx(
                         (ta + 2) * (tc + 2) * w6 * w6, abs=1e-14)
+
+    @pytest.mark.parametrize("r", [0.2, 0.7, 1.0])
+    def test_vectorized_matches_loop(self, r):
+        for ta in range(41):
+            for tc in range(41):
+                aA, aC = blk._alpha(ta, r), blk._alpha(tc, r)
+                assert mixed._trace_norm_from_alphas(ta, tc, aA, aC) == pytest.approx(
+                    trace_norm_loop(ta, tc, aA, aC), abs=1e-14)
 
     def test_production_paths_skip_exact_coefficients(self):
         # the floor and the seed problem are built from closed forms alone
@@ -167,6 +202,88 @@ class TestMixedLearningMachine:
         assert rep.solver_gap <= 1e-8
 
 
+def label_of(ta, tc):
+    return BlockLabel(HalfInteger(ta), HalfInteger(tc))
+
+
+class TestLabelByLabelSolve:
+    @pytest.mark.parametrize("r", [0.12, 0.3, 0.8, 1.0])
+    def test_mirror_sector_identity(self, r):
+        # C[(tc, ta), -tm] = C[(ta, tc), tm], with equal channels and p_xi
+        for n in range(1, 9):
+            blocks = {b.key: b for b in mixed.build_lm_problem(n, r).blocks}
+            for ((ta, tc), tm), b in blocks.items():
+                m = blocks[(tc, ta), -tm]
+                assert m.channels == b.channels and m.weight == b.weight
+                np.testing.assert_allclose(m.cost, b.cost, rtol=0, atol=1e-16)
+
+    def test_unit_cost_independent_of_r(self):
+        # labels with jA = jC or jA = 0 cost p_xi kappa_C(r) times one fixed matrix
+        for n in (2, 3, 4, 5):
+            labels = [(t, t) for t in range(n % 2, n + 1, 2)]
+            labels += [(0, t) for t in range(2, n + 1, 2) if n % 2 == 0]
+            for ta, tc in labels:
+                unit = mixed._gamma(label_of(ta, tc), 1.0, 1.0)
+                for r in (0.12, 0.5, 0.9, 1.0):
+                    g = mixed.gamma_up_mixed(label_of(ta, tc), SpectrumParams(n, r))
+                    k = mixed._kappa(tc, r)
+                    for tm, mat in g.iter_sectors():
+                        np.testing.assert_allclose(mat, k * unit.sectors[tm], rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_joint_solve(self, n):
+        # both solves bracket the optimum: objective <= OPT <= bound; gaps that
+        # round to a little below zero are counted as zero, plus 1e-12 rounding
+        for r in (0.12, 0.5, 0.9, 1.0):
+            _, seed = mixed.solve_lm(n, r)
+            joint = sdp.solve(mixed.build_lm_problem(n, r))
+            slack = max(seed.gap, 0.0) + max(joint.gap, 0.0) + 1e-12
+            assert abs(seed.objective - joint.objective) <= slack
+            # the assembled sectors, mirrors included, attain the assembled objective
+            attained = sum(2.0 * b.weight * float(np.vdot(b.cost, seed.blocks[b.key]))
+                           for b in seed.problem.blocks)
+            assert attained == pytest.approx(seed.objective, abs=1e-12)
+            assert seed.gap <= sdp.DEFAULT_TOL
+            assert set(seed.blocks) == {b.key for b in seed.problem.blocks}
+            assert set(seed.multipliers) == set(seed.problem.constraint_channels())
+            assert machines.verify_seed(seed)
+
+    def test_r_independent_labels_solved_once(self, monkeypatch):
+        calls = []
+        real = sdp.solve
+
+        def counting(problem, *args, **kwargs):
+            calls.append(problem.blocks[0].xi)
+            return real(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve", counting)
+        mixed._unit_label_seed.cache_clear()
+        mixed.solve_lm(4, 0.5)
+        assert sorted(calls) == [(0, 0), (0, 2), (0, 4), (2, 2), (2, 4), (4, 4)]
+        calls.clear()
+        mixed.solve_lm(4, 0.7)
+        assert calls == [(2, 4)]
+
+    def test_zero_scale_labels_contribute_nothing(self):
+        # at r = 1 every label but (n, n) has p_xi = 0, and (0, 0) has kappa = 0
+        for n in (2, 4):
+            _, seed = mixed.solve_lm(n, 1.0)
+            top = {k: X for k, X in seed.blocks.items() if k[0] == (n, n)}
+            cost = {b.key: b for b in seed.problem.blocks}
+            alone = sum(2.0 * cost[k].weight * float(np.vdot(cost[k].cost, X))
+                        for k, X in top.items())
+            assert seed.objective == pytest.approx(alone, abs=1e-12)
+            assert 0.5 * (1 - seed.objective / 2) == pytest.approx(machines.lm_error(n), abs=1e-8)
+
+    def test_failure_carries_assembled_seed(self):
+        with pytest.raises(sdp.SolverError) as exc:
+            mixed.solve_lm(2, 0.6, tol=1e-12, max_iter=3)
+        seed = exc.value.seed
+        assert seed.gap > 1e-12
+        assert set(seed.blocks) == {b.key for b in seed.problem.blocks}
+        assert seed.constraint_residual() <= 1e-8
+
+
 class TestUnbalancedAsymptotic:
     def test_pure_factor(self):
         assert mixed.unbalanced_block_diff_asymptotic(50, 1.0).factor == 1.0
@@ -210,6 +327,17 @@ class TestSweep:
         b = mixed.run_sweep(self.small_config(), threads=2)
         assert [(r.n, r.r, r.R_lm, r.R_opt) for r in a.rows] \
             == [(r.n, r.r, r.R_lm, r.R_opt) for r in b.rows]
+
+    def test_thread_determinism_shared_label(self):
+        # label (2, 2) belongs to the n = 2 and the n = 4 lane; each run starts
+        # with no cached label solve, so the lanes fill the cache in one
+        # process at threads = 1 and in two at threads = 2
+        config = mixed.SweepConfig(n_values=(2, 4), r_min=0.3, r_max=1.0, steps=3)
+        mixed._unit_label_seed.cache_clear()
+        one = mixed.run_sweep(config, threads=1).to_csv()
+        mixed._unit_label_seed.cache_clear()
+        two = mixed.run_sweep(config, threads=2).to_csv()
+        assert one == two
 
     def test_csv_format(self):
         table = mixed.run_sweep(self.small_config())
