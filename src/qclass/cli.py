@@ -135,6 +135,8 @@ def cmd_machine(args) -> int:
 def cmd_sweep(args) -> int:
     if args.preset != "fig1":
         raise ValueError(f"unknown sweep preset {args.preset!r}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     config = mixed.SweepConfig(
         n_values=tuple(range(1, args.n_max + 1)),
         r_min=args.r_min, r_max=args.r_max, steps=args.steps, tol=args.tol,

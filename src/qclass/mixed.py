@@ -17,11 +17,14 @@ The seed problem never couples two block labels, so ``solve_lm`` hands the
 solver one label at a time and uses two symmetries: a label and its mirror
 (jC, jA) share one solve, and a label with jA = jC or jA = 0 costs a
 non-negative multiple of one r-independent matrix, solved once and scaled.
-Solving the whole problem jointly is the cross-check in the tests.
+Solving the whole problem jointly is the cross-check in the tests.  Every
+solve starts from the solver's analytic starting point, with no warm start,
+so each sweep row depends only on its own (n, r).
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -100,23 +103,24 @@ def mixed_programmable_risk(n: int, r: float,
     error = 1/2 - (1/4) sum_xi p_xi || sigma0_xi - sigma1_xi ||_1.
     Blocks with p_xi below ``weight_cutoff`` are skipped (each can shift the
     bias by at most 2 p_xi); the label pair (jA, jC) and its mirror share one
-    trace norm.
+    trace norm.  A side whose weight times the largest weight is already at
+    the cutoff is dropped before any product is formed, and each remaining
+    side's coupling fraction is computed once.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    params = SpectrumParams(n, r)
-    probs = block_probabilities(n, r)
+    weights = {w.j.twice_value: w.p for w in blk.block_weights(SpectrumParams(n, r))}
+    top = max(weights.values())
+    sides = [tj for tj in sorted(weights) if weights[tj] * top > weight_cutoff]
+    alpha = {tj: blk._alpha(tj, r) for tj in sides}
     bias = 0.0
-    for (ta, tc), p in probs.items():
-        if ta > tc or p <= weight_cutoff:
-            continue
-        label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
-        norm = block_trace_norm(label, params)
-        if ta == tc:
-            bias += p * norm
-        else:
-            p_mirror = probs[(tc, ta)]
-            bias += (p + p_mirror) * norm
+    for i, ta in enumerate(sides):
+        for tc in sides[i:]:
+            p = weights[ta] * weights[tc]
+            if p <= weight_cutoff:
+                continue
+            norm = _trace_norm_from_alphas(ta, tc, alpha[ta], alpha[tc])
+            bias += p * norm if ta == tc else (p + weights[tc] * weights[ta]) * norm
     error = 0.5 - bias / 4.0
     return machines.make_report("opt", n, error, r=r, method="closed_form")
 
@@ -145,7 +149,6 @@ def _label_blocks(xi: tuple[int, int], gamma: BlockOperator, weight: float) -> l
 
 
 def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
-             x0: Optional[dict] = None,
              max_iter: int = sdp.DEFAULT_MAX_ITER) -> tuple[machines.MachineReport, sdp.Seed]:
     """Optimal learning-machine risk at (n, r); returns (report, solved seed).
 
@@ -155,10 +158,10 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
     sectors are X[(tc, ta), -tm] = X[(ta, tc), tm].  Labels with jA = jC or
     jA = 0 have cost s(r) C_unit with s = p_xi kappa >= 0; their unit problem
     is solved once per tolerance (``_unit_label_seed``) and scaled.  The
-    other labels are solved at (n, r), warm-started from ``x0``.  Each label
-    gets tol / (number of labels), so the assembled certified gap, the sum of
-    the labels' scaled gaps, stays within ``tol``; above it, ``SolverError``
-    carries the assembled seed.
+    other labels are solved at (n, r).  Each label gets tol / (number of
+    labels), so the assembled certified gap, the sum of the labels' scaled
+    gaps, stays within ``tol``; above it, ``SolverError`` carries the
+    assembled seed.
     """
     problem = build_lm_problem(n, r)
     by_label: dict[tuple[int, int], list[sdp.SdpBlock]] = {}
@@ -174,8 +177,7 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
                           blocks[0].weight * _kappa(tc, r)))
             continue
         try:
-            seed = sdp.solve(sdp.BlockSdpProblem(blocks), tol=label_tol,
-                             max_iter=max_iter, x0=x0)
+            seed = sdp.solve(sdp.BlockSdpProblem(blocks), tol=label_tol, max_iter=max_iter)
         except sdp.SolverError as exc:
             seed = exc.seed
         parts.append(((ta, tc), seed, 1.0))
@@ -191,11 +193,11 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
 
 @lru_cache(maxsize=None)
 def _unit_label_seed(ta: int, tc: int, tol: float, max_iter: int) -> sdp.Seed:
-    """Cold solve of one label at unit cost (Jz_A - Jz_C) / (2 d_{2jA} d_{2jC}).
+    """Solve of one label at unit cost (Jz_A - Jz_C) / (2 d_{2jA} d_{2jC}).
 
     For jA = jC, and for jA = 0 where Jz_A vanishes, this is the label's cost
     divided by p_xi kappa_C, which is the only place r enters.  The best
-    iterate is kept if the gap does not close; the caller judges its gap.
+    point is kept if the gap does not close; the caller judges its gap.
     Its sectors are read-only, as every seed assembled from it shares them.
     """
     label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
@@ -350,6 +352,8 @@ class SweepConfig:
             raise ValueError("steps must be >= 1")
         if not 0.0 < self.r_min <= self.r_max <= 1.0:
             raise ValueError("need 0 < r_min <= r_max <= 1")
+        if not self.n_values:
+            raise ValueError("the sweep needs at least one n value")
         if any(n < 1 for n in self.n_values):
             raise ValueError("n values must be positive")
 
@@ -391,16 +395,14 @@ class SweepTable:
 
 
 def _sweep_lane(args) -> list[SweepRow]:
-    """All rows of one n: sequential in r, warm-starting each solve."""
+    """All rows of one n, in r order; each row depends only on its own (n, r)."""
     n, config = args
     rows = []
-    x0 = None
     for r in config.r_grid():
         r = float(r)
         opt = mixed_programmable_risk(n, r)
         try:
-            lm, seed = solve_lm(n, r, tol=config.tol, x0=x0, max_iter=config.max_iter)
-            x0 = seed.blocks
+            lm, seed = solve_lm(n, r, tol=config.tol, max_iter=config.max_iter)
             rows.append(SweepRow(
                 n=n, r=r, R_lm=lm.excess_risk, R_opt=opt.excess_risk,
                 rel_gap=(lm.excess_risk - opt.excess_risk) / opt.excess_risk
@@ -408,7 +410,6 @@ def _sweep_lane(args) -> list[SweepRow]:
                 solver_gap=seed.gap,
             ))
         except sdp.SolverError as exc:
-            x0 = exc.seed.blocks
             rows.append(SweepRow(
                 n=n, r=r, R_lm=math.nan, R_opt=opt.excess_risk,
                 rel_gap=math.nan, solver_gap=exc.seed.gap, error=str(exc),
@@ -419,13 +420,15 @@ def _sweep_lane(args) -> list[SweepRow]:
 def run_sweep(config: SweepConfig, threads: int = 1) -> SweepTable:
     """Risk table over the (n, r) grid; deterministic for a given config.
 
-    Lanes (fixed n) are independent and may run in parallel; rows within a
-    lane share solver warm starts, so results do not depend on ``threads``.
+    Lanes (fixed n) are independent and may run in parallel, at most one
+    worker per core; every row depends only on its own (n, r), so results
+    do not depend on ``threads``.
     """
     lanes = [(n, config) for n in config.n_values]
-    if threads > 1 and len(lanes) > 1:
+    workers = min(threads, len(lanes), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing as mp
-        with mp.get_context("fork").Pool(min(threads, len(lanes))) as pool:
+        with mp.get_context("fork").Pool(workers) as pool:
             per_lane = pool.map(_sweep_lane, lanes)
     else:
         per_lane = [_sweep_lane(l) for l in lanes]

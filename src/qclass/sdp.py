@@ -1,4 +1,4 @@
-"""Dense semidefinite solver for per-sector seed optimization.
+"""Interior-point solver for per-sector seed optimization.
 
 The problem: maximize a weighted linear functional
 
@@ -7,29 +7,37 @@ The problem: maximize a weighted linear functional
 over positive semidefinite matrices X_b, one per (block label, magnetic
 sector), subject to one linear constraint per (block label, coupled momentum
 j): the diagonal entries belonging to channel j, summed across the sectors of
-that block, must equal 2j + 1.  Each diagonal entry belongs to exactly one
-channel, so the affine projection is closed form; the PSD projection clips
-eigenvalues, batched over blocks of equal dimension.
+that block, must equal 2j + 1.  Its dual has one multiplier y_c per channel:
 
-The engine is a dependency-free split iteration: a gradient step on the
-linear objective folded into alternating projections onto the two sets, with
-persistent Dykstra-style correction terms; its fixed points are the optima.
-Progress is certified independently: the iterate is projected exactly onto
-the feasible intersection, multipliers are fitted on its active eigenspaces
-and lifted channel-by-channel to exact dual feasibility, and that upper bound
-minus the feasible objective is the reported gap.  Deterministic for fixed
-inputs; blind to block symmetries, which ``mixed.solve_lm`` uses when it
-passes in one block label at a time.
+    minimize sum_c (2j_c + 1) y_c  subject to  S_b(y) = diag(y[channels_b]) - 2 w_b C_b >= 0.
+
+The engine is a damped-Newton log-barrier method on that dual (Vandenberghe
+and Boyd, "Semidefinite Programming", SIAM Rev. 1996): from a strictly
+feasible start it minimizes t b'y - sum_b log det S_b(y) for t growing
+geometrically, backtracking each step until every S_b stays positive
+definite.  Each centered point carries its own certificate: y is strictly
+dual feasible, so b'y bounds the optimum from above, and the primal point
+X_b = S_b^-1 / t, made exactly feasible by a diagonal congruence, attains an
+objective below it; the difference is the reported gap.  ``Seed.iterations``
+counts Newton steps.  Deterministic for fixed inputs; blind to block
+symmetries, which ``mixed.solve_lm`` uses when it passes in one block label
+at a time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Hashable, Optional
+from typing import Hashable
 
 import numpy as np
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100_000
+DEFAULT_MAX_ITER = 500  # Newton steps
+
+_MU = 20.0                  # growth of the barrier parameter t per centering
+_CENTERED = 1e-3            # centering ends once half the squared Newton decrement is below this
+_ALPHA, _BETA = 0.25, 0.5   # backtracking: sufficient-decrease fraction, step shrink
+_MAX_HALVINGS = 60          # backtracking halvings before a Newton step counts as stalled
 
 
 class InfeasibleError(ValueError):
@@ -37,7 +45,7 @@ class InfeasibleError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Iteration cap reached before the duality gap closed; carries the best iterate."""
+    """The duality gap did not close within the Newton-step cap; carries the best point."""
 
     def __init__(self, message: str, seed: "Seed"):
         super().__init__(message)
@@ -135,214 +143,156 @@ class Seed:
 
 
 class _Workspace:
-    """Stacked storage grouping equal-dimension blocks for batched projections."""
+    """Every sector in one stack, padded to the largest sector dimension.
+
+    Padding slots belong to a dummy channel (index ``nch``) whose multiplier
+    is pinned at 1 and whose target is 0, so a padded S_b is block-diagonal
+    with an identity and the congruence zeroes a padded X_b outside its sector.
+    Costs are stored divided by ``scale``, their largest absolute entry.
+    """
 
     def __init__(self, problem: BlockSdpProblem):
         self.problem = problem
         channels = problem.constraint_channels()
         self.chan_list = sorted(channels)
+        self.nch = nch = len(self.chan_list)
         self.targets = np.array([channels[c] for c in self.chan_list], float)
         chan_pos = {c: i for i, c in enumerate(self.chan_list)}
+        d = max(len(b.channels) for b in problem.blocks)
+        self.costs = np.zeros((len(problem.blocks), d, d))
+        self.slot = np.full((len(problem.blocks), d), nch)
+        for k, b in enumerate(problem.blocks):
+            m = len(b.channels)
+            self.costs[k, :m, :m] = 2.0 * b.weight * np.real(b.cost)
+            self.slot[k, :m] = [chan_pos[(b.xi, tj)] for tj in b.channels]
+        self.scale = float(np.abs(self.costs).max())
+        if self.scale > 0.0:
+            self.costs /= self.scale
+        self.diag = np.arange(d)
+        # flat (channel, channel') index of every entry pair, for the Hessian
+        self.pairs = (self.slot[:, :, None] * (nch + 1) + self.slot[:, None, :]).ravel()
 
-        self.dims = sorted({len(b.channels) for b in problem.blocks})
-        self.groups = {d: [b for b in problem.blocks if len(b.channels) == d] for d in self.dims}
-        self.costs = {
-            d: np.ascontiguousarray([2.0 * b.weight * np.real(b.cost) for b in g])
-            for d, g in self.groups.items()
-        }
-        self.diag_chan = {
-            d: np.array([[chan_pos[(b.xi, tj)] for tj in b.channels] for b in g], int)
-            for d, g in self.groups.items()
-        }
-        self.slot_counts = np.zeros(len(self.chan_list))
-        for d in self.dims:
-            np.add.at(self.slot_counts, self.diag_chan[d].ravel(), 1.0)
+    def to_blocks(self, X: np.ndarray) -> dict:
+        return {b.key: X[k, :len(b.channels), :len(b.channels)].copy()
+                for k, b in enumerate(self.problem.blocks)}
 
-    # -- stack helpers -----------------------------------------------------
-    def zeros(self):
-        return {d: np.zeros_like(self.costs[d]) for d in self.dims}
+    def slack(self, y: np.ndarray) -> np.ndarray:
+        """S_b(y) = diag(y[channels_b]) - C_b for every sector, padding at identity."""
+        S = -self.costs
+        S[:, self.diag, self.diag] += np.append(y, 1.0)[self.slot]
+        return S
 
-    def identity(self):
-        return {d: np.tile(np.eye(d), (self.costs[d].shape[0], 1, 1)) for d in self.dims}
+    def channel_sums(self, X: np.ndarray) -> np.ndarray:
+        return np.bincount(self.slot.ravel(), weights=X[:, self.diag, self.diag].ravel(),
+                           minlength=self.nch + 1)[:self.nch]
 
-    def from_blocks(self, blocks: dict) -> dict:
-        out = self.zeros()
-        for d, g in self.groups.items():
-            for k, b in enumerate(g):
-                out[d][k] = np.real(blocks[b.key])
-        return out
+    def congruence(self, X: np.ndarray) -> np.ndarray:
+        """D X D with D_ii = sqrt(target_c / channel_sum_c): exactly feasible, still PSD."""
+        D = np.sqrt(np.append(self.targets / self.channel_sums(X), 0.0))[self.slot]
+        return X * D[:, :, None] * D[:, None, :]
 
-    def to_blocks(self, stacks: dict) -> dict:
-        out = {}
-        for d, g in self.groups.items():
-            for k, b in enumerate(g):
-                out[b.key] = stacks[d][k].copy()
-        return out
-
-    def objective(self, stacks) -> float:
-        return float(sum(np.vdot(self.costs[d], stacks[d]).real for d in self.dims))
-
-    def channel_sums(self, stacks) -> np.ndarray:
-        sums = np.zeros(len(self.chan_list))
-        for d in self.dims:
-            idx = np.arange(d)
-            np.add.at(sums, self.diag_chan[d].ravel(), stacks[d][:, idx, idx].ravel())
-        return sums
-
-    def affine_project(self, stacks) -> None:
-        delta = (self.targets - self.channel_sums(stacks)) / self.slot_counts
-        for d in self.dims:
-            idx = np.arange(d)
-            stacks[d][:, idx, idx] += delta[self.diag_chan[d]]
+    def barrier(self, y: np.ndarray, t: float):
+        """(t b'y - sum_b log det S_b(y), Cholesky factors); (inf, None) if some S_b is not PD."""
+        try:
+            L = np.linalg.cholesky(self.slack(y))
+        except np.linalg.LinAlgError:
+            return math.inf, None
+        return t * float(self.targets @ y) - 2.0 * np.log(L[:, self.diag, self.diag]).sum(), L
 
     @staticmethod
-    def psd_project(stacks) -> None:
-        for d, s in stacks.items():
-            if d == 1:
-                np.maximum(s, 0.0, out=s)
-                continue
-            w, V = np.linalg.eigh(s)
-            np.maximum(w, 0.0, out=w)
-            s[:] = np.einsum("kij,kj,klj->kil", V, w, V)
+    def inverse(L: np.ndarray) -> np.ndarray:
+        """S^-1 = L^-T L^-1 from the Cholesky factors of S."""
+        Linv = np.linalg.inv(L)
+        return Linv.transpose(0, 2, 1) @ Linv
 
-    # -- exact projection onto the intersection ----------------------------
-    def project_feasible(self, stacks, tol: float = 1e-13, max_sweeps: int = 2000) -> dict:
-        """Dykstra alternating projections onto {PSD} intersect {affine}.
+    def newton_step(self, y: np.ndarray, t: float, f: float, L: np.ndarray):
+        """One backtracked Newton step on the barrier; None once centered.
 
-        The correction term is kept for the PSD cone only; corrections are
-        unnecessary for affine sets, so the limit is the exact projection.
-        The final half-step is affine, so constraints hold exactly.
+        Raises ``LinAlgError`` when rounding stalls the step: a singular
+        Newton system, or no sufficient decrease within ``_MAX_HALVINGS``.
         """
-        x = {d: s.copy() for d, s in stacks.items()}
-        p = self.zeros()
-        for _ in range(max_sweeps):
-            y = {d: x[d] + p[d] for d in self.dims}
-            self.psd_project(y)
-            for d in self.dims:
-                p[d] = x[d] + p[d] - y[d]
-            self.affine_project(y)
-            change = max(float(np.abs(y[d] - x[d]).max()) for d in self.dims)
-            x = y
-            if change <= tol:
-                break
-        return x
+        Sinv = self.inverse(L)
+        g = t * self.targets - self.channel_sums(Sinv)
+        size = self.nch + 1
+        H = np.bincount(self.pairs, weights=(Sinv ** 2).ravel(), minlength=size * size)
+        dy = -np.linalg.solve(H.reshape(size, size)[:self.nch, :self.nch], g)
+        decrement2 = -float(g @ dy)
+        if not math.isfinite(decrement2):
+            raise np.linalg.LinAlgError("non-finite Newton decrement")
+        if decrement2 / 2.0 <= _CENTERED:
+            return None
+        s = 1.0
+        for _ in range(_MAX_HALVINGS):
+            f_new, L_new = self.barrier(y + s * dy, t)
+            if f_new <= f - _ALPHA * s * decrement2:
+                return y + s * dy, f_new, L_new
+            s *= _BETA
+        raise np.linalg.LinAlgError("no sufficient decrease along the Newton direction")
 
-    # -- duality ------------------------------------------------------------
-    def fit_multipliers(self, stacks, active_tol: float = 1e-7) -> np.ndarray:
-        """Least-squares multipliers from stationarity on active eigenspaces."""
-        rows, rhs = [], []
-        nch = len(self.chan_list)
-        for d in self.dims:
-            s = stacks[d]
-            if d == 1:
-                w = s[:, :, 0]
-                V = np.ones_like(s)
-            else:
-                w, V = np.linalg.eigh(s)
-            scale = max(1.0, float(w.max(initial=0.0)))
-            for k in range(s.shape[0]):
-                Cv_all = self.costs[d][k] @ V[k]
-                for e in range(d):
-                    if w[k, e] <= active_tol * scale:
-                        continue
-                    v = V[k][:, e]
-                    Cv = Cv_all[:, e]
-                    for i in range(d):
-                        row = np.zeros(nch)
-                        row[self.diag_chan[d][k, i]] = v[i]
-                        rows.append(row)
-                        rhs.append(Cv[i])
-        if not rows:
-            return np.zeros(nch)
-        A = np.array(rows)
-        b = np.array(rhs)
-        y, *_ = np.linalg.lstsq(A, b, rcond=None)
-        return y
+    def certify(self, y: np.ndarray, t: float, L: np.ndarray):
+        """Feasible primal S^-1 / t after congruence, its objective, and a guarded dual bound.
 
-    def repaired_dual_value(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """Lift multipliers to exact dual feasibility; return (bound, lifted y)."""
-        lift = np.zeros_like(y)
-        for d in self.dims:
-            D = -self.costs[d].copy()
-            idx = np.arange(d)
-            D[:, idx, idx] += y[self.diag_chan[d]]
-            if d == 1:
-                deficits = np.maximum(-D[:, 0, 0], 0.0)
-            else:
-                deficits = np.maximum(-np.linalg.eigvalsh(D)[:, 0], 0.0)
-            for k in np.nonzero(deficits > 0.0)[0]:
-                np.maximum.at(lift, self.diag_chan[d][k], deficits[k])
-        y2 = y + lift
-        return float(self.targets @ y2), y2
-
-    def certify(self, stacks, active_tol: float = 1e-7):
-        """Exact-feasible point, objective, repaired dual bound."""
-        feas = self.project_feasible(stacks)
-        obj = self.objective(feas)
-        y = self.fit_multipliers(feas, active_tol=active_tol)
-        bound, y_rep = self.repaired_dual_value(y)
-        return feas, obj, bound, y_rep
+        y is strictly feasible already; the lift of any negative eigenvalue of
+        S_b onto its channels only guards the bound against rounding.
+        """
+        Sinv = self.inverse(L)
+        X = self.congruence((Sinv + Sinv.transpose(0, 2, 1)) / (2.0 * t))
+        deficits = np.maximum(-np.linalg.eigvalsh(self.slack(y))[:, 0], 0.0)
+        lift = np.zeros(self.nch + 1)
+        np.maximum.at(lift, self.slot, deficits[:, None])
+        y = y + lift[:self.nch]
+        return X, float(np.vdot(self.costs, X)), float(self.targets @ y), y
 
 
 def solve(
     problem: BlockSdpProblem,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    step: Optional[float] = None,
-    x0: Optional[dict] = None,
-    check_every: int = 50,
 ) -> Seed:
     """Maximize the seed functional; returns a feasible Seed with certified gap.
 
-    Deterministic given (problem, tol, max_iter, step, x0).  Raises
-    ``SolverError`` carrying the best feasible iterate if the certified gap
-    does not close within ``max_iter`` iterations.
+    Deterministic given (problem, tol, max_iter).  The gap is certified at
+    the end of every centering; ``SolverError`` carries the best certified
+    point if it does not close within ``max_iter`` Newton steps (each
+    Newton system solved counts, the one that finds a point centered too)
+    or before rounding stalls the path.
     """
     ws = _Workspace(problem)
-    Z = ws.from_blocks(x0) if x0 is not None else ws.identity()
-    ws.psd_project(Z)
-    U = ws.zeros()
-
-    cost_scale = max(float(np.abs(c).max()) for c in ws.costs.values())
-    if cost_scale == 0.0:
-        feas = ws.project_feasible(Z)
-        return Seed(blocks=ws.to_blocks(feas), objective=0.0, bound=0.0, gap=0.0,
+    if ws.scale == 0.0:
+        X = ws.congruence(np.broadcast_to(np.eye(len(ws.diag)), ws.costs.shape).copy())
+        return Seed(blocks=ws.to_blocks(X), objective=0.0, bound=0.0, gap=0.0,
                     iterations=0, multipliers={c: 0.0 for c in ws.chan_list},
                     objective_trace=[0.0], problem=problem)
-    # gradient scale: ascend the linear objective inside the affine half-step
-    eta = step if step is not None else 1.0 / cost_scale
-
-    best = None  # (gap, blocks, obj, bound, y, iterations)
+    y = np.full(ws.nch, max(float(np.linalg.eigvalsh(ws.costs)[:, -1].max()), 0.0) + 1.0)
+    best = None  # (gap, X, objective, bound, y, steps), all divided by ws.scale
     trace: list[float] = []
-    it = 0
-    while it < max_iter:
-        upto = min(it + check_every, max_iter)
-        while it < upto:
-            X = {d: Z[d] - U[d] + eta * ws.costs[d] for d in ws.dims}
-            ws.affine_project(X)
-            for d in ws.dims:
-                Z[d] = X[d] + U[d]
-            ws.psd_project(Z)
-            for d in ws.dims:
-                U[d] += X[d] - Z[d]
-            it += 1
-        feas, obj, bound, y = ws.certify(Z)
-        trace.append(obj)
-        gap = bound - obj
-        if best is None or gap < best[0]:
-            best = (gap, ws.to_blocks(feas), obj, bound, y, it)
-        if best[0] <= tol:
+    t, steps, stalled = 1.0, 0, False
+    while True:
+        f, L = ws.barrier(y, t)
+        try:
+            while steps < max_iter:
+                steps += 1
+                step = ws.newton_step(y, t, f, L)
+                if step is None:
+                    break
+                y, f, L = step
+        except np.linalg.LinAlgError:
+            stalled = True
+        X, obj, bound, y_cert = ws.certify(y, t, L)
+        trace.append(obj * ws.scale)
+        if best is None or bound - obj < best[0]:
+            best = (bound - obj, X, obj, bound, y_cert, steps)
+        if best[0] * ws.scale <= tol or steps >= max_iter or stalled:
             break
+        t *= _MU
 
-    gap, blocks, obj, bound, y, its = best
-    seed = Seed(
-        blocks=blocks, objective=obj, bound=bound, gap=gap, iterations=its,
-        multipliers=dict(zip(ws.chan_list, y)), objective_trace=trace,
-        problem=problem,
-    )
-    if gap > tol:
+    gap, X, obj, bound, y, its = best
+    seed = Seed(blocks=ws.to_blocks(X), objective=obj * ws.scale, bound=bound * ws.scale,
+                gap=gap * ws.scale, iterations=its,
+                multipliers=dict(zip(ws.chan_list, y * ws.scale)),
+                objective_trace=trace, problem=problem)
+    if seed.gap > tol:
         raise SolverError(
-            f"gap {gap:.3e} above tolerance {tol:.3e} after {it} iterations", seed
+            f"gap {seed.gap:.3e} above tolerance {tol:.3e} after {steps} Newton steps", seed
         )
     return seed
-

@@ -233,10 +233,8 @@ def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
                          0.0, worst, tol))
 
     rel_peak, abs_peak = 0.0, 0.0
-    x0 = None
     for r in np.linspace(0.1, 1.0, 19):
-        lm, sd = mixed.solve_lm(2, float(r), tol=1e-9, x0=x0)
-        x0 = sd.blocks
+        lm, _ = mixed.solve_lm(2, float(r), tol=1e-9)
         opt = mixed.mixed_programmable_risk(2, float(r))
         rel_peak = max(rel_peak, lm.excess_risk / opt.excess_risk - 1.0)
         abs_peak = max(abs_peak, lm.excess_risk - opt.excess_risk)

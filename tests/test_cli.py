@@ -174,3 +174,17 @@ class TestSweepCommand:
         assert manifest["config"]["steps"] == 4
         rows = [line.split(",") for line in lines[1:]]
         assert all(float(r[4]) >= -1e-7 for r in rows)
+
+    def test_empty_sweep_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert cli.main(["sweep", "fig1", "--n-max", "0", "--out", str(out)]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_1(self, tmp_path, capsys, threads):
+        out = tmp_path / "table.csv"
+        assert cli.main(["sweep", "fig1", "--n-max", "1", "--steps", "1",
+                         "--threads", threads, "--out", str(out)]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()

@@ -133,7 +133,38 @@ class TestBlockTraceNorms:
             assert len(probs) == ((2 * n + 3 + (1 if n % 2 == 0 else -1)) // 4) ** 2
 
 
+def floor_label_loop(n, r, weight_cutoff=1e-15):
+    """The floor's bias summed over every label product, two-sided alphas per
+    label: the reference for the pruned loop of ``mixed_programmable_risk``."""
+    params = SpectrumParams(n, r)
+    probs = mixed.block_probabilities(n, r)
+    bias = 0.0
+    for (ta, tc), p in probs.items():
+        if ta > tc or p <= weight_cutoff:
+            continue
+        norm = mixed.block_trace_norm(BlockLabel(HalfInteger(ta), HalfInteger(tc)), params)
+        bias += p * norm if ta == tc else (p + probs[(tc, ta)]) * norm
+    return 0.5 - bias / 4.0
+
+
 class TestMixedProgrammable:
+    @pytest.mark.parametrize("n,r", [(1, 0.5), (6, 0.12), (7, 1.0), (40, 0.3), (300, 0.8),
+                                     (1200, 0.95)])
+    def test_pruned_floor_bit_identical(self, n, r, monkeypatch):
+        # one alpha per kept side, no more than n/2 + 1 of them
+        calls = []
+        real = blk._alpha
+
+        def counting(tj, r):
+            calls.append(tj)
+            return real(tj, r)
+
+        monkeypatch.setattr(blk, "_alpha", counting)
+        error = mixed.mixed_programmable_risk(n, r).error_probability
+        assert len(calls) == len(set(calls)) <= n // 2 + 1
+        monkeypatch.setattr(blk, "_alpha", real)
+        assert error == floor_label_loop(n, r)
+
     def test_pure_limit(self):
         for n in (1, 2, 3, 4, 5):
             rep = mixed.mixed_programmable_risk(n, 1.0)
@@ -179,11 +210,9 @@ class TestMixedLearningMachine:
         # the two-copy machine sits strictly above the floor at intermediate
         # purity; measured peak gaps, each far above the SDP's certified
         # duality gap (solver_gap <= 1e-9 here): relative 4.15e-2, absolute 5.2e-3
-        x0 = None
         rel, ab = 0.0, 0.0
         for r in np.linspace(0.1, 1.0, 19):
-            lm, seed = mixed.solve_lm(2, float(r), tol=1e-9, x0=x0)
-            x0 = seed.blocks
+            lm, _ = mixed.solve_lm(2, float(r), tol=1e-9)
             opt = mixed.mixed_programmable_risk(2, float(r))
             rel = max(rel, lm.excess_risk / opt.excess_risk - 1)
             ab = max(ab, lm.excess_risk - opt.excess_risk)
@@ -339,6 +368,37 @@ class TestSweep:
         two = mixed.run_sweep(config, threads=2).to_csv()
         assert one == two
 
+    def test_pool_capped_at_core_count(self, monkeypatch):
+        # a fake context records the requested pool size and maps in-process
+        import multiprocessing
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        class FakeContext:
+            Pool = FakePool
+
+        config = mixed.SweepConfig(n_values=(1, 2, 3), r_min=0.5, r_max=1.0, steps=2)
+        serial = mixed.run_sweep(config, threads=1).to_csv()
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+        monkeypatch.setattr(mixed.os, "cpu_count", lambda: 2)
+        assert mixed.run_sweep(config, threads=1000).to_csv() == serial
+        monkeypatch.setattr(mixed.os, "cpu_count", lambda: 1)
+        assert mixed.run_sweep(config, threads=1000).to_csv() == serial
+        assert sizes == [2]
+
     def test_csv_format(self):
         table = mixed.run_sweep(self.small_config())
         text = table.to_csv()
@@ -366,3 +426,5 @@ class TestSweep:
             mixed.SweepConfig(r_min=0.0)
         with pytest.raises(ValueError):
             mixed.SweepConfig(n_values=(0, 1))
+        with pytest.raises(ValueError):
+            mixed.SweepConfig(n_values=())

@@ -9,6 +9,82 @@ from qclass.sdp import (
 )
 
 
+# -- independent re-certifier: Dykstra projection, fitted multipliers, lifted bound
+
+
+def channel_slots(problem):
+    """(block key, diagonal index) slots of every constraint channel."""
+    slots = {}
+    for b in problem.blocks:
+        for i, tj in enumerate(b.channels):
+            slots.setdefault((b.xi, tj), []).append((b.key, i))
+    return slots
+
+
+def project_feasible(problem, blocks, tol=1e-13, max_sweeps=2000):
+    """Dykstra alternating projections onto {PSD} intersect {affine}.
+
+    The correction term is kept for the PSD cone only; corrections are
+    unnecessary for affine sets, so the limit is the exact projection.
+    The final half-step is affine, so constraints hold exactly.
+    """
+    targets, slots = problem.constraint_channels(), channel_slots(problem)
+    x = {k: np.real(X).copy() for k, X in blocks.items()}
+    p = {k: np.zeros_like(X) for k, X in x.items()}
+    for _ in range(max_sweeps):
+        y = {}
+        for k in x:
+            w, V = np.linalg.eigh(x[k] + p[k])
+            y[k] = (V * np.maximum(w, 0.0)) @ V.T
+            p[k] = x[k] + p[k] - y[k]
+        for c, where in slots.items():
+            delta = (targets[c] - sum(y[k][i, i] for k, i in where)) / len(where)
+            for k, i in where:
+                y[k][i, i] += delta
+        change = max(float(np.abs(y[k] - x[k]).max()) for k in x)
+        x = y
+        if change <= tol:
+            break
+    return x
+
+
+def fit_multipliers(problem, blocks):
+    """Least-squares multipliers from stationarity (diag(y) - 2 w C) X = 0.
+
+    Each eigenvector of X enters weighted by its eigenvalue, so directions
+    that X barely uses count for little; no active-set threshold is needed.
+    """
+    chans = sorted(problem.constraint_channels())
+    pos = {c: i for i, c in enumerate(chans)}
+    rows, rhs = [], []
+    for b in problem.blocks:
+        X = np.real(blocks[b.key])
+        CX = 2.0 * b.weight * np.real(b.cost) @ X
+        for i, tj in enumerate(b.channels):
+            row = np.zeros((len(b.channels), len(chans)))
+            row[:, pos[(b.xi, tj)]] = X[i]
+            rows.append(row)
+            rhs.append(CX[i])
+    y = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)[0]
+    return dict(zip(chans, y))
+
+
+def repaired_bound(problem, y):
+    """Dual value of y after lifting each channel by the deficits of its sectors."""
+    lift = dict.fromkeys(y, 0.0)
+    for b in problem.blocks:
+        S = np.diag([y[b.xi, tj] for tj in b.channels]) - 2.0 * b.weight * np.real(b.cost)
+        deficit = max(-float(np.linalg.eigvalsh(S)[0]), 0.0)
+        for tj in b.channels:
+            lift[b.xi, tj] = max(lift[b.xi, tj], deficit)
+    return sum(t * (y[c] + lift[c]) for c, t in problem.constraint_channels().items())
+
+
+def objective(problem, blocks):
+    return sum(2.0 * b.weight * float(np.vdot(np.real(b.cost), blocks[b.key]))
+               for b in problem.blocks)
+
+
 def n1_pure_problem():
     xi = (1, 1)
     return BlockSdpProblem([
@@ -71,11 +147,36 @@ class TestSolve:
     def test_iteration_cap_carries_best_iterate(self):
         hard = mixed.build_lm_problem(2, 0.6)
         with pytest.raises(SolverError) as exc:
-            solve(hard, tol=1e-12, max_iter=3, check_every=3)
+            solve(hard, tol=1e-12, max_iter=3)
         seed = exc.value.seed
         assert isinstance(seed, Seed)
         assert seed.constraint_residual() <= 1e-8
         assert seed.gap > 1e-12
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_independent_recertification(self, n):
+        # the Dykstra projection of a barrier seed stays put, and the bound
+        # lifted from multipliers fitted to it lies within the reported gap
+        for r in (0.12, 0.5, 0.9, 1.0):
+            _, seed = mixed.solve_lm(n, r)
+            feas = project_feasible(seed.problem, seed.blocks)
+            assert objective(seed.problem, feas) == pytest.approx(seed.objective, abs=1e-12)
+            bound = repaired_bound(seed.problem, fit_multipliers(seed.problem, feas))
+            assert seed.objective - 1e-12 <= bound <= seed.objective + seed.gap
+
+    def test_congruence_repaired_primal_is_feasible(self):
+        problems = [n1_pure_problem()] + [mixed.build_lm_problem(n, r)
+                                          for n, r in ((2, 0.3), (3, 0.8), (4, 1.0))]
+        for problem in problems:
+            for max_iter in (1, 3, 500):
+                try:
+                    seed = solve(problem, max_iter=max_iter)
+                except SolverError as exc:
+                    seed = exc.seed
+                assert seed.constraint_residual() <= 1e-12
+                assert seed.min_eigenvalue() >= -1e-12
 
 
 class TestSeed:
