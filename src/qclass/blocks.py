@@ -3,9 +3,11 @@
 A source emitting n identical qubits of Bloch length r produces a state that
 is block diagonal over total-angular-momentum subspaces.  This module holds
 the spectral data of those blocks (weights a_m, normalization c_j, block
-probabilities p_j), operators stored per invariant sector, the averaged
-difference operators whose trace norm controls every error probability in
-the package, and the large-n limit of the block distribution.
+probabilities p_j), operators stored per invariant sector, Jz of one
+training side in the coupled basis, and the large-n limit of the block
+distribution, all from closed forms without Clebsch-Gordan or 6j sums.
+The dense route (coupling isometries, averaged states and their
+differences) lives in ``oracle``.
 
 Conventions: every irrep basis is ordered by ascending magnetic number, the
 qubit basis is (down, up), and multiplicity spaces are dropped everywhere --
@@ -21,12 +23,11 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .su2 import HalfInteger, HalfIntLike, _cg_doubled, as_half
+from .su2 import HalfInteger, HalfIntLike, as_half
 
 HERMITICITY_TOL = 1e-10
 
 BASIS_AC_COUPLED = "ac-coupled"      # sector index = doubled coupled momentum j
-BASIS_ABC_PRODUCT = "abc-product"    # sector index = (2mA, 2mB, 2mC) tuples
 
 
 class IntegrityError(RuntimeError):
@@ -126,6 +127,13 @@ def jz_expectation(j: HalfIntLike, r: float) -> float:
         return 0.0
     ms = np.arange(-tj, tj + 1, 2) / 2.0
     return float(ms @ _block_spectrum(tj, r)[0])
+
+
+def _alpha(tj: int, r: float) -> float:
+    """Coefficient r <Jz>_j / j splitting a block between its two couplings."""
+    if tj == 0:
+        return 0.0
+    return r * jz_expectation(HalfInteger(tj), r) / (tj / 2.0)
 
 
 @dataclass
@@ -257,124 +265,6 @@ def coupled_jz(label: BlockLabel, which: Literal["A", "C"]) -> BlockOperator:
         sectors[tm] = np.array(coupled_jz_sector(label, which, tm))
         index[tm] = coupled_sector_index(label, tm)
     return BlockOperator(label=label, basis=BASIS_AC_COUPLED, sectors=sectors, index=index)
-
-
-@lru_cache(maxsize=None)
-def coupling_isometry(tj1: int, tj2: int) -> np.ndarray:
-    """Orthogonal map from the product basis of j1 x j2 to the coupled basis.
-
-    Rows are coupled states ordered by (ascending j, ascending m); columns are
-    product states ordered by (ascending m1, ascending m2).
-    """
-    d1, d2 = tj1 + 1, tj2 + 1
-    V = np.zeros((d1 * d2, d1 * d2))
-    row = 0
-    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-        for tm in range(-tj, tj + 1, 2):
-            for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
-                tm2 = tm - tm1
-                if abs(tm2) <= tj2:
-                    i2 = (tm2 + tj2) // 2
-                    V[row, i1 * d2 + i2] = _cg_doubled(tj1, tm1, tj2, tm2, tj, tm)
-            row += 1
-    V.flags.writeable = False
-    return V
-
-
-@lru_cache(maxsize=None)
-def sym_plus_projector(tj: int) -> np.ndarray:
-    """Projector onto total momentum j + 1/2 inside spin-j x qubit (product basis)."""
-    d = tj + 1
-    P = np.zeros((2 * d, 2 * d))
-    for tM in range(-(tj + 1), tj + 2, 2):
-        v = np.zeros(2 * d)
-        for i, tm in enumerate(range(-tj, tj + 1, 2)):
-            for ib, tmb in enumerate((-1, 1)):
-                if tm + tmb == tM:
-                    v[i * 2 + ib] = _cg_doubled(tj, tm, 1, tmb, tj + 1, tM)
-        P += np.outer(v, v)
-    P.flags.writeable = False
-    return P
-
-
-# ---------------------------------------------------------------------------
-# Averaged difference operators
-
-
-def _alpha(tj: int, r: float) -> float:
-    """Coefficient r <Jz>_j / j splitting a block between its two couplings."""
-    if tj == 0:
-        return 0.0
-    return r * jz_expectation(HalfInteger(tj), r) / (tj / 2.0)
-
-
-def _sigma_pair_block(label: BlockLabel, params: SpectrumParams) -> tuple[np.ndarray, np.ndarray]:
-    """Dense averaged states (sigma0, sigma1) of one block, on spin(jA) x qubit x spin(jC)."""
-    ta, tc = label.jA.twice_value, label.jC.twice_value
-    dA, dC = ta + 1, tc + 1
-    aA, aC = _alpha(ta, params.r), _alpha(tc, params.r)
-    iA, iB, iC = np.eye(dA), np.eye(2), np.eye(dC)
-
-    # sigma0: data qubit correlated with side A
-    ab = aA * sym_plus_projector(ta) / (ta + 2) + (1.0 - aA) * np.kron(iA, iB) / (2 * dA)
-    s0 = np.kron(ab, iC / dC)
-    # sigma1: data qubit correlated with side C; qubit sits left of C in (B, C) order
-    plus_bc = sym_plus_projector(tc).reshape(dC, 2, dC, 2).transpose(1, 0, 3, 2)
-    plus_bc = plus_bc.reshape(2 * dC, 2 * dC)
-    bc = aC * plus_bc / (tc + 2) + (1.0 - aC) * np.kron(iB, iC) / (2 * dC)
-    s1 = np.kron(iA / dA, bc)
-    return s0, s1
-
-
-def product_sector_index(label: BlockLabel, tm: int) -> tuple[tuple[int, int, int], ...]:
-    """(2mA, 2mB, 2mC) labels, in kron order, of one total-m sector of A x B x C."""
-    ta, tc = label.jA.twice_value, label.jC.twice_value
-    out = []
-    for tma in range(-ta, ta + 1, 2):
-        for tmb in (-1, 1):
-            tmc = tm - tma - tmb
-            if abs(tmc) <= tc:
-                out.append((tma, tmb, tmc))
-    return tuple(out)
-
-
-def dense_to_sectors(mat: np.ndarray, label: BlockLabel) -> BlockOperator:
-    """Chop a dense operator on spin(jA) x qubit x spin(jC) into total-m sectors."""
-    ta, tc = label.jA.twice_value, label.jC.twice_value
-    dA, dC = ta + 1, tc + 1
-    if mat.shape != (dA * 2 * dC, dA * 2 * dC):
-        raise ValueError(f"operator shape {mat.shape} does not match label {label}")
-
-    def flat(lbl):
-        tma, tmb, tmc = lbl
-        return ((tma + ta) // 2 * 2 + (tmb + 1) // 2) * dC + (tmc + tc) // 2
-
-    sectors, index = {}, {}
-    for tm in range(-(ta + tc + 1), ta + tc + 2, 2):
-        lbls = product_sector_index(label, tm)
-        if not lbls:
-            continue
-        ix = np.array([flat(l) for l in lbls])
-        sectors[tm] = mat[np.ix_(ix, ix)].copy()
-        index[tm] = lbls
-    return BlockOperator(label=label, basis=BASIS_ABC_PRODUCT, sectors=sectors, index=index)
-
-
-def average_state_diff_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
-    """sigma0 - sigma1 of one block, per total-m sector in the product basis."""
-    ta, tc = label.jA.twice_value, label.jC.twice_value
-    if ta > params.n or tc > params.n or (params.n - ta) % 2 or (params.n - tc) % 2:
-        raise ValueError(f"label {label} is not admissible for n={params.n}")
-    s0, s1 = _sigma_pair_block(label, params)
-    return dense_to_sectors(s0 - s1, label)
-
-
-def average_state_diff_pure(n: int) -> BlockOperator:
-    """sigma0 - sigma1 for n pure training qubits per side."""
-    if n < 1:
-        raise ValueError(f"need at least one training qubit per side, got n={n}")
-    label = BlockLabel(HalfInteger(n), HalfInteger(n))
-    return average_state_diff_mixed(label, SpectrumParams(n=n, r=1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,14 @@ def dumps17(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _env_float(name: str, default: float) -> float:
+def _env(name: str, kind: type, default):
     val = os.environ.get(name)
-    return float(val) if val else default
-
-
-def _env_int(name: str, default: int) -> int:
-    val = os.environ.get(name)
-    return int(val) if val else default
+    if not val:
+        return default
+    try:
+        return kind(val)
+    except ValueError:
+        raise ValueError(f"{name}={val!r} is not a valid {kind.__name__}") from None
 
 
 def _manifest(args: argparse.Namespace, config: dict, tolerances: dict) -> dict:
@@ -87,10 +87,11 @@ def _write_with_manifest(path: str, content: str, manifest: dict) -> None:
 
 def cmd_machine(args) -> int:
     tol = args.tol
+    unbalanced = args.nA is not None or args.nC is not None
+    if unbalanced and (args.machine != "opt" or args.nA is None or args.nC is None):
+        raise ValueError("--nA and --nC must be given together, and to the opt machine only")
     if args.machine == "opt":
-        if args.nA is not None or args.nC is not None:
-            if args.nA is None or args.nC is None:
-                raise ValueError("--nA and --nC must be given together")
+        if unbalanced:
             if args.r != 1.0:
                 raise ValueError("unbalanced training sets are supported for pure sources only")
             err = machines.programmable_error_unbalanced(args.nA, args.nC)
@@ -186,14 +187,12 @@ def cmd_su2(args) -> int:
 
 def cmd_dump(args) -> int:
     if args.what == "gamma":
-        tj = args.n if args.jA is None else su2.as_half(args.jA).twice_value
+        ta = args.n if args.jA is None else su2.as_half(args.jA).twice_value
         tc = args.n if args.jC is None else su2.as_half(args.jC).twice_value
-        label = blocks.BlockLabel(su2.HalfInteger(tj), su2.HalfInteger(tc))
-        if args.r == 1.0 and tj == args.n and tc == args.n:
-            op = machines.gamma_up_pure(args.n)
-        else:
-            op = mixed.gamma_up_mixed(label, blocks.SpectrumParams(args.n, args.r))
-        payload = op.to_json_dict()
+        label = blocks.BlockLabel(su2.HalfInteger(ta), su2.HalfInteger(tc))
+        if args.n < 1 or any(t > args.n or (args.n - t) % 2 for t in (ta, tc)):
+            raise ValueError(f"--n {args.n} has no block label (jA, jC) = ({label.jA}, {label.jC})")
+        payload = mixed.gamma_up_mixed(label, blocks.SpectrumParams(args.n, args.r)).to_json_dict()
     else:
         _, seed = mixed.solve_lm(args.n, args.r, tol=args.tol)
         payload = seed.to_json_dict()
@@ -212,9 +211,9 @@ def cmd_dump(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    tol_default = _env_float("QCLASS_TOL", sdp.DEFAULT_TOL)
-    seed_default = _env_int("QCLASS_SEED", 7)
-    threads_default = _env_int("QCLASS_THREADS", 1)
+    tol_default = _env("QCLASS_TOL", float, sdp.DEFAULT_TOL)
+    seed_default = _env("QCLASS_SEED", int, 7)
+    threads_default = _env("QCLASS_THREADS", int, 1)
 
     p = argparse.ArgumentParser(prog="qclass",
                                 description="Training-based binary classification of qubit "
@@ -283,11 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # a malformed QCLASS_* default
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, blocks.IntegrityError, sdp.InfeasibleError) as exc:
+    except (ValueError, OSError, blocks.IntegrityError, sdp.InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except sdp.SolverError as exc:

@@ -26,10 +26,8 @@ from typing import Optional
 import numpy as np
 
 from . import blocks
-from .blocks import BlockLabel, BlockOperator, IntegrityError
+from .blocks import BlockLabel, BlockOperator
 from .su2 import HalfInteger
-
-LM_PATH_AGREEMENT_TOL = 1e-10
 
 
 def baseline_error(r: float = 1.0) -> float:
@@ -184,51 +182,24 @@ def gamma_up_pure(n: int) -> BlockOperator:
     return blocks.combine([jzA, jzC], [s, -s])
 
 
-def _lm_bias_from_seed(n: int) -> float:
-    """2 <phi|Gamma|phi> with phi the optimal seed, using the m = 0 sector only.
+def lm_error(n: int) -> float:
+    """Learning-machine error probability at the optimal seed.
 
-    At m = 0, Jz_C = -Jz_A and Jz_A has a zero diagonal, so the overlap needs
-    only the off-diagonal band of Jz_A: no (n+1) x (n+1) matrix is formed.
-    """
-    _, off = blocks.jz_a_bands(n, n, 0)
-    d = n + 1
-    v = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
-    # v (Jz_A - Jz_C) v = 2 v Jz_A v = 4 sum_j off_j v_{j-1} v_j
-    return 8.0 * float(off @ (v[:-1] * v[1:])) / (d * d * (d + 1))
-
-
-def _lm_error_projection(n: int) -> float:
-    """Error from the squared norms of the projected seed-plus-data states.
-
-    The projection of the seed (tensored with an up data qubit) onto the
-    subspace symmetric over the data qubit and side C has coefficients
+    From the squared norms of the projected seed-plus-data states: the
+    projection of the seed (tensored with an up data qubit) onto the subspace
+    symmetric over the data qubit and side C has coefficients
     sqrt(j) (sqrt(d_n + j) - sqrt(d_n - j)) / sqrt(2 d_n) on total momentum
-    j - 1/2, j = 1..n+1.
+    j - 1/2, j = 1..n+1.  The seed overlap with ``gamma_up_pure`` is the
+    cross-check in the tests, and the block SDP at r = 1 in ``qclass verify``.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     d = n + 1
     acc = 0.0
     for j in range(1, n + 2):
         c = math.sqrt(j) * (math.sqrt(d + j) - math.sqrt(d - j)) / math.sqrt(2.0 * d)
         acc += c * c
     return acc / (d * (d + 1))
-
-
-def lm_error(n: int) -> float:
-    """Learning-machine error probability at the optimal seed.
-
-    Evaluated through two independent routes (projection norms, and the seed
-    overlap with the conditioned training-set operator); raises
-    ``IntegrityError`` if they disagree beyond 1e-10.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    p_proj = _lm_error_projection(n)
-    p_bias = 0.5 * (1.0 - _lm_bias_from_seed(n) / 2.0)
-    if abs(p_proj - p_bias) > LM_PATH_AGREEMENT_TOL:
-        raise IntegrityError(
-            f"learning-machine error paths disagree at n={n}: {p_proj} vs {p_bias}"
-        )
-    return p_proj
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,16 @@ Block trace norms take one route: each total-momentum sector of a block
 difference holds at most two rank-one projectors, whose principal cosine
 has a closed form, so no dense eigendecomposition is needed at any n; the
 sum over total momenta is one numpy expression.  The dense per-sector
-eigendecomposition of ``blocks.average_state_diff_mixed`` remains the
+eigendecomposition of ``oracle.average_state_diff_mixed`` remains the
 cross-check in the tests and in ``qclass verify``.
 
 The seed problem never couples two block labels, so ``solve_lm`` hands the
 solver one label at a time and uses two symmetries: a label and its mirror
-(jC, jA) share one solve, and a label with jA = jC or jA = 0 costs a
-non-negative multiple of one r-independent matrix, solved once and scaled.
-Solving the whole problem jointly is the cross-check in the tests.  Every
-solve starts from the solver's analytic starting point, with no warm start,
-so each sweep row depends only on its own (n, r).
+(jC, jA) share one build and one solve, and a label with jA = jC or jA = 0
+costs a non-negative multiple of one r-independent matrix, solved once and
+scaled.  Solving the whole problem jointly is the cross-check in the tests.
+Every solve starts from the solver's analytic starting point, with no warm
+start, so each sweep row depends only on its own (n, r).
 """
 from __future__ import annotations
 
@@ -130,15 +130,24 @@ def mixed_programmable_risk(n: int, r: float,
 
 
 def build_lm_problem(n: int, r: float) -> sdp.BlockSdpProblem:
-    """Seed-optimization problem: every block label, every magnetic sector."""
+    """Seed-optimization problem: every block label, every magnetic sector.
+
+    Only labels with jA <= jC are built.  The mirror (jC, jA) has the same
+    weight, and its sector m shares the cost array and channels of sector -m.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     params = SpectrumParams(n, r)
     probs = block_probabilities(n, r)
-    out = []
+    built, out = {}, []
     for label in block_labels(n):
-        xi = (label.jA.twice_value, label.jC.twice_value)
-        out += _label_blocks(xi, gamma_up_mixed(label, params), probs[xi])
+        ta, tc = label.jA.twice_value, label.jC.twice_value
+        if ta <= tc:
+            built[ta, tc] = _label_blocks((ta, tc), gamma_up_mixed(label, params), probs[ta, tc])
+            out += built[ta, tc]
+        else:  # labels ascend in jA, so the mirror is built already
+            out += [sdp.SdpBlock((ta, tc), -b.tm, b.cost, b.weight, b.channels)
+                    for b in reversed(built[tc, ta])]
     return sdp.BlockSdpProblem(out)
 
 

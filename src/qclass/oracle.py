@@ -7,6 +7,10 @@ algebra it is meant to check.  Two oracle families with independent failure
 modes: deterministic constructions (quadrature twirls, dense eigensolves)
 and statistical simulation of the actual measurement protocol.
 
+It also holds the dense route of the block algebra, which shares only the
+block weights with production: every coupling comes from ``coupling_isometry``
+and the averaged states of a block are explicit matrices.
+
 Basis conventions match the rest of the package: magnetic numbers ascend, so
 the qubit basis is (down, up) and a spin coherent state along +z is the last
 basis vector.
@@ -22,7 +26,8 @@ import numpy as np
 
 from . import blocks as blk
 from . import machines
-from .su2 import _cg_doubled, multiplicity
+from .blocks import BlockLabel, BlockOperator, SpectrumParams
+from .su2 import HalfInteger, _cg_doubled, multiplicity
 
 MAX_FULL_QUBITS = 12  # dense full-product-space construction guard
 
@@ -275,6 +280,128 @@ def ppt_check(n: int, kernel_weight: float = 0.5) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Dense route of the block algebra: coupling isometries and averaged states
+
+
+BASIS_ABC_PRODUCT = "abc-product"    # sector index = (2mA, 2mB, 2mC) tuples
+
+
+@lru_cache(maxsize=None)
+def coupling_isometry(tj1: int, tj2: int) -> np.ndarray:
+    """Orthogonal map from the product basis of j1 x j2 to the coupled basis.
+
+    Rows are coupled states ordered by (ascending j, ascending m); columns are
+    product states ordered by (ascending m1, ascending m2).
+    """
+    d1, d2 = tj1 + 1, tj2 + 1
+    V = np.zeros((d1 * d2, d1 * d2))
+    row = 0
+    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        for tm in range(-tj, tj + 1, 2):
+            for i1, tm1 in enumerate(range(-tj1, tj1 + 1, 2)):
+                tm2 = tm - tm1
+                if abs(tm2) <= tj2:
+                    i2 = (tm2 + tj2) // 2
+                    V[row, i1 * d2 + i2] = _cg_doubled(tj1, tm1, tj2, tm2, tj, tm)
+            row += 1
+    V.flags.writeable = False
+    return V
+
+
+def coupled_dense(op: BlockOperator) -> np.ndarray:
+    """A coupled-basis block operator as one matrix, rows as in ``coupling_isometry``.
+
+    Row (j, m) follows the 2j' + 1 rows of every j' < j: it is j^2 - (jA - jC)^2 + j + m.
+    """
+    if op.basis != blk.BASIS_AC_COUPLED:
+        raise ValueError(f"expected a coupled-basis operator, got basis {op.basis!r}")
+    ta, tc = op.label.jA.twice_value, op.label.jC.twice_value
+    out = np.zeros(((ta + 1) * (tc + 1),) * 2)
+    for tm, mat in op.iter_sectors():
+        rows = [(tj * tj - (ta - tc) ** 2) // 4 + (tj + tm) // 2 for tj in op.index[tm]]
+        out[np.ix_(rows, rows)] = mat
+    return out
+
+
+@lru_cache(maxsize=None)
+def sym_plus_projector(tj: int) -> np.ndarray:
+    """Projector onto total momentum j + 1/2 inside spin-j x qubit (product basis)."""
+    V = coupling_isometry(tj, 1)[-(tj + 2):]
+    P = V.T @ V
+    P.flags.writeable = False
+    return P
+
+
+def _sigma_pair_block(label: BlockLabel, params: SpectrumParams) -> tuple[np.ndarray, np.ndarray]:
+    """Dense averaged states (sigma0, sigma1) of one block, on spin(jA) x qubit x spin(jC)."""
+    ta, tc = label.jA.twice_value, label.jC.twice_value
+    dA, dC = ta + 1, tc + 1
+    aA, aC = blk._alpha(ta, params.r), blk._alpha(tc, params.r)
+    iA, iB, iC = np.eye(dA), np.eye(2), np.eye(dC)
+
+    # sigma0: data qubit correlated with side A
+    ab = aA * sym_plus_projector(ta) / (ta + 2) + (1.0 - aA) * np.kron(iA, iB) / (2 * dA)
+    s0 = np.kron(ab, iC / dC)
+    # sigma1: data qubit correlated with side C; qubit sits left of C in (B, C) order
+    plus_bc = sym_plus_projector(tc).reshape(dC, 2, dC, 2).transpose(1, 0, 3, 2)
+    plus_bc = plus_bc.reshape(2 * dC, 2 * dC)
+    bc = aC * plus_bc / (tc + 2) + (1.0 - aC) * np.kron(iB, iC) / (2 * dC)
+    s1 = np.kron(iA / dA, bc)
+    return s0, s1
+
+
+def product_sector_index(label: BlockLabel, tm: int) -> tuple[tuple[int, int, int], ...]:
+    """(2mA, 2mB, 2mC) labels, in kron order, of one total-m sector of A x B x C."""
+    ta, tc = label.jA.twice_value, label.jC.twice_value
+    out = []
+    for tma in range(-ta, ta + 1, 2):
+        for tmb in (-1, 1):
+            tmc = tm - tma - tmb
+            if abs(tmc) <= tc:
+                out.append((tma, tmb, tmc))
+    return tuple(out)
+
+
+def dense_to_sectors(mat: np.ndarray, label: BlockLabel) -> BlockOperator:
+    """Chop a dense operator on spin(jA) x qubit x spin(jC) into total-m sectors."""
+    ta, tc = label.jA.twice_value, label.jC.twice_value
+    dA, dC = ta + 1, tc + 1
+    if mat.shape != (dA * 2 * dC, dA * 2 * dC):
+        raise ValueError(f"operator shape {mat.shape} does not match label {label}")
+
+    def flat(lbl):
+        tma, tmb, tmc = lbl
+        return ((tma + ta) // 2 * 2 + (tmb + 1) // 2) * dC + (tmc + tc) // 2
+
+    sectors, index = {}, {}
+    for tm in range(-(ta + tc + 1), ta + tc + 2, 2):
+        lbls = product_sector_index(label, tm)
+        if not lbls:
+            continue
+        ix = np.array([flat(l) for l in lbls])
+        sectors[tm] = mat[np.ix_(ix, ix)].copy()
+        index[tm] = lbls
+    return BlockOperator(label=label, basis=BASIS_ABC_PRODUCT, sectors=sectors, index=index)
+
+
+def average_state_diff_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
+    """sigma0 - sigma1 of one block, per total-m sector in the product basis."""
+    ta, tc = label.jA.twice_value, label.jC.twice_value
+    if ta > params.n or tc > params.n or (params.n - ta) % 2 or (params.n - tc) % 2:
+        raise ValueError(f"label {label} is not admissible for n={params.n}")
+    s0, s1 = _sigma_pair_block(label, params)
+    return dense_to_sectors(s0 - s1, label)
+
+
+def average_state_diff_pure(n: int) -> BlockOperator:
+    """sigma0 - sigma1 for n pure training qubits per side."""
+    if n < 1:
+        raise ValueError(f"need at least one training qubit per side, got n={n}")
+    label = BlockLabel(HalfInteger(n), HalfInteger(n))
+    return average_state_diff_mixed(label, SpectrumParams(n=n, r=1.0))
+
+
+# ---------------------------------------------------------------------------
 # Schur reduction of the full product space (for mixed-state cross-checks)
 
 
@@ -284,7 +411,7 @@ def schur_isometries(k: int) -> dict[int, list[np.ndarray]]:
 
     Maps doubled momentum 2j to a list (one entry per coupling path) of
     (2^k, 2j+1) isometries with columns ordered by ascending m.  Built by
-    coupling one qubit at a time with explicit coefficients.
+    coupling one qubit at a time through ``coupling_isometry``.
     """
     if k < 1:
         raise ValueError("need at least one qubit")
@@ -292,27 +419,16 @@ def schur_isometries(k: int) -> dict[int, list[np.ndarray]]:
     for step in range(1, k):
         nxt: dict[tuple, np.ndarray] = {}
         for (tj, path), W in states.items():
-            dim_in = W.shape[0]
-            for tj2 in (tj + 1, tj - 1):
-                if tj2 < 0:
-                    continue
-                cols = []
-                for tm2 in range(-tj2, tj2 + 1, 2):
-                    v = np.zeros(dim_in * 2)
-                    for i, tm in enumerate(range(-tj, tj + 1, 2)):
-                        for ib, tmb in enumerate((-1, 1)):
-                            if tm + tmb == tm2:
-                                c = _cg_doubled(tj, tm, 1, tmb, tj2, tm2)
-                                if c:
-                                    v += c * np.kron(W[:, i], np.eye(2)[ib])
-                    cols.append(v)
-                nxt[(tj2, path + (tj2,))] = np.array(cols).T
+            V = coupling_isometry(tj, 1)  # rows: tj for j - 1/2, then tj + 2 for j + 1/2
+            for tj2, rows in ((tj + 1, V[tj:]), (tj - 1, V[:tj])):
+                if tj2 >= 0:
+                    nxt[(tj2, path + (tj2,))] = np.kron(W, np.eye(2)) @ rows.T
         states = nxt
     out: dict[int, list[np.ndarray]] = {}
     for (tj, path), W in sorted(states.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         out.setdefault(tj, []).append(W)
     for tj, paths in out.items():
-        assert len(paths) == multiplicity(k, blk.HalfInteger(tj))
+        assert len(paths) == multiplicity(k, HalfInteger(tj))
     return out
 
 
@@ -459,7 +575,7 @@ def continuous_ed_povm(n: int, n_azimuth: int = 100, n_polar: int = 100) -> list
 def _conditioned_bloch(povm: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
     """(probabilities, conditional data-qubit Bloch vectors) for one side."""
     d = n + 1
-    P = blk.sym_plus_projector(n).reshape(d, 2, d, 2)
+    P = sym_plus_projector(n).reshape(d, 2, d, 2)
     Ms = np.stack([np.asarray(M, complex) for M in povm])
     probs = np.einsum("kaa->k", Ms).real / d
     rhos = np.einsum("aibj,kba->kij", P, Ms) / (d + 1) / probs[:, None, None]
@@ -492,7 +608,6 @@ def ed_error_finite(povm_M: Sequence[np.ndarray], povm_Mprime: Sequence[np.ndarr
         bias += float(p0[lo:lo + 512] @ sep @ p1)
     error = 0.5 * (1.0 - bias / 2.0)
 
-    eta = machines.ed_shrink_factor(n)
     coherent = True
     for povm in (povm_M, povm_Mprime):
         for M in povm:

@@ -130,8 +130,8 @@ def blocks_suite(seed: int = 0, tol: float = 1e-12) -> list[dict]:
     for tj in (1, 2, 4, 6):
         for r in (0.1, 0.5, 0.9, 1.0):
             label = BlockLabel(HalfInteger(tj), HalfInteger(tj))
-            dm = blk.average_state_diff_mixed(label, SpectrumParams(tj + 2, r))
-            dp = blk.average_state_diff_pure(tj)
+            dm = oracle.average_state_diff_mixed(label, SpectrumParams(tj + 2, r))
+            dp = oracle.average_state_diff_pure(tj)
             fac = blk._alpha(tj, r)
             for tm in dm.sectors:
                 worst = max(worst, float(np.abs(dm.sectors[tm] - fac * dp.sectors[tm]).max()))
@@ -146,7 +146,7 @@ def blocks_suite(seed: int = 0, tol: float = 1e-12) -> list[dict]:
     checks.append(_check("coupled_jz_pinned", "one-qubit-pair matrix elements", 0.0, dev, 1e-12))
 
     dev = max(
-        abs(blk.trace_norm(blk.average_state_diff_pure(n))
+        abs(blk.trace_norm(oracle.average_state_diff_pure(n))
             - (2.0 - 4.0 * machines.programmable_error_pure(n)))
         for n in (1, 2, 3)
     )
@@ -248,22 +248,13 @@ def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
     worst = 0.0
     for ta, tc in ((1, 1), (2, 2), (2, 0), (3, 1)):
         for r in (0.3, 0.7, 1.0):
-            n = max(ta, tc) + 2
             label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
-            params = SpectrumParams(n, r)
-            dA, dC = ta + 1, tc + 1
-            s0, s1 = blk._sigma_pair_block(label, params)
-            diff = (s0 - s1).reshape(dA, 2, dC, dA, 2, dC)[:, 1, :, :, 1, :]
-            V = blk.coupling_isometry(ta, tc)
-            g_dense = V @ diff.reshape(dA * dC, dA * dC) @ V.T
-            g = mixed.gamma_up_mixed(label, params)
-            for tm, mat in g.iter_sectors():
-                idx = [(tj, tm) for tj in g.index[tm]]
-                order = [(tj, m) for tj in range(abs(ta - tc), ta + tc + 1, 2)
-                         for m in range(-tj, tj + 1, 2)]
-                pos = {lab: i for i, lab in enumerate(order)}
-                sel = [pos[x] for x in idx]
-                worst = max(worst, float(np.abs(g_dense[np.ix_(sel, sel)] - mat).max()))
+            params = SpectrumParams(max(ta, tc) + 2, r)
+            s0, s1 = oracle._sigma_pair_block(label, params)
+            diff = oracle.conditioned_training_operator(s0 - s1, (ta + 1, 2, tc + 1), data_axis=1)
+            V = oracle.coupling_isometry(ta, tc)
+            g = oracle.coupled_dense(mixed.gamma_up_mixed(label, params))
+            worst = max(worst, float(np.abs(V @ diff @ V.T - g).max()))
     checks.append(_check("gamma_matches_conditioning",
                          "block operator equals the data-conditioned difference",
                          0.0, worst, 1e-10))
@@ -287,7 +278,7 @@ def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
             for r in (0.25, 0.65, 1.0):
                 label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
                 params = SpectrumParams(max(ta, tc) + 2, r)
-                dense = blk.trace_norm(blk.average_state_diff_mixed(label, params))
+                dense = blk.trace_norm(oracle.average_state_diff_mixed(label, params))
                 worst = max(worst, abs(dense - mixed.block_trace_norm(label, params)))
     checks.append(_check("spectral_norm_route", "sector-spectral norms match dense norms",
                          0.0, worst, 1e-12))
@@ -344,7 +335,8 @@ def oracle_suite(seed: int = 7, tol: float = 1e-9) -> list[dict]:
     gen2 = oracle.RandomSource(seed + 1).generator()
     ang = gen2.random(2) * np.pi
     u = oracle._su2_elements(ang[:1], ang[1:])[0]
-    D1 = _spin_rep(u, 2)
+    W = oracle.schur_isometries(2)[2][0]
+    D1 = W.conj().T @ np.kron(u, u) @ W  # u on the symmetric subspace of two qubits
     U = np.kron(np.kron(D1, u), D1)  # rigid rotation on sym(2) x qubit x sym(2)
     worst = max(
         float(np.abs(U @ op.matrix @ U.conj().T - op.matrix).max()) for op in (s0d, s1d)
@@ -386,20 +378,6 @@ def oracle_suite(seed: int = 7, tol: float = 1e-9) -> list[dict]:
     checks.append(_check("partial_transpose_product", "factor transpose on product operators",
                          0.0, float(np.abs(got - want_sp).max()), 1e-12))
     return checks
-
-
-def _spin_rep(u: np.ndarray, k: int) -> np.ndarray:
-    """Symmetric-subspace representation of a single-qubit rotation on k qubits."""
-    full = np.array([[1.0]], complex)
-    for _ in range(k):
-        full = np.kron(full, u)
-    W = _sym_isometry(k)
-    return W.conj().T @ full @ W
-
-
-def _sym_isometry(k: int) -> np.ndarray:
-    paths = oracle.schur_isometries(k)
-    return paths[k][0]
 
 
 def run_suites(names: list[str], seed: int = 7, tol: float | None = None) -> dict:

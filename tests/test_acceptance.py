@@ -32,7 +32,8 @@ import pytest
 
 from qclass import blocks as blk
 from qclass import machines, mixed, oracle
-from qclass.blocks import BlockLabel, SpectrumParams, coupling_isometry
+from qclass.blocks import BlockLabel, SpectrumParams
+from qclass.oracle import coupled_dense, coupling_isometry
 from qclass.su2 import HalfInteger
 
 S2, S3 = math.sqrt(2.0), math.sqrt(3.0)
@@ -116,13 +117,8 @@ def _gamma_pure_vs_dense() -> float:
         g_dense = oracle.conditioned_training_operator(
             s0.matrix - s1.matrix, s0.dims, data_axis=1)
         V = coupling_isometry(n, n)
-        g_coupled = V @ g_dense @ V.T
-        g = machines.gamma_up_pure(n)
-        order = [(tj, tm) for tj in range(0, 2 * n + 1, 2) for tm in range(-tj, tj + 1, 2)]
-        pos = {lab: i for i, lab in enumerate(order)}
-        for tm, mat in g.iter_sectors():
-            sel = [pos[(tj, tm)] for tj in g.index[tm]]
-            worst = max(worst, float(np.abs(g_coupled[np.ix_(sel, sel)] - mat).max()))
+        g = coupled_dense(machines.gamma_up_pure(n))
+        worst = max(worst, float(np.abs(V @ g_dense @ V.T - g).max()))
     return worst
 
 
@@ -142,14 +138,7 @@ def _gamma_mixed_vs_dense() -> float:
                 label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
                 g = mixed.gamma_up_mixed(label, SpectrumParams(n, r))
                 iso = coupling_isometry(ta, tc)
-                order = [(tj, tm) for tj in range(abs(ta - tc), ta + tc + 1, 2)
-                         for tm in range(-tj, tj + 1, 2)]
-                pos = {lab: i for i, lab in enumerate(order)}
-                full = np.zeros((len(order), len(order)))
-                for tm, mat in g.iter_sectors():
-                    sel = [pos[(tj, tm)] for tj in g.index[tm]]
-                    full[np.ix_(sel, sel)] = mat
-                want = probs[(ta, tc)] * iso.T @ full @ iso
+                want = probs[(ta, tc)] * iso.T @ coupled_dense(g) @ iso
                 worst = max(worst, float(np.abs(reduced - want).max()))
     return worst
 

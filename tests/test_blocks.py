@@ -6,10 +6,10 @@ import pytest
 from qclass import blocks as blk
 from qclass import machines
 from qclass.blocks import (
-    BlockLabel, BlockOperator, IntegrityError, SpectrumParams,
-    average_state_diff_mixed, average_state_diff_pure, asymptotic_block_distribution,
+    BlockLabel, BlockOperator, IntegrityError, SpectrumParams, asymptotic_block_distribution,
     block_weights, coupled_jz, jz_expectation, trace_norm,
 )
+from qclass.oracle import average_state_diff_mixed, average_state_diff_pure
 from qclass.su2 import HalfInteger, _cg_doubled
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,9 +23,9 @@ def load_schema(name):
     return schema, resolver
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run([sys.executable, "-m", "qclass.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc
 
 
@@ -89,6 +90,19 @@ class TestMachineCommand:
         assert cli.main(["machine", "reversed", "--n", "1", "--r", "0.5"]) == 1
         assert cli.main(["machine", "ed", "--n", "2", "--r", "0.9"]) == 1
 
+    @pytest.mark.parametrize("machine", ["lm", "ed", "ed-n1", "reversed"])
+    def test_balanced_machines_reject_side_counts(self, machine, capsys):
+        assert cli.main(["machine", machine, "--nA", "3", "--nC", "1"]) == cli.EXIT_DOMAIN
+        assert cli.main(["machine", machine, "--nC", "1"]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name,value", [("QCLASS_TOL", "abc"), ("QCLASS_SEED", "1.5"),
+                                            ("QCLASS_THREADS", "two")])
+    def test_malformed_environment_exit_2(self, name, value):
+        proc = run_cli("machine", "lm", env={**os.environ, name: value})
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stderr.startswith(f"error: {name}=") and "Traceback" not in proc.stderr
+
 
 class TestSu2Command:
     def test_cg(self):
@@ -110,6 +124,21 @@ class TestDumpCommand:
         payload = json.loads(out.read_text())
         sec0 = next(s for s in payload["sectors"] if s["twice_m"] == 0)
         assert sec0["matrix"][0][1] == pytest.approx(1 / 12, abs=1e-14)
+
+    @pytest.mark.parametrize("label", [["--jA", "1/2"], ["--jA", "5"], ["--jC", "-1"],
+                                       ["--jA", "0", "--jC", "1/2"]],
+                             ids=["parity", "above-n", "negative", "parity-jC"])
+    def test_gamma_rejects_foreign_labels(self, label, capsys):
+        args = ["dump", "gamma", "--n", "2", "--r", "0.5", *label]
+        assert cli.main(args) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_gamma_accepts_every_label(self, capsys):
+        for ta in (1, 3):
+            for tc in (1, 3):
+                assert cli.main(["dump", "gamma", "--n", "3", "--r", "0.5",
+                                 "--jA", f"{ta}/2", "--jC", f"{tc}/2"]) == cli.EXIT_OK
+        assert cli.main(["dump", "gamma", "--n", "0"]) == cli.EXIT_DOMAIN
 
     def test_seed(self, tmp_path):
         out = tmp_path / "seed.json"
@@ -188,3 +217,12 @@ class TestSweepCommand:
                          "--threads", threads, "--out", str(out)]) == cli.EXIT_DOMAIN
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", [["sweep", "fig1", "--n-max", "1", "--steps", "1"],
+                                 ["dump", "gamma", "--n", "1"],
+                                 ["verify", "--suite", "su2"]], ids=["sweep", "dump", "verify"])
+def test_unwritable_out_exit_1(tmp_path, capsys, cmd):
+    out = tmp_path / "missing" / "out.txt"
+    assert cli.main([*cmd, "--out", str(out)]) == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("error:")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qclass import blocks as blk
-from qclass import machines
 from qclass.machines import (
     MachineReport, SeedVector, baseline_error, ed_error_continuous,
     ed_error_n1_optimal, ed_shrink_factor, gamma_up_pure, lm_error, lm_seed,
@@ -15,6 +14,20 @@ from qclass.machines import (
 from qclass.su2 import HalfInteger
 
 S2, S3 = math.sqrt(2.0), math.sqrt(3.0)
+
+
+def lm_bias_from_seed(n: int) -> float:
+    """2 <phi|Gamma|phi> with phi the optimal seed, using the m = 0 sector only:
+    the seed-overlap reference for ``lm_error``.
+
+    At m = 0, Jz_C = -Jz_A and Jz_A has a zero diagonal, so the overlap needs
+    only the off-diagonal band of Jz_A: no (n+1) x (n+1) matrix is formed.
+    """
+    _, off = blk.jz_a_bands(n, n, 0)
+    d = n + 1
+    v = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
+    # v (Jz_A - Jz_C) v = 2 v Jz_A v = 4 sum_j off_j v_{j-1} v_j
+    return 8.0 * float(off @ (v[:-1] * v[1:])) / (d * d * (d + 1))
 
 
 class TestBaseline:
@@ -126,10 +139,10 @@ class TestLearningMachine:
         assert lm_error(2) == pytest.approx(0.2972065811181731, abs=1e-13)
 
     def test_both_paths_agree(self):
-        for n in (1, 5, 12, 20):
-            p1 = machines._lm_error_projection(n)
-            p2 = 0.5 * (1.0 - machines._lm_bias_from_seed(n) / 2.0)
-            assert p1 == pytest.approx(p2, abs=1e-12)
+        # projection norms against the seed overlap with the conditioned operator
+        for n in (1, 5, 12, 20, 10 ** 5):
+            assert lm_error(n) == pytest.approx(0.5 * (1.0 - lm_bias_from_seed(n) / 2.0),
+                                                abs=1e-12)
 
     def test_bias_bands_match_dense_sectors(self):
         # the old route: both dense m = 0 sectors of the (n, n) label
@@ -138,7 +151,7 @@ class TestLearningMachine:
             diff = blk.coupled_jz_sector(label, "A", 0) - blk.coupled_jz_sector(label, "C", 0)
             v = np.sqrt(2.0 * np.arange(n + 1) + 1.0)
             dense = 2.0 * float(v @ diff @ v) / ((n + 1) ** 2 * (n + 2))
-            assert machines._lm_bias_from_seed(n) == pytest.approx(dense, abs=1e-14)
+            assert lm_bias_from_seed(n) == pytest.approx(dense, abs=1e-14)
 
     def test_large_n(self):
         # a dense (n+1)^2 sector at n = 10^5 would take 75 GiB

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qclass import blocks as blk
-from qclass import machines, mixed, sdp, su2
-from qclass.blocks import BlockLabel, SpectrumParams, coupling_isometry
+from qclass import machines, mixed, oracle, sdp, su2
+from qclass.blocks import BlockLabel, SpectrumParams
 from qclass.su2 import HalfInteger, triangle_ok
 
 S3 = math.sqrt(3.0)
@@ -15,9 +15,9 @@ def gamma_from_conditioning(label, params):
     """Dense tr over the data qubit of [up](sigma0 - sigma1), coupled basis."""
     ta, tc = label.jA.twice_value, label.jC.twice_value
     dA, dC = ta + 1, tc + 1
-    s0, s1 = blk._sigma_pair_block(label, params)
+    s0, s1 = oracle._sigma_pair_block(label, params)
     diff = (s0 - s1).reshape(dA, 2, dC, dA, 2, dC)[:, 1, :, :, 1, :]
-    V = coupling_isometry(ta, tc)
+    V = oracle.coupling_isometry(ta, tc)
     return V @ diff.reshape(dA * dC, dA * dC) @ V.T
 
 
@@ -48,11 +48,6 @@ def trace_norm_loop(ta, tc, aA, aC):
     return total
 
 
-def coupled_order(ta, tc):
-    return [(tj, tm) for tj in range(abs(ta - tc), ta + tc + 1, 2)
-            for tm in range(-tj, tj + 1, 2)]
-
-
 class TestGammaUpMixed:
     def test_pure_limit_recovers_balanced_form(self):
         for n in (1, 2, 3):
@@ -80,12 +75,9 @@ class TestGammaUpMixed:
     def test_matches_dense_conditioning(self, ta, tc, r):
         label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
         params = SpectrumParams(max(ta, tc) + 2, r)
-        dense = gamma_from_conditioning(label, params)
-        g = mixed.gamma_up_mixed(label, params)
-        pos = {lab: i for i, lab in enumerate(coupled_order(ta, tc))}
-        for tm, mat in g.iter_sectors():
-            sel = [pos[(tj, tm)] for tj in g.index[tm]]
-            np.testing.assert_allclose(dense[np.ix_(sel, sel)], mat, atol=1e-10)
+        np.testing.assert_allclose(gamma_from_conditioning(label, params),
+                                   oracle.coupled_dense(mixed.gamma_up_mixed(label, params)),
+                                   atol=1e-10)
 
 
 class TestBlockTraceNorms:
@@ -95,7 +87,7 @@ class TestBlockTraceNorms:
             for tc in range(ta % 2, 7, 2):
                 label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
                 params = SpectrumParams(max(ta, tc) + 2, r)
-                dense = blk.trace_norm(blk.average_state_diff_mixed(label, params))
+                dense = blk.trace_norm(oracle.average_state_diff_mixed(label, params))
                 assert mixed.block_trace_norm(label, params) == pytest.approx(dense, abs=1e-12)
 
     def test_recoupling_cosine_matches_6j(self):
@@ -238,13 +230,21 @@ def label_of(ta, tc):
 class TestLabelByLabelSolve:
     @pytest.mark.parametrize("r", [0.12, 0.3, 0.8, 1.0])
     def test_mirror_sector_identity(self, r):
-        # C[(tc, ta), -tm] = C[(ta, tc), tm], with equal channels and p_xi
+        # the problem reuses C[(ta, tc), -tm] for C[(tc, ta), tm] when jA > jC; every
+        # block, mirrors included, must match its label built directly, in label order
         for n in range(1, 9):
-            blocks = {b.key: b for b in mixed.build_lm_problem(n, r).blocks}
-            for ((ta, tc), tm), b in blocks.items():
-                m = blocks[(tc, ta), -tm]
-                assert m.channels == b.channels and m.weight == b.weight
-                np.testing.assert_allclose(m.cost, b.cost, rtol=0, atol=1e-16)
+            params = SpectrumParams(n, r)
+            probs = mixed.block_probabilities(n, r)
+            want = []
+            for label in mixed.block_labels(n):
+                xi = (label.jA.twice_value, label.jC.twice_value)
+                g = mixed.gamma_up_mixed(label, params)
+                want += [(xi, tm, mat, g.index[tm], probs[xi]) for tm, mat in g.iter_sectors()]
+            blocks = mixed.build_lm_problem(n, r).blocks
+            assert [b.key for b in blocks] == [(xi, tm) for xi, tm, *_ in want]
+            for b, (_, _, cost, channels, weight) in zip(blocks, want):
+                assert b.channels == channels and b.weight == weight
+                np.testing.assert_allclose(b.cost, cost, rtol=0, atol=1e-16)
 
     def test_unit_cost_independent_of_r(self):
         # labels with jA = jC or jA = 0 cost p_xi kappa_C(r) times one fixed matrix

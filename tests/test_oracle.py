@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qclass import blocks as blk
 from qclass import machines, mixed, oracle
-from qclass.blocks import BlockLabel, SpectrumParams, coupling_isometry
+from qclass.blocks import BlockLabel, SpectrumParams
 from qclass.oracle import (
-    RandomSource, bloch_to_ket, build_average_states, coherent_ket,
-    ed_error_finite, haar_qubit, helstrom, partial_transpose, ppt_check,
+    RandomSource, bloch_to_ket, build_average_states, coherent_ket, coupled_dense,
+    coupling_isometry, ed_error_finite, haar_qubit, helstrom, partial_transpose, ppt_check,
     schur_isometries, simulate_lm,
 )
 from qclass.su2 import HalfInteger, multiplicity
@@ -152,13 +151,8 @@ class TestGammaConditioning:
         g_dense = oracle.conditioned_training_operator(
             s0.matrix - s1.matrix, s0.dims, data_axis=1)
         V = coupling_isometry(n, n)
-        g_coupled = V @ g_dense @ V.T
-        g = machines.gamma_up_pure(n)
-        order = [(tj, tm) for tj in range(0, 2 * n + 1, 2) for tm in range(-tj, tj + 1, 2)]
-        pos = {lab: i for i, lab in enumerate(order)}
-        for tm, mat in g.iter_sectors():
-            sel = [pos[(tj, tm)] for tj in g.index[tm]]
-            np.testing.assert_allclose(g_coupled[np.ix_(sel, sel)], mat, atol=1e-10)
+        np.testing.assert_allclose(V @ g_dense @ V.T, coupled_dense(machines.gamma_up_pure(n)),
+                                   atol=1e-10)
 
     @pytest.mark.parametrize("r", [0.3, 0.7])
     def test_mixed_matches_blocks_through_schur(self, r):
@@ -179,13 +173,7 @@ class TestGammaConditioning:
                 label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
                 g = mixed.gamma_up_mixed(label, params)
                 iso = coupling_isometry(ta, tc)
-                order = [(tj, tm) for tj in range(abs(ta - tc), ta + tc + 1, 2)
-                         for tm in range(-tj, tj + 1, 2)]
-                pos = {lab: i for i, lab in enumerate(order)}
-                full = np.zeros((len(order), len(order)))
-                for tm, mat in g.iter_sectors():
-                    sel = [pos[(tj, tm)] for tj in g.index[tm]]
-                    full[np.ix_(sel, sel)] = mat
+                full = coupled_dense(g)
                 nu = (probs[(ta, tc)]
                       / (multiplicity(n, HalfInteger(ta))
                          * multiplicity(n, HalfInteger(tc))))
