@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import math
 import os
 import sys
@@ -75,6 +76,19 @@ def _manifest(args: argparse.Namespace, config: dict, tolerances: dict) -> dict:
     }
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise the error writing ``path`` would raise, before any work is done."""
+    if path is None:
+        return
+    out = Path(path)
+    code = (errno.EISDIR if out.is_dir()
+            else errno.ENOENT if not out.parent.exists()
+            else errno.ENOTDIR if not out.parent.is_dir()
+            else errno.EACCES if not os.access(out.parent, os.W_OK) else 0)
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def _write_with_manifest(path: str, content: str, manifest: dict) -> None:
     out = Path(path)
     out.write_text(content)
@@ -138,6 +152,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"unknown sweep preset {args.preset!r}")
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    _check_writable(args.out)
     config = mixed.SweepConfig(
         n_values=tuple(range(1, args.n_max + 1)),
         r_min=args.r_min, r_max=args.r_max, steps=args.steps, tol=args.tol,
@@ -159,6 +174,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
+    _check_writable(args.out)
     report = verify_mod.run_suites(names, seed=args.seed, tol=args.tol)
     text = dumps17(report)
     print(text)
@@ -186,6 +202,7 @@ def cmd_su2(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    _check_writable(args.out)
     if args.what == "gamma":
         ta = args.n if args.jA is None else su2.as_half(args.jA).twice_value
         tc = args.n if args.jC is None else su2.as_half(args.jC).twice_value

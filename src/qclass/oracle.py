@@ -30,6 +30,7 @@ from .blocks import BlockLabel, BlockOperator, SpectrumParams
 from .su2 import HalfInteger, _cg_doubled, multiplicity
 
 MAX_FULL_QUBITS = 12  # dense full-product-space construction guard
+_TWIRL_BYTES = 1 << 22  # size of each stack of rotated operators a twirl holds at once
 
 # Pauli matrices in the (down, up) basis
 PAULI = {
@@ -83,7 +84,8 @@ def haar_qubit(rng: RandomSource | np.random.Generator) -> np.ndarray:
 
 def _haar_bloch(gen: np.random.Generator, size: int) -> np.ndarray:
     v = gen.standard_normal((size, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    x, y, z = v.T  # the Euclidean norm, summed in its order without its slow short-axis reduce
+    return v / np.sqrt(x * x + y * y + z * z)[:, None]
 
 
 def bloch_to_ket(s: np.ndarray) -> np.ndarray:
@@ -143,15 +145,21 @@ def twirl_product(k: int, single_qubit_diag: np.ndarray,
         raise ValueError(f"refusing dense {2**k}-dimensional twirl (k={k})")
     alpha, beta, w = _sphere_grid(n_azimuth, n_polar)
     us = _su2_elements(alpha, beta)
-    out = np.zeros((2 ** k, 2 ** k), complex)
+    dim = 2 ** k
+    out = np.zeros((dim, dim), complex)
     dvec = np.array([1.0])
     for _ in range(k):
         dvec = np.kron(dvec, single_qubit_diag)
-    for q in range(len(w)):
-        U = np.array([[1.0]], complex)
-        for _ in range(k):
-            U = np.kron(U, us[q])
-        out += w[q] * (U * dvec) @ U.conj().T
+    block = max(1, _TWIRL_BYTES // (16 * dim * dim))
+    for lo in range(0, len(w), block):
+        u = us[lo:lo + block]
+        U = np.ones((len(u), 1, 1), complex)
+        for _ in range(k):  # batched kron: U <- U (x) u at every grid point of the block
+            U = U[:, :, None, :, None] * u[:, None, :, None, :]
+            U = U.reshape(len(u), 2 * U.shape[1], -1)
+        terms = (w[lo:lo + block, None, None] * (U * dvec)) @ U.conj().transpose(0, 2, 1)
+        for term in terms:  # accumulate in grid order
+            out += term
     return out
 
 
@@ -435,6 +443,32 @@ def schur_isometries(k: int) -> dict[int, list[np.ndarray]]:
 # ---------------------------------------------------------------------------
 # Learning-machine simulation
 
+_CHUNK = 8_192  # trials whose per-candidate arithmetic is held in memory at once
+
+
+def _grid_pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """First grid point whose cumulative probability reaches u, row by row; a
+    draw above a cumsum that ends an ulp below 1 falls in the last point."""
+    return np.minimum((cdf < u).sum(axis=1), cdf.shape[1] - 1)
+
+
+def _outcome_density(poly: np.ndarray, rot0: Sequence[np.ndarray],
+                     rot1: Sequence[np.ndarray]) -> np.ndarray:
+    """|<seed| (u+ psi0)^(x n) (x) (u+ psi1)^(x n)>|^2 from the (down, up) parts of u+ psi.
+
+    In the (mA, mC = -mA) sector the coherent amplitudes pair up into the
+    polynomial sum_i poly[i] x^(n-i) y^i, with x = down0 up1, y = up0 down1 and
+    poly[i] = w_pair[i] C(n, i).
+    """
+    x = rot0[0] * rot1[1]
+    y = rot0[1] * rot1[0]
+    ov, y_pow = np.full(x.shape, poly[0], complex), np.ones_like(y)
+    for c in poly[1:]:
+        y_pow *= y
+        ov *= x
+        ov += c * y_pow
+    return ov.real ** 2 + ov.imag ** 2
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -474,11 +508,15 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
             for tj in range(0, 2 * n + 1, 2))
         for tma in range(-n, n + 1, 2)
     ])
+    poly = w_pair * np.array([math.comb(n, i) for i in range(n + 1)])
     envelope = float((coeffs ** 2).sum())
 
     if discretization == "quadrature":
         alpha, beta, wq = _sphere_grid(2 * n + 3, n + 2)
         us_grid = _su2_elements(alpha, beta)
+        # psi @ rot_grid holds u+ psi at every grid point: the down parts, then the up parts
+        rot_grid = us_grid.conj().transpose(1, 2, 0).reshape(2, -1)
+        up_rows = us_grid[:, :, 1].conj()  # <up| u+ as a row vector
 
     errors = 0
     done = 0
@@ -494,43 +532,46 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
         kb = np.where(labels[:, None] == 0, k0, k1)
 
         if discretization == "mc":
-            u_sel = np.empty((m, 2, 2), complex)
             todo = np.arange(m)
+            kets = np.concatenate([k0, k1], axis=1).T  # down0, up0, down1, up1 of todo's trials
+            q_sel = np.empty((m, 4))
             while todo.size:
                 q = gen.standard_normal((todo.size, 4))
-                q /= np.linalg.norm(q, axis=1, keepdims=True)
-                us = np.empty((todo.size, 2, 2), complex)
-                us[:, 0, 0] = q[:, 0] + 1j * q[:, 1]
-                us[:, 0, 1] = q[:, 2] + 1j * q[:, 3]
-                us[:, 1, 0] = -q[:, 2] + 1j * q[:, 3]
-                us[:, 1, 1] = q[:, 0] - 1j * q[:, 1]
-                rot0 = np.einsum("qji,qj->qi", us[:].conj(), k0[todo])  # u^dagger psi0
-                rot1 = np.einsum("qji,qj->qi", us[:].conj(), k1[todo])
-                a0 = coherent_ket(n, rot0)
-                a1 = coherent_ket(n, rot1)
-                ov = np.einsum("i,qi,qi->q", w_pair, a0, a1[:, ::-1])
-                p = np.abs(ov) ** 2
-                acc = gen.random(todo.size) * envelope < p
-                u_sel[todo[acc]] = us[acc]
-                todo = todo[~acc]
+                q /= np.sqrt(np.einsum("ij,ij->i", q, q))[:, None]
+                bound = gen.random(todo.size) * envelope
+                acc = np.empty(todo.size, bool)
+                for lo in range(0, todo.size, _CHUNK):
+                    sl = slice(lo, lo + _CHUNK)
+                    # u = [[a, b], [-b*, a*]], so u+ psi = (a* down - b up, b* down + a up)
+                    a = q[sl, 0] + 1j * q[sl, 1]
+                    b = q[sl, 2] + 1j * q[sl, 3]
+                    ac, bc = a.conj(), b.conj()
+                    d0, u0, d1, u1 = kets[:, sl]
+                    acc[sl] = bound[sl] < _outcome_density(
+                        poly, (ac * d0 - b * u0, bc * d0 + a * u0),
+                        (ac * d1 - b * u1, bc * d1 + a * u1))
+                q_sel[todo[acc]] = q[acc]
+                todo, kets = todo[~acc], kets[:, ~acc]
+            # <up| u+ = (b*, a) for each trial's sampled rotation
+            up_sel = np.stack([q_sel[:, 2] - 1j * q_sel[:, 3], q_sel[:, 0] + 1j * q_sel[:, 1]],
+                              axis=1)
         else:
-            rot0 = np.einsum("qji,tj->tqi", us_grid.conj(), k0)
-            rot1 = np.einsum("qji,tj->tqi", us_grid.conj(), k1)
-            a0 = coherent_ket(n, rot0)
-            a1 = coherent_ket(n, rot1)
-            ov = np.einsum("i,tqi,tqi->tq", w_pair, a0, a1[:, :, ::-1])
-            p = wq[None, :] * np.abs(ov) ** 2
-            psum = p.sum(axis=1)
-            # total outcome probability 1 certifies the discretized resolution
-            if np.abs(psum - 1.0).max() > 1e-8:
-                raise blk.IntegrityError(
-                    "quadrature grid does not resolve the identity on the training pair")
-            p /= psum[:, None]
-            picks = (p.cumsum(axis=1) < gen.random((m, 1))).sum(axis=1)
-            u_sel = us_grid[picks]
+            u = gen.random((m, 1))
+            up_sel = np.empty((m, 2), complex)
+            for lo in range(0, m, _CHUNK):
+                sl = slice(lo, lo + _CHUNK)
+                rot0, rot1 = (np.hsplit(k[sl] @ rot_grid, 2) for k in (k0, k1))
+                p = wq * _outcome_density(poly, rot0, rot1)
+                psum = p.sum(axis=1)
+                # total outcome probability 1 certifies the discretized resolution
+                if np.abs(psum - 1.0).max() > 1e-8:
+                    raise blk.IntegrityError(
+                        "quadrature grid does not resolve the identity on the training pair")
+                p /= psum[:, None]
+                up_sel[sl] = up_rows[_grid_pick(p.cumsum(axis=1), u[sl])]
 
-        up_amp = np.einsum("qji,qj->qi", u_sel.conj(), kb)[:, 1]  # <up| u^dag |data>
-        p_up = np.abs(up_amp) ** 2
+        up_amp = up_sel[:, 0] * kb[:, 0] + up_sel[:, 1] * kb[:, 1]  # <up| u+ |data>
+        p_up = up_amp.real ** 2 + up_amp.imag ** 2
         guess = np.where(gen.random(m) < p_up, 0, 1)
         errors += int((guess != labels).sum())
         done += m
@@ -543,6 +584,9 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
 
 # ---------------------------------------------------------------------------
 # Estimate-and-discriminate evaluation
+
+
+_ED_ROWS = 512  # outcomes of M whose separations from every outcome of M' are held at once
 
 
 @dataclass(frozen=True)
@@ -576,7 +620,7 @@ def _conditioned_bloch(povm: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, 
     """(probabilities, conditional data-qubit Bloch vectors) for one side."""
     d = n + 1
     P = sym_plus_projector(n).reshape(d, 2, d, 2)
-    Ms = np.stack([np.asarray(M, complex) for M in povm])
+    Ms = np.asarray(povm, complex)
     probs = np.einsum("kaa->k", Ms).real / d
     rhos = np.einsum("aibj,kba->kij", P, Ms) / (d + 1) / probs[:, None, None]
     sigma = np.stack([PAULI[a] for a in "xyz"])
@@ -588,34 +632,39 @@ def ed_error_finite(povm_M: Sequence[np.ndarray], povm_Mprime: Sequence[np.ndarr
                     n: int, completeness_tol: float = 1e-8) -> EdResult:
     """Error of an estimate-and-discriminate machine with the given POVMs.
 
-    Both POVMs act on the n-qubit symmetric subspace of their training side.
-    The data qubit conditioned on a pair of outcomes is discriminated
-    optimally; the machine bias is the outcome-averaged Bloch separation.
+    Both POVMs act on the n-qubit symmetric subspace of their training side,
+    given as a list of elements or one (K, n + 1, n + 1) stack.  The data
+    qubit conditioned on a pair of outcomes is discriminated optimally; the
+    machine bias is the outcome-averaged Bloch separation.
     """
     d = n + 1
+    stacks = []
     for name, povm in (("M", povm_M), ("M'", povm_Mprime)):
-        total = sum(povm)
-        if total.shape != (d, d):
+        Ms = np.asarray(povm, complex)
+        if Ms.ndim != 3 or Ms.shape[1:] != (d, d):
             raise ValueError(f"{name}: elements must be {d} x {d}")
-        if np.abs(total - np.eye(d)).max() > completeness_tol:
+        residual = np.abs(Ms.sum(axis=0) - np.eye(d)).max()
+        if residual > completeness_tol:
             raise ValueError(f"{name}: does not resolve the identity on the "
-                             f"symmetric subspace (residual {np.abs(total - np.eye(d)).max():.2e})")
-    p0, r0 = _conditioned_bloch(povm_M, n)
-    p1, r1 = _conditioned_bloch(povm_Mprime, n)
+                             f"symmetric subspace (residual {residual:.2e})")
+        stacks.append(Ms)
+    (p0, r0), (p1, r1) = (_conditioned_bloch(Ms, n) for Ms in stacks)
     bias = 0.0
-    for lo in range(0, len(p0), 512):  # chunk the pairwise separations
-        sep = np.linalg.norm(r0[lo:lo + 512, None, :] - r1[None, :, :], axis=2)
-        bias += float(p0[lo:lo + 512] @ sep @ p1)
+    for lo in range(0, len(p0), _ED_ROWS):  # pairwise separations, a block of rows at a time
+        sep = np.subtract.outer(r0[lo:lo + _ED_ROWS, 0], r1[:, 0]) ** 2
+        for x in (1, 2):  # summed x, y, z in turn, as the Euclidean norm does
+            dx = np.subtract.outer(r0[lo:lo + _ED_ROWS, x], r1[:, x])
+            dx *= dx
+            sep += dx
+        np.sqrt(sep, out=sep)
+        bias += float(p0[lo:lo + _ED_ROWS] @ sep @ p1)
     error = 0.5 * (1.0 - bias / 2.0)
 
     coherent = True
-    for povm in (povm_M, povm_Mprime):
-        for M in povm:
-            c = float(np.trace(M).real)
-            rho = M / c
-            w = np.linalg.eigvalsh(rho)
-            if w[-1] < 1.0 - 1e-8:
-                coherent = False
+    for Ms in stacks:
+        traces = np.einsum("kaa->k", Ms).real
+        top = np.linalg.eigvalsh(Ms / traces[:, None, None])[:, -1]
+        coherent &= not (top < 1.0 - 1e-8).any()
     return EdResult(bias=bias, error_probability=error,
                     excess_risk=error - machines.baseline_error(1.0),
                     optimal_estimation=coherent)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qclass import cli
+from qclass import cli, mixed, verify
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -226,3 +226,27 @@ def test_unwritable_out_exit_1(tmp_path, capsys, cmd):
     out = tmp_path / "missing" / "out.txt"
     assert cli.main([*cmd, "--out", str(out)]) == cli.EXIT_DOMAIN
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("cmd, module, name", [
+    (["sweep", "fig1", "--n-max", "1", "--steps", "1"], mixed, "run_sweep"),
+    (["verify", "--suite", "su2"], verify, "run_suites"),
+    (["dump", "gamma", "--n", "1"], mixed, "gamma_up_mixed"),
+    (["dump", "seed", "--n", "1"], mixed, "solve_lm"),
+], ids=["sweep", "verify", "dump-gamma", "dump-seed"])
+@pytest.mark.parametrize("where", ["missing-dir", "is-dir", "parent-is-file"])
+def test_unwritable_out_fails_before_work(tmp_path, monkeypatch, capsys, cmd, module, name,
+                                          where):
+    def not_reached(*args, **kwargs):
+        raise AssertionError(f"{name} ran although --out cannot be written")
+
+    monkeypatch.setattr(module, name, not_reached)
+    (tmp_path / "file").write_text("")
+    out = {"missing-dir": tmp_path / "missing" / "out.txt", "is-dir": tmp_path,
+           "parent-is-file": tmp_path / "file" / "out.txt"}[where]
+    assert cli.main([*cmd, "--out", str(out)]) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and str(out) in err
+    with pytest.raises(OSError) as raised:
+        out.write_text("")
+    assert err == f"error: {raised.value}\n"

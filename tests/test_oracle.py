@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,44 @@ class TestAverageStates:
             build_average_states(1, 1, r=0.0)
 
 
+def _twirl_per_point(k, single_qubit_diag, n_azimuth=24, n_polar=24):
+    """Reference twirl: one grid point at a time, kron powers built one factor at a time."""
+    alpha, beta, w = oracle._sphere_grid(n_azimuth, n_polar)
+    us = oracle._su2_elements(alpha, beta)
+    out = np.zeros((2 ** k, 2 ** k), complex)
+    dvec = np.array([1.0])
+    for _ in range(k):
+        dvec = np.kron(dvec, single_qubit_diag)
+    for q in range(len(w)):
+        U = np.array([[1.0]], complex)
+        for _ in range(k):
+            U = np.kron(U, us[q])
+        out += w[q] * (U * dvec) @ U.conj().T
+    return out
+
+
+class TestTwirl:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+    def test_matches_per_point_loop_bit_for_bit(self, k):
+        pz = np.array([0.35, 0.65])
+        got = oracle.twirl_product(k, pz)
+        want = _twirl_per_point(k, pz)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_blocks_split_the_grid_without_changing_bits(self, monkeypatch):
+        pz = np.array([0.1, 0.9])
+        whole = oracle.twirl_product(3, pz, 7, 5)
+        monkeypatch.setattr(oracle, "_TWIRL_BYTES", 4 * 16 * 8 * 8)  # 4 points per block
+        split = oracle.twirl_product(3, pz, 7, 5)
+        assert np.array_equal(split.view(np.uint64), whole.view(np.uint64))
+        assert np.array_equal(whole.view(np.uint64),
+                              _twirl_per_point(3, pz, 7, 5).view(np.uint64))
+
+    def test_dimension_guard(self):
+        with pytest.raises(ValueError):
+            oracle.twirl_product(oracle.MAX_FULL_QUBITS + 1, np.array([0.5, 0.5]))
+
+
 class TestHelstrom:
     def test_equal_states(self):
         rho = np.eye(4) / 4
@@ -236,6 +275,63 @@ class TestSimulation:
             <= 3 * math.hypot(base.stderr, rot.stderr)
 
 
+class TestRandomStream:
+    """Pinned error rates of fixed seeds.
+
+    The rate is a count of errors, so any change to the draws, their order or
+    a per-trial decision moves it.
+    """
+
+    @pytest.mark.parametrize("n, seed, trials, mode, rate", [
+        (1, 42, 10 ** 6, "mc", 0.356149),         # crosses the 250k batch boundary
+        (1, 10, 150_000, "quadrature", 0.3577),
+        (3, 9, 100_000, "mc", 0.2647),
+        (2, 5, 60_000, "quadrature", 0.29605),
+    ])
+    def test_pinned_error_rate(self, n, seed, trials, mode, rate):
+        sim = simulate_lm(n, machines.lm_seed(n), RandomSource(seed), trials=trials,
+                          discretization=mode)
+        assert sim.error_rate == rate
+
+    @pytest.mark.parametrize("mode", ["mc", "quadrature"])
+    def test_chunk_size_does_not_change_the_result(self, monkeypatch, mode):
+        def run():
+            return simulate_lm(2, machines.lm_seed(2), RandomSource(3), trials=30_000,
+                               discretization=mode, batch=12_000).error_rate
+
+        whole = run()
+        monkeypatch.setattr(oracle, "_CHUNK", 1_000)
+        assert run() == whole
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_outcome_density_matches_coherent_amplitudes(self, n):
+        # reference: the seed's pair weights against explicit coherent amplitudes
+        w_pair = np.array([
+            sum(float(c) * oracle._cg_doubled(n, tma, n, -tma, 2 * j, 0)
+                for j, c in enumerate(machines.lm_seed(n).coefficients))
+            for tma in range(-n, n + 1, 2)
+        ])
+        gen = RandomSource(n).generator()
+        rot0, rot1 = (gen.standard_normal((500, 2)) + 1j * gen.standard_normal((500, 2))
+                      for _ in range(2))
+        a0, a1 = coherent_ket(n, rot0), coherent_ket(n, rot1)
+        want = np.abs(np.einsum("i,qi,qi->q", w_pair, a0, a1[:, ::-1])) ** 2
+        poly = w_pair * np.array([math.comb(n, i) for i in range(n + 1)])
+        got = oracle._outcome_density(poly, rot0.T, rot1.T)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_grid_pick_clamps_to_last_point(self):
+        u = np.full((4, 1), np.nextafter(1.0, 0.0))
+        cdf = np.array([[0.25, 0.5, 1.0 - 2.0 ** -53],
+                        [0.25, 0.5, 1.0 - 2.0 ** -52],   # ends below the largest draw
+                        [0.25, 0.5, 1.0],
+                        [0.25, 0.5, 0.5]])
+        assert (cdf < u).sum(axis=1).tolist() == [2, 3, 2, 3]  # one past the grid unclamped
+        assert oracle._grid_pick(cdf, u).tolist() == [2, 2, 2, 2]
+        inner = np.array([[0.0], [0.25], [0.3], [0.5]])
+        assert oracle._grid_pick(cdf, inner).tolist() == [0, 0, 1, 1]
+
+
 class TestEstimateAndDiscriminate:
     def test_four_outcome_optimum(self):
         up = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -247,6 +343,22 @@ class TestEstimateAndDiscriminate:
         assert res.error_probability == pytest.approx(machines.ed_error_n1_optimal(),
                                                       abs=1e-13)
         assert res.optimal_estimation
+
+    def test_pinned_60_grid_bias(self):
+        grid = oracle.continuous_ed_povm(1, n_azimuth=60, n_polar=60)
+        assert ed_error_finite(grid, grid, 1, completeness_tol=1e-6).bias == 0.4444423669131474
+
+    def test_stacked_povm_matches_list(self):
+        grid = oracle.continuous_ed_povm(2, n_azimuth=9, n_polar=7)
+        stacked = np.stack(grid)
+        assert ed_error_finite(stacked, grid, 2, completeness_tol=1e-6) \
+            == ed_error_finite(grid, grid, 2, completeness_tol=1e-6)
+
+    def test_wrong_element_shape_rejected(self):
+        with pytest.raises(ValueError):
+            ed_error_finite(np.eye(2)[None], [np.eye(3)], 1)
+        with pytest.raises(ValueError):
+            ed_error_finite([], [np.eye(2)], 1)
 
     def test_continuous_quadrature_limit(self):
         grid = oracle.continuous_ed_povm(1, n_azimuth=100, n_polar=100)
@@ -294,3 +406,29 @@ class TestPartialTranspose:
         # the kernel completion carries the property: the bare positive-part
         # projector fails transposition positivity by a finite margin
         assert ppt_check(1, kernel_weight=0.0) < -0.4
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peak traced allocations of the oracle kernels stay bounded."""
+
+    def test_simulation_mc(self):
+        assert _peak_mib(lambda: simulate_lm(1, machines.lm_seed(1), RandomSource(9),
+                                             trials=200_000)) <= 96
+
+    def test_simulation_quadrature(self):
+        assert _peak_mib(lambda: simulate_lm(1, machines.lm_seed(1), RandomSource(10),
+                                             trials=100_000,
+                                             discretization="quadrature")) <= 96
+
+    def test_ed_60_grid(self):
+        grid = oracle.continuous_ed_povm(1, n_azimuth=60, n_polar=60)
+        assert _peak_mib(lambda: ed_error_finite(grid, grid, 1, completeness_tol=1e-6)) <= 64
