@@ -232,10 +232,12 @@ def _coupled_jz_sector_cached(ta: int, tc: int, which: str, tm: int) -> np.ndarr
     """Jz_A is tridiagonal in j (Wigner-Eckart); Jz_C = m 1 - Jz_A."""
     if which not in ("A", "C"):
         raise ValueError(f"which must be 'A' or 'C', got {which!r}")
-    diag, off = jz_a_bands(ta, tc, tm)
-    mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     if which == "C":
-        mat = tm / 2.0 * np.eye(len(diag)) - mat
+        jz_a = _coupled_jz_sector_cached(ta, tc, "A", tm)
+        mat = tm / 2.0 * np.eye(len(jz_a)) - jz_a
+    else:
+        diag, off = jz_a_bands(ta, tc, tm)
+        mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     mat.flags.writeable = False
     return mat
 

@@ -11,6 +11,7 @@ import errno
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,21 @@ def _env(name: str, kind: type, default):
         raise ValueError(f"{name}={val!r} is not a valid {kind.__name__}") from None
 
 
+def _environment() -> dict:
+    """What a run's numbers and timings depend on: interpreter, numpy, BLAS and cores."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = {"name": None, "version": None}
+    return {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _manifest(args: argparse.Namespace, config: dict, tolerances: dict) -> dict:
     return {
         "command": " ".join([Path(sys.argv[0]).name] + sys.argv[1:]) if sys.argv else "qclass",
@@ -73,6 +89,8 @@ def _manifest(args: argparse.Namespace, config: dict, tolerances: dict) -> dict:
         "seed": getattr(args, "seed", None),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "tolerances": tolerances,
+        "environment": _environment(),
+        "elapsed_s": time.perf_counter() - args.started,
     }
 
 
@@ -305,6 +323,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.fn(args)
     except (ValueError, OSError, blocks.IntegrityError, sdp.InfeasibleError) as exc:

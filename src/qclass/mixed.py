@@ -13,20 +13,22 @@ sum over total momenta is one numpy expression.  The dense per-sector
 eigendecomposition of ``oracle.average_state_diff_mixed`` remains the
 cross-check in the tests and in ``qclass verify``.
 
-The seed problem never couples two block labels, so ``solve_lm`` hands the
-solver one label at a time and uses two symmetries: a label and its mirror
+The seed problem never couples two block labels, so each label is its own
+solver problem, and two symmetries cut their number: a label and its mirror
 (jC, jA) share one build and one solve, and a label with jA = jC or jA = 0
 costs a non-negative multiple of one r-independent matrix, solved once and
-scaled.  Solving the whole problem jointly is the cross-check in the tests.
-Every solve starts from the solver's analytic starting point, with no warm
-start, so each sweep row depends only on its own (n, r).
+scaled.  The remaining labels of every purity in a sweep lane go to the
+solver's batch entry together; ``solve_lm`` is the one-purity case.  Solving
+the whole problem jointly is the cross-check in the tests.  Every solve
+starts from the solver's analytic starting point, with no warm start, and
+the solver's results do not depend on what shares a batch, so each sweep
+row depends only on its own (n, r).
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -56,11 +58,19 @@ def _kappa(tj: int, r: float) -> float:
 
 
 def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
-    """[kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) for given side coefficients."""
+    """[kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) for given side coefficients.
+
+    Summed sector by sector from the cached Jz sectors, in the order and
+    arithmetic of ``blocks.combine``.
+    """
     scale = 2.0 * (label.jA.twice_value + 1) * (label.jC.twice_value + 1)
-    jzA = blk.coupled_jz(label, "A")
-    jzC = blk.coupled_jz(label, "C")
-    return blk.combine([jzA, jzC], [kA / scale, -kC / scale])
+    a, c = kA / scale, -kC / scale
+    sectors, index = {}, {}
+    for tm in blk.sector_range(label):
+        jz_a = blk.coupled_jz_sector(label, "A", tm)
+        sectors[tm] = np.zeros(jz_a.shape) + a * jz_a + c * blk.coupled_jz_sector(label, "C", tm)
+        index[tm] = blk.coupled_sector_index(label, tm)
+    return BlockOperator(label=label, basis=blk.BASIS_AC_COUPLED, sectors=sectors, index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -161,63 +171,80 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
              max_iter: int = sdp.DEFAULT_MAX_ITER) -> tuple[machines.MachineReport, sdp.Seed]:
     """Optimal learning-machine risk at (n, r); returns (report, solved seed).
 
-    The problem of ``build_lm_problem`` is solved one block label at a time,
-    since no constraint couples two labels.  Only labels with jA <= jC are
-    solved: the mirror (jC, jA) has the same cost with m negated, so its
-    sectors are X[(tc, ta), -tm] = X[(ta, tc), tm].  Labels with jA = jC or
-    jA = 0 have cost s(r) C_unit with s = p_xi kappa >= 0; their unit problem
-    is solved once per tolerance (``_unit_label_seed``) and scaled.  The
-    other labels are solved at (n, r).  Each label gets tol / (number of
-    labels), so the assembled certified gap, the sum of the labels' scaled
-    gaps, stays within ``tol``; above it, ``SolverError`` carries the
-    assembled seed.
+    The one-purity case of ``_lm_seeds``; above ``tol``, ``SolverError``
+    carries the assembled seed.
     """
-    problem = build_lm_problem(n, r)
-    by_label: dict[tuple[int, int], list[sdp.SdpBlock]] = {}
-    for b in problem.blocks:
-        by_label.setdefault(b.xi, []).append(b)
-    label_tol = tol / len(by_label)
-    parts = []
-    for (ta, tc), blocks in by_label.items():
-        if ta > tc:
-            continue
-        if ta == tc or ta == 0:
-            parts.append(((ta, tc), _unit_label_seed(ta, tc, label_tol, max_iter),
-                          blocks[0].weight * _kappa(tc, r)))
-            continue
-        try:
-            seed = sdp.solve(sdp.BlockSdpProblem(blocks), tol=label_tol, max_iter=max_iter)
-        except sdp.SolverError as exc:
-            seed = exc.seed
-        parts.append(((ta, tc), seed, 1.0))
-    seed = _assemble_seed(problem, parts)
+    (seed,) = _lm_seeds(n, [r], tol, max_iter)
+    return _lm_report(n, r, seed, tol), seed
+
+
+def _lm_report(n: int, r: float, seed: sdp.Seed, tol: float) -> machines.MachineReport:
     if not seed.gap <= tol:
         raise sdp.SolverError(
             f"gap {seed.gap:.3e} above tolerance {tol:.3e} after "
-            f"{seed.iterations} iterations over {len(parts)} labels", seed)
+            f"{seed.iterations} iterations", seed)
     error = 0.5 * (1.0 - seed.objective / 2.0)
-    report = machines.make_report("lm", n, error, r=r, method="sdp", solver_gap=seed.gap)
-    return report, seed
+    return machines.make_report("lm", n, error, r=r, method="sdp", solver_gap=seed.gap)
 
 
-@lru_cache(maxsize=None)
-def _unit_label_seed(ta: int, tc: int, tol: float, max_iter: int) -> sdp.Seed:
-    """Solve of one label at unit cost (Jz_A - Jz_C) / (2 d_{2jA} d_{2jC}).
+def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[sdp.Seed]:
+    """Assembled seeds of ``build_lm_problem(n, r)`` for every r, in one batch.
+
+    No constraint couples two block labels, so each label is its own
+    problem.  Only labels with jA <= jC are solved: the mirror (jC, jA) has
+    the same cost with m negated, so its sectors are X[(tc, ta), -tm] =
+    X[(ta, tc), tm].  Labels with jA = jC or jA = 0 have cost s(r) C_unit
+    with s = p_xi kappa >= 0; their unit problem is solved once per
+    tolerance (``_unit_label_seeds``) and scaled.  The other labels of every
+    r go to the solver together.  Each label gets tol / (number of labels),
+    so the assembled certified gap, the sum of the labels' scaled gaps,
+    stays within ``tol``.
+    """
+    sdp.check_tol(tol)
+    problems = [build_lm_problem(n, r) for r in rs]
+    by_label = []
+    for problem in problems:
+        labels: dict[tuple[int, int], list[sdp.SdpBlock]] = {}
+        for b in problem.blocks:
+            labels.setdefault(b.xi, []).append(b)
+        by_label.append(labels)
+    label_tol = tol / len(by_label[0])
+    solved = [xi for xi in by_label[0] if xi[0] <= xi[1]]
+    unit = [xi for xi in solved if xi[0] == xi[1] or xi[0] == 0]
+    unit_seeds = dict(zip(unit, _unit_label_seeds(unit, label_tol, max_iter)))
+    varying = [sdp.BlockSdpProblem(labels[xi]) for labels in by_label
+               for xi in solved if xi not in unit_seeds]
+    varying_seeds = iter(sdp.solve_many(varying, label_tol, max_iter))
+    seeds = []
+    for r, problem, labels in zip(rs, problems, by_label):
+        parts = [(xi, unit_seeds[xi], labels[xi][0].weight * _kappa(xi[1], r))
+                 if xi in unit_seeds else (xi, next(varying_seeds), 1.0) for xi in solved]
+        seeds.append(_assemble_seed(problem, parts))
+    return seeds
+
+
+_unit_seeds: dict[tuple, sdp.Seed] = {}
+
+
+def _unit_label_seeds(labels: list[tuple[int, int]], tol: float,
+                      max_iter: int) -> list[sdp.Seed]:
+    """Solves of labels at unit cost (Jz_A - Jz_C) / (2 d_{2jA} d_{2jC}), cached.
 
     For jA = jC, and for jA = 0 where Jz_A vanishes, this is the label's cost
-    divided by p_xi kappa_C, which is the only place r enters.  The best
-    point is kept if the gap does not close; the caller judges its gap.
-    Its sectors are read-only, as every seed assembled from it shares them.
+    divided by p_xi kappa_C, which is the only place r enters.  The labels
+    not cached yet go to the solver together.  The best point is kept if the
+    gap does not close; the caller judges its gap.  Cached sectors are
+    read-only, as every seed assembled from them shares them.
     """
-    label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
-    problem = sdp.BlockSdpProblem(_label_blocks((ta, tc), _gamma(label, 1.0, 1.0), 1.0))
-    try:
-        seed = sdp.solve(problem, tol=tol, max_iter=max_iter)
-    except sdp.SolverError as exc:
-        seed = exc.seed
-    for X in seed.blocks.values():
-        X.flags.writeable = False
-    return seed
+    todo = [xi for xi in labels if (xi, tol, max_iter) not in _unit_seeds]
+    problems = [sdp.BlockSdpProblem(_label_blocks(
+        xi, _gamma(BlockLabel(HalfInteger(xi[0]), HalfInteger(xi[1])), 1.0, 1.0), 1.0))
+        for xi in todo]
+    for xi, seed in zip(todo, sdp.solve_many(problems, tol, max_iter)):
+        for X in seed.blocks.values():
+            X.flags.writeable = False
+        _unit_seeds[xi, tol, max_iter] = seed
+    return [_unit_seeds[xi, tol, max_iter] for xi in labels]
 
 
 def _assemble_seed(problem: sdp.BlockSdpProblem, parts: list) -> sdp.Seed:
@@ -365,6 +392,7 @@ class SweepConfig:
             raise ValueError("the sweep needs at least one n value")
         if any(n < 1 for n in self.n_values):
             raise ValueError("n values must be positive")
+        sdp.check_tol(self.tol)
 
     def r_grid(self) -> np.ndarray:
         if self.steps == 1:
@@ -404,14 +432,18 @@ class SweepTable:
 
 
 def _sweep_lane(args) -> list[SweepRow]:
-    """All rows of one n, in r order; each row depends only on its own (n, r)."""
+    """All rows of one n, in r order, solved as one batch.
+
+    Each row depends only on its own (n, r): the solver gives every problem
+    the result it would give it alone.
+    """
     n, config = args
+    rs = [float(r) for r in config.r_grid()]
     rows = []
-    for r in config.r_grid():
-        r = float(r)
+    for r, seed in zip(rs, _lm_seeds(n, rs, config.tol, config.max_iter)):
         opt = mixed_programmable_risk(n, r)
         try:
-            lm, seed = solve_lm(n, r, tol=config.tol, max_iter=config.max_iter)
+            lm = _lm_report(n, r, seed, config.tol)
             rows.append(SweepRow(
                 n=n, r=r, R_lm=lm.excess_risk, R_opt=opt.excess_risk,
                 rel_gap=(lm.excess_risk - opt.excess_risk) / opt.excess_risk
@@ -421,7 +453,7 @@ def _sweep_lane(args) -> list[SweepRow]:
         except sdp.SolverError as exc:
             rows.append(SweepRow(
                 n=n, r=r, R_lm=math.nan, R_opt=opt.excess_risk,
-                rel_gap=math.nan, solver_gap=exc.seed.gap, error=str(exc),
+                rel_gap=math.nan, solver_gap=seed.gap, error=str(exc),
             ))
     return rows
 

@@ -30,6 +30,10 @@ from .blocks import BlockLabel, BlockOperator, SpectrumParams
 from .su2 import HalfInteger, _cg_doubled, multiplicity
 
 MAX_FULL_QUBITS = 12  # dense full-product-space construction guard
+# Largest twirl that finishes in well under a minute: its cost grows about 6x
+# per qubit (0.5 / 2.8 / 17.6 s at k = 7 / 8 / 9 on one core), so k = 10 would
+# take minutes and k = 12 hours.
+MAX_TWIRL_QUBITS = 9
 _TWIRL_BYTES = 1 << 22  # size of each stack of rotated operators a twirl holds at once
 
 # Pauli matrices in the (down, up) basis
@@ -141,8 +145,9 @@ def twirl_product(k: int, single_qubit_diag: np.ndarray,
     Quadrature over (alpha, beta) only: a z-diagonal D makes the third Euler
     angle drop out.  Exact once the grid covers polynomial degree 2k.
     """
-    if k > MAX_FULL_QUBITS:
-        raise ValueError(f"refusing dense {2**k}-dimensional twirl (k={k})")
+    if k > MAX_TWIRL_QUBITS:
+        raise ValueError(f"refusing dense {2**k}-dimensional twirl (k={k}); "
+                         f"the cap is k = {MAX_TWIRL_QUBITS}")
     alpha, beta, w = _sphere_grid(n_azimuth, n_polar)
     us = _su2_elements(alpha, beta)
     dim = 2 ** k
@@ -214,6 +219,9 @@ def build_average_states(nA: int, nC: int, r: float = 1.0, nB: int = 1,
     if total > MAX_FULL_QUBITS:
         raise ValueError(f"mixed-state construction needs {2**total} dimensions; "
                          f"cap is 2^{MAX_FULL_QUBITS}")
+    if max(nA, nC) + 1 > MAX_TWIRL_QUBITS:
+        raise ValueError(f"mixed-state construction twirls {max(nA, nC) + 1} qubits; "
+                         f"cap is {MAX_TWIRL_QUBITS}")
     pz = np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
     TA1 = twirl_product(nA + 1, pz, n_azimuth, n_polar)
     TA0 = twirl_product(nA, pz, n_azimuth, n_polar) if nA else np.array([[1.0]], complex)

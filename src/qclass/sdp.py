@@ -11,22 +11,41 @@ that block, must equal 2j + 1.  Its dual has one multiplier y_c per channel:
 
     minimize sum_c (2j_c + 1) y_c  subject to  S_b(y) = diag(y[channels_b]) - 2 w_b C_b >= 0.
 
-The engine is a damped-Newton log-barrier method on that dual (Vandenberghe
-and Boyd, "Semidefinite Programming", SIAM Rev. 1996): from a strictly
-feasible start it minimizes t b'y - sum_b log det S_b(y) for t growing
-geometrically, backtracking each step until every S_b stays positive
-definite.  Each centered point carries its own certificate: y is strictly
-dual feasible, so b'y bounds the optimum from above, and the primal point
-X_b = S_b^-1 / t, made exactly feasible by a diagonal congruence, attains an
-objective below it; the difference is the reported gap.  ``Seed.iterations``
-counts Newton steps.  Deterministic for fixed inputs; blind to block
-symmetries, which ``mixed.solve_lm`` uses when it passes in one block label
-at a time.
+Every cost C_b is tridiagonal (the seed costs are combinations of Jz_A, which
+is tridiagonal in j, and m 1), so the engine keeps two bands per sector.  It
+is a damped-Newton log-barrier method on the dual (Vandenberghe and Boyd,
+"Semidefinite Programming", SIAM Rev. 1996): from a strictly feasible start
+it minimizes t b'y - sum_b log det S_b(y) for t growing geometrically,
+backtracking each step until every S_b stays positive definite.  The forward
+LDL' pivots of S_b decide feasibility and give log det S_b; the entries of
+S_b^-1 that the gradient and Hessian need follow from the same pivots in
+ratio form (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992): with l_i the
+multipliers of the factorization,
+
+    (S^-1)_ii = 1/d_i + l_i^2 (S^-1)_{i+1,i+1},   (S^-1)_ij = -l_i (S^-1)_{i+1,j}  (j > i),
+
+sums of positive terms and products of ratios, which neither cancel nor
+overflow at any dimension.  Each centered point carries its own certificate:
+y is strictly dual feasible, so b'y bounds the optimum from above, and the
+primal point X_b = S_b^-1 / t, made exactly feasible by a diagonal
+congruence, attains an objective below it; the difference is the reported
+gap.  ``Seed.iterations`` counts Newton steps.
+
+``solve_many`` runs one Newton loop over many independent problems, each
+with its own t, step length, centering test, certificate and step cap;
+``solve`` is its one-problem case.  Backtracking evaluates three step
+lengths (s, s/2, s/4) per round and takes the first that decreases enough,
+which is the point one-at-a-time backtracking reaches.  A problem's result
+does not depend on what else shares its batch: its sectors are padded only
+to its own largest sector, its sums run in a fixed order, and LAPACK sees
+its matrices one size at a time.  The solver is blind to block symmetries,
+which ``mixed`` uses when it passes in one block label per problem.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Hashable
 
 import numpy as np
@@ -37,7 +56,10 @@ DEFAULT_MAX_ITER = 500  # Newton steps
 _MU = 20.0                  # growth of the barrier parameter t per centering
 _CENTERED = 1e-3            # centering ends once half the squared Newton decrement is below this
 _ALPHA, _BETA = 0.25, 0.5   # backtracking: sufficient-decrease fraction, step shrink
-_MAX_HALVINGS = 60          # backtracking halvings before a Newton step counts as stalled
+_MAX_HALVINGS = 60          # backtracking trials before a Newton step counts as stalled
+_TRIALS = 3                 # step lengths tried at once, a divisor of _MAX_HALVINGS
+_FRACTIONS = (_BETA ** np.arange(_TRIALS))[:, None, None]
+_CHUNK_ENTRIES = 1 << 20    # packed inverse entries held at once; bounds a batch's memory
 
 
 class InfeasibleError(ValueError):
@@ -52,15 +74,28 @@ class SolverError(RuntimeError):
         self.seed = seed
 
 
+def check_tol(tol: float) -> None:
+    """Reject a gap tolerance that no certificate can meet or that means nothing."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
+@lru_cache(maxsize=None)
+def _off_band(d: int) -> np.ndarray:
+    """Mask of the entries of a d x d matrix off its three central diagonals."""
+    i = np.arange(d)
+    return np.abs(i[:, None] - i[None, :]) > 1
+
+
 @dataclass(frozen=True)
 class SdpBlock:
     """One PSD variable: a magnetic sector of one block label."""
 
     xi: Hashable          # block label key, e.g. (2*jA, 2*jC)
     tm: int               # doubled magnetic number of the sector
-    cost: np.ndarray      # Hermitian cost matrix (the conditioned operator sector)
+    cost: np.ndarray      # Hermitian tridiagonal cost matrix (the conditioned operator sector)
     weight: float         # block probability multiplying the cost
-    channels: tuple[int, ...]  # doubled coupled momentum per diagonal index
+    channels: tuple[int, ...]  # doubled coupled momentum per diagonal index, distinct
 
     @property
     def key(self) -> tuple:
@@ -81,8 +116,12 @@ class BlockSdpProblem:
             seen.add(b.key)
             if b.cost.shape != (len(b.channels),) * 2:
                 raise ValueError(f"block {b.key}: cost shape {b.cost.shape} != channels")
+            if len(set(b.channels)) != len(b.channels):
+                raise ValueError(f"block {b.key}: repeated channel")
             if np.abs(b.cost - b.cost.conj().T).max() > 1e-10:
                 raise ValueError(f"block {b.key}: cost is not Hermitian")
+            if len(b.channels) > 2 and b.cost[_off_band(len(b.channels))].any():
+                raise ValueError(f"block {b.key}: cost is not tridiagonal")
 
     def constraint_channels(self) -> dict[tuple, int]:
         """Map (xi, 2j) -> target 2j+1 over every channel appearing in the problem."""
@@ -142,13 +181,94 @@ class Seed:
         }
 
 
-class _Workspace:
-    """Every sector in one stack, padded to the largest sector dimension.
+# ---------------------------------------------------------------------------
+# Band kernels.  Sector arrays are position-major, (D, sectors), so every step
+# of a recurrence is one vector operation across sectors.
 
-    Padding slots belong to a dummy channel (index ``nch``) whose multiplier
-    is pinned at 1 and whose target is 0, so a padded S_b is block-diagonal
-    with an identity and the congruence zeroes a padded X_b outside its sector.
-    Costs are stored divided by ``scale``, their largest absolute entry.
+
+def ldl_pivots(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """Forward LDL' pivots d_i = a_i - b_{i-1}^2 / d_{i-1} of symmetric tridiagonal matrices.
+
+    ``diag`` holds the diagonals, ``off2`` the squared off-diagonals.  The
+    matrix is positive definite exactly when every pivot is positive, and
+    log det is the sum of their logs.
+    """
+    piv = diag.copy()
+    for i in range(1, len(diag)):
+        piv[i] -= off2[i - 1] / piv[i - 1]
+    return piv
+
+
+def inverse_diagonal(piv: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """diag(S^-1) from the pivots and squared multipliers l_i^2 = b_i^2 / d_i^2, bottom up."""
+    m = 1.0 / piv
+    for i in range(len(piv) - 2, -1, -1):
+        m[i] += l2[i] * m[i + 1]
+    return m
+
+
+@lru_cache(maxsize=None)
+def _strict_upper(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a D x D matrix, row-major."""
+    return np.triu_indices(D, 1)
+
+
+def ratio_products(r: np.ndarray) -> np.ndarray:
+    """r_i r_{i+1} ... r_{j-1} for every i < j, packed row-major over the strict upper triangle.
+
+    Built from the bottom row up, row i being r_i times (1, row i + 1); each
+    product is bounded by an entry ratio of S^-1, so none overflows.
+    """
+    D = len(r) + 1
+    out = np.empty((D * (D - 1) // 2,) + r.shape[1:])
+    start = len(out)
+    for i in range(D - 2, -1, -1):
+        below, start = start, start - (D - 1 - i)
+        out[start] = r[i]
+        if i < D - 2:
+            np.multiply(r[i], out[below:below + D - 2 - i], out=out[start + 1:below])
+    return out
+
+
+def tridiagonal_inverse(piv: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Every entry of S^-1, (D, D, sectors), from the pivots and off-diagonals of S.
+
+    (S^-1)_ij = (S^-1)_jj (-l_i) (-l_{i+1}) ... (-l_{j-1}) for i < j.
+    """
+    ratio = -off / piv[:-1]  # -l_i
+    m = inverse_diagonal(piv, ratio * ratio)
+    D = len(piv)
+    iu, ju = _strict_upper(D)
+    upper = ratio_products(ratio) * m[ju]
+    M = np.empty((D, D) + piv.shape[1:])
+    ar = np.arange(D)
+    M[ar, ar] = m
+    M[iu, ju] = M[ju, iu] = upper
+    return M
+
+
+def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """(sectors, D, D) symmetric matrices from position-major bands."""
+    D, count = diag.shape
+    A = np.zeros((count, D, D))
+    ar = np.arange(D)
+    A[:, ar, ar] = diag.T
+    A[:, ar[:-1], ar[1:]] = A[:, ar[1:], ar[:-1]] = off.T
+    return A
+
+
+# ---------------------------------------------------------------------------
+# Batched barrier method
+
+
+class _Bands:
+    """One problem's sectors as bands, each front-padded to its largest sector.
+
+    Padding rows belong to a dummy channel (index ``nch``) whose multiplier
+    is pinned at 1 and whose target is 0, so a padded S_b is an identity
+    followed by the sector, and the congruence zeroes a padded X_b outside
+    its sector.  Costs are stored divided by ``scale``, their largest
+    absolute entry.
     """
 
     def __init__(self, problem: BlockSdpProblem):
@@ -156,92 +276,297 @@ class _Workspace:
         channels = problem.constraint_channels()
         self.chan_list = sorted(channels)
         self.nch = nch = len(self.chan_list)
-        self.targets = np.array([channels[c] for c in self.chan_list], float)
+        self.targets = np.array([channels[c] for c in self.chan_list] + [0], float)
         chan_pos = {c: i for i, c in enumerate(self.chan_list)}
-        d = max(len(b.channels) for b in problem.blocks)
-        self.costs = np.zeros((len(problem.blocks), d, d))
-        self.slot = np.full((len(problem.blocks), d), nch)
+        self.D = D = max(len(b.channels) for b in problem.blocks)
+        count = len(problem.blocks)
+        self.diag, self.off = np.zeros((D, count)), np.zeros((D - 1, count))
+        self.slot = np.full((D, count), nch)
         for k, b in enumerate(problem.blocks):
-            m = len(b.channels)
-            self.costs[k, :m, :m] = 2.0 * b.weight * np.real(b.cost)
-            self.slot[k, :m] = [chan_pos[(b.xi, tj)] for tj in b.channels]
-        self.scale = float(np.abs(self.costs).max())
+            d = len(b.channels)
+            cost = 2.0 * b.weight * np.real(b.cost)
+            self.diag[D - d:, k] = np.diagonal(cost)
+            self.off[D - d:, k] = np.diagonal(cost, 1)
+            self.slot[D - d:, k] = [chan_pos[(b.xi, tj)] for tj in b.channels]
+        self.scale = max(float(np.abs(self.diag).max()), float(np.abs(self.off).max(initial=0.0)))
         if self.scale > 0.0:
-            self.costs /= self.scale
-        self.diag = np.arange(d)
-        # flat (channel, channel') index of every entry pair, for the Hessian
-        self.pairs = (self.slot[:, :, None] * (nch + 1) + self.slot[:, None, :]).ravel()
+            self.diag /= self.scale
+            self.off /= self.scale
 
-    def to_blocks(self, X: np.ndarray) -> dict:
-        return {b.key: X[k, :len(b.channels), :len(b.channels)].copy()
-                for k, b in enumerate(self.problem.blocks)}
+    def seed(self, X, objective, bound, gap, iterations, y, trace) -> Seed:
+        """A Seed in the problem's units from the (D, D, sectors) primal of this problem."""
+        blocks = {}
+        for k, b in enumerate(self.problem.blocks):
+            lo = self.D - len(b.channels)
+            blocks[b.key] = np.ascontiguousarray(X[lo:, lo:, k])
+        return Seed(blocks=blocks, objective=objective * self.scale, bound=bound * self.scale,
+                    gap=gap * self.scale, iterations=iterations,
+                    multipliers=dict(zip(self.chan_list, y[:self.nch] * self.scale)),
+                    objective_trace=[v * self.scale for v in trace], problem=self.problem)
 
-    def slack(self, y: np.ndarray) -> np.ndarray:
-        """S_b(y) = diag(y[channels_b]) - C_b for every sector, padding at identity."""
-        S = -self.costs
-        S[:, self.diag, self.diag] += np.append(y, 1.0)[self.slot]
-        return S
+    def zero_seed(self) -> Seed:
+        """Zero cost: the identity made feasible by the congruence; objective, bound, gap 0."""
+        counts = np.bincount(self.slot.ravel(), minlength=self.nch + 1)
+        X = np.zeros((self.D, self.D, self.slot.shape[1]))
+        ar = np.arange(self.D)
+        X[ar, ar] = (self.targets / np.maximum(counts, 1))[self.slot]
+        return self.seed(X, 0.0, 0.0, 0.0, 0, np.zeros(self.nch + 1), [0.0])
 
-    def channel_sums(self, X: np.ndarray) -> np.ndarray:
-        return np.bincount(self.slot.ravel(), weights=X[:, self.diag, self.diag].ravel(),
-                           minlength=self.nch + 1)[:self.nch]
 
-    def congruence(self, X: np.ndarray) -> np.ndarray:
-        """D X D with D_ii = sqrt(target_c / channel_sum_c): exactly feasible, still PSD."""
-        D = np.sqrt(np.append(self.targets / self.channel_sums(X), 0.0))[self.slot]
-        return X * D[:, :, None] * D[:, None, :]
+class _Batch:
+    """Problems of one shape (largest sector D, channel count) in one Newton loop.
 
-    def barrier(self, y: np.ndarray, t: float):
-        """(t b'y - sum_b log det S_b(y), Cholesky factors); (inf, None) if some S_b is not PD."""
-        try:
-            L = np.linalg.cholesky(self.slack(y))
-        except np.linalg.LinAlgError:
-            return math.inf, None
-        return t * float(self.targets @ y) - 2.0 * np.log(L[:, self.diag, self.diag]).sum(), L
+    Sector arrays of every problem are concatenated along the sector axis.
+    Per-problem sums go through ``np.bincount``, which adds in index order,
+    so each problem's numbers are those it would get alone.  The control
+    state (t, step counts, step lengths, barrier values) is plain Python,
+    one entry per problem; numpy does the per-sector work.
+    """
 
-    @staticmethod
-    def inverse(L: np.ndarray) -> np.ndarray:
-        """S^-1 = L^-T L^-1 from the Cholesky factors of S."""
-        Linv = np.linalg.inv(L)
-        return Linv.transpose(0, 2, 1) @ Linv
+    def __init__(self, parts: list[_Bands]):
+        self.parts = parts
+        self.K = K = len(parts)
+        self.D, self.nch = D, nch = parts[0].D, parts[0].nch
+        self.counts = [p.slot.shape[1] for p in parts]
+        self.prob = np.repeat(np.arange(K), self.counts)
+        self.cd = np.concatenate([p.diag for p in parts], axis=1)
+        self.co = np.concatenate([p.off for p in parts], axis=1)
+        self.co2 = self.co * self.co
+        slot = np.concatenate([p.slot for p in parts], axis=1)
+        self.gslot = self.prob * (nch + 1) + slot          # flat (problem, channel)
+        self.owners = np.broadcast_to(self.prob, (2 * D - 1, len(self.prob)))
+        iu, ju = _strict_upper(D)
+        self.upper_cols = ju
+        iu, ju = np.r_[np.arange(D), iu], np.r_[np.arange(D), ju]  # diagonal first
+        self.pairs = (self.prob * (nch + 1) + slot[iu]) * (nch + 1) + slot[ju]
+        self.b = np.stack([p.targets for p in parts])
+        self.rows = np.repeat(np.arange(K), nch + 1)
+        self.rows2 = np.repeat(np.arange(2 * K), nch + 1)
+        self._stacked: dict[int, tuple] = {}
+        lam = np.linalg.eigvalsh(_dense(self.cd, self.co))[:, -1]
+        first = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        self.start = np.maximum(np.maximum.reduceat(lam, first), 0.0) + 1.0
 
-    def newton_step(self, y: np.ndarray, t: float, f: float, L: np.ndarray):
-        """One backtracked Newton step on the barrier; None once centered.
+    def columns(self, ks: list[int]):
+        """Row and sector-column indexers of the problems ``ks`` (ascending); slices for all."""
+        if len(ks) == self.K:
+            return slice(None), slice(None)
+        mask = np.zeros(self.K, dtype=bool)
+        mask[ks] = True
+        return np.asarray(ks), np.flatnonzero(mask[self.prob])
 
-        Raises ``LinAlgError`` when rounding stalls the step: a singular
-        Newton system, or no sufficient decrease within ``_MAX_HALVINGS``.
+    def row_sums(self, a: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=a.ravel(), minlength=self.K)
+
+    def stacked(self, C: int, cols):
+        """Gather indices, squared off-diagonals and log det owners of C stacked points."""
+        if isinstance(cols, slice) and C in self._stacked:
+            return self._stacked[C]
+        K, D = self.K, self.D
+        flat = np.arange(C)[:, None] * (K * (self.nch + 1)) + self.gslot[:, None, cols]
+        owners = np.broadcast_to(np.arange(C)[:, None] * K + self.prob[cols], flat.shape)
+        out = flat, np.tile(self.co2[:, cols], C), owners.ravel()
+        if isinstance(cols, slice):
+            self._stacked[C] = out
+        return out
+
+    def log_det(self, ys: np.ndarray, cols):
+        """Pivots (D, C, columns) and log det (C, K) of S at each of C stacked points.
+
+        ``ys`` is (C, K, nch + 1); only the sector columns ``cols`` are
+        evaluated.  A non-positive pivot makes its problem's log det -inf
+        or nan, so the barrier there is never below a finite one.
         """
-        Sinv = self.inverse(L)
-        g = t * self.targets - self.channel_sums(Sinv)
-        size = self.nch + 1
-        H = np.bincount(self.pairs, weights=(Sinv ** 2).ravel(), minlength=size * size)
-        dy = -np.linalg.solve(H.reshape(size, size)[:self.nch, :self.nch], g)
-        decrement2 = -float(g @ dy)
-        if not math.isfinite(decrement2):
-            raise np.linalg.LinAlgError("non-finite Newton decrement")
-        if decrement2 / 2.0 <= _CENTERED:
-            return None
-        s = 1.0
-        for _ in range(_MAX_HALVINGS):
-            f_new, L_new = self.barrier(y + s * dy, t)
-            if f_new <= f - _ALPHA * s * decrement2:
-                return y + s * dy, f_new, L_new
-            s *= _BETA
-        raise np.linalg.LinAlgError("no sufficient decrease along the Newton direction")
+        C, D = len(ys), self.D
+        flat, co2, owners = self.stacked(C, cols)
+        piv = ldl_pivots((ys.ravel()[flat] - self.cd[:, None, cols]).reshape(D, -1), co2)
+        logdet = np.bincount(owners, weights=np.log(piv).ravel(), minlength=C * self.K)
+        return piv.reshape(D, C, -1), logdet.reshape(C, self.K)
 
-    def certify(self, y: np.ndarray, t: float, L: np.ndarray):
-        """Feasible primal S^-1 / t after congruence, its objective, and a guarded dual bound.
+    def newton(self, y, tb, piv, rows, cols):
+        """Newton directions, squared decrements and b'dy of the problems in ``rows``.
+
+        A problem whose Newton system is singular gets a nan decrement.
+        """
+        K, nch, D = self.K, self.nch, self.D
+        p = piv[:, cols]
+        l2 = self.co2[:, cols] / (p[:-1] * p[:-1])
+        m = inverse_diagonal(p, l2)
+        # (S^-1)_ij^2: the diagonal, halved so that H = B + B' counts it once, then
+        # the strict upper triangle (S^-1)_jj^2 l_i^2 ... l_{j-1}^2
+        sq = m * m
+        W = np.concatenate([0.5 * sq, ratio_products(l2) * sq[self.upper_cols]])
+        g = tb - np.bincount(self.gslot[:, cols].ravel(), weights=m.ravel(),
+                             minlength=K * (nch + 1)).reshape(K, nch + 1)
+        B = np.bincount(self.pairs[:, cols].ravel(), weights=W.ravel(),
+                        minlength=K * (nch + 1) ** 2).reshape(K, nch + 1, nch + 1)
+        B = B[rows, :nch, :nch]
+        H = B + B.transpose(0, 2, 1)
+        rhs = g[rows, :nch, None]
+        dy = np.zeros((K, nch + 1))
+        singular = []
+        try:
+            dy[rows, :nch] = -np.linalg.solve(H, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            for k, row in enumerate(np.arange(K)[rows]):
+                try:
+                    dy[row, :nch] = -np.linalg.solve(H[k:k + 1], rhs[k:k + 1])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    singular.append(row)
+        decrement2, bdy = np.bincount(self.rows2, weights=np.concatenate(
+            [(g * dy).ravel(), (self.b * dy).ravel()]), minlength=2 * K).reshape(2, K)
+        decrement2 = (-decrement2).tolist()
+        for row in singular:
+            decrement2[row] = math.nan
+        return dy, decrement2, bdy.tolist()
+
+    def certify(self, y, t, piv, cols):
+        """Congruence-repaired primals, their objectives and guarded dual bounds.
 
         y is strictly feasible already; the lift of any negative eigenvalue of
         S_b onto its channels only guards the bound against rounding.
         """
-        Sinv = self.inverse(L)
-        X = self.congruence((Sinv + Sinv.transpose(0, 2, 1)) / (2.0 * t))
-        deficits = np.maximum(-np.linalg.eigvalsh(self.slack(y))[:, 0], 0.0)
-        lift = np.zeros(self.nch + 1)
-        np.maximum.at(lift, self.slot, deficits[:, None])
-        y = y + lift[:self.nch]
-        return X, float(np.vdot(self.costs, X)), float(self.targets @ y), y
+        K, nch = self.K, self.nch
+        X = tridiagonal_inverse(piv[:, cols], -self.co[:, cols]) / t[self.prob[cols]]
+        ar = np.arange(self.D)
+        diag = X[ar, ar]
+        sums = np.bincount(self.gslot[:, cols].ravel(), weights=diag.ravel(),
+                           minlength=K * (nch + 1)).reshape(K, nch + 1)
+        scale = np.sqrt(self.b / sums)
+        scale[:, nch] = 0.0
+        Dg = scale.ravel()[self.gslot[:, cols]]
+        X *= Dg[:, None] * Dg[None, :]
+        terms = np.concatenate([self.cd[:, cols] * (diag * (Dg * Dg)),
+                                2.0 * self.co[:, cols] * X[ar[:-1], ar[1:]]])
+        objective = np.bincount(self.owners[:, cols].ravel(), weights=terms.ravel(), minlength=K)
+        slack = _dense(y.ravel()[self.gslot[:, cols]] - self.cd[:, cols], -self.co[:, cols])
+        deficits = np.maximum(-np.linalg.eigvalsh(slack)[:, 0], 0.0)
+        y_cert = y.copy()
+        if deficits.any():
+            lift = np.zeros(K * (nch + 1))
+            where = self.gslot[:, cols]
+            np.maximum.at(lift, where, np.broadcast_to(deficits, where.shape))
+            y_cert += lift.reshape(K, nch + 1)
+            y_cert[:, nch] = 1.0
+        return X, objective.tolist(), self.row_sums(self.b * y_cert).tolist(), y_cert
+
+    def run(self, tol: float, max_iter: int) -> list[Seed]:
+        K, nch = self.K, self.nch
+        y = np.ones((K, nch + 1))
+        y[:, :nch] = self.start[:, None]
+        piv, logdet = self.log_det(y[None], slice(None))
+        piv, logdet, by = piv[:, 0], logdet[0].tolist(), self.row_sums(self.b * y).tolist()
+        t, steps = [1.0] * K, [0] * K
+        tb = self.b.copy()  # t b, row by row
+        best: list = [None] * K   # (gap, X, objective, bound, y, steps) in scaled units
+        traces: list[list] = [[] for _ in range(K)]
+        active = list(range(K))
+        while active:
+            certify = [k for k in active if steps[k] >= max_iter]
+            go = [k for k in active if steps[k] < max_iter]
+            stalled = []
+            if go:
+                # b'(y + s dy) is tracked as b'y + s b'dy
+                dy, dec, bdy = self.newton(y, tb, piv, *self.columns(go))
+                search = []
+                for k in go:
+                    steps[k] += 1
+                    if not math.isfinite(dec[k]):
+                        stalled.append(k)
+                    elif dec[k] / 2.0 > _CENTERED:
+                        search.append(k)
+                    else:
+                        certify.append(k)
+                # backtracking: each round tries the next _TRIALS step lengths of
+                # s, s/2, s/4, ... at once and takes the first that decreases enough
+                s = [1.0] * K
+                for _ in range(_MAX_HALVINGS // _TRIALS):
+                    if not search:
+                        break
+                    _, cols = self.columns(search)
+                    trials = y + dy * _FRACTIONS  # dy holds s dy; halving a float is exact
+                    piv_new, ld_new = self.log_det(trials, cols)
+                    ld_new = ld_new.tolist()
+                    taken: dict[int, list[int]] = {}
+                    rest = []
+                    for k in search:
+                        for c in range(_TRIALS):
+                            step = s[k] * _BETA ** c
+                            by_new = by[k] + step * bdy[k]
+                            if (t[k] * by_new - ld_new[c][k]
+                                    <= t[k] * by[k] - logdet[k] - _ALPHA * step * dec[k]):
+                                taken.setdefault(c, []).append(k)
+                                logdet[k], by[k] = ld_new[c][k], by_new
+                                break
+                        else:
+                            rest.append(k)
+                            s[k] *= _BETA ** _TRIALS
+                    if rest:
+                        dy[rest if len(rest) < K else slice(None)] *= _BETA ** _TRIALS
+                    for c, ks in taken.items():
+                        if len(ks) == K:
+                            y, piv = trials[c], piv_new[:, c]
+                            continue
+                        rows, acc = self.columns(ks)
+                        y[rows] = trials[c, rows]
+                        piv[:, acc] = piv_new[:, c, acc if isinstance(cols, slice)
+                                              else np.searchsorted(cols, acc)]
+                    search = rest
+                stalled += search
+                certify += stalled
+            if certify:
+                certify.sort()
+                X, obj, bound, y_cert = self.certify(y, np.array(t), piv,
+                                                     self.columns(certify)[1])
+                first = 0
+                for k in certify:
+                    traces[k].append(obj[k])
+                    if best[k] is None or bound[k] - obj[k] < best[k][0]:
+                        best[k] = (bound[k] - obj[k], X[:, :, first:first + self.counts[k]].copy(),
+                                   obj[k], bound[k], y_cert[k].copy(), steps[k])
+                    first += self.counts[k]
+                    if (best[k][0] * self.parts[k].scale <= tol or steps[k] >= max_iter
+                            or k in stalled):
+                        active.remove(k)
+                    else:
+                        t[k] *= _MU
+                        tb[k] = t[k] * self.b[k]
+        return [part.seed(X, obj, bound, gap, its, yk, trace)
+                for part, (gap, X, obj, bound, yk, its), trace in zip(self.parts, best, traces)]
+
+
+def solve_many(problems: list[BlockSdpProblem], tol: float = DEFAULT_TOL,
+               max_iter: int = DEFAULT_MAX_ITER) -> list[Seed]:
+    """Best certified Seed of every problem, in order; the caller judges each gap.
+
+    Problems of one shape share a Newton loop, in chunks of at most
+    ``_CHUNK_ENTRIES`` packed inverse entries.  Each result is the one
+    ``solve`` gives for its problem alone.
+    """
+    check_tol(tol)
+    parts = [_Bands(p) for p in problems]
+    out: list = [None] * len(parts)
+    shapes: dict[tuple, list[int]] = {}
+    for i, part in enumerate(parts):
+        if part.scale == 0.0:
+            out[i] = part.zero_seed()
+        else:
+            shapes.setdefault((part.D, part.nch), []).append(i)
+    for (D, _), members in shapes.items():
+        chunks, size = [[]], 0
+        for i in members:
+            entries = parts[i].slot.shape[1] * D * (D + 1) // 2
+            if chunks[-1] and size + entries > _CHUNK_ENTRIES:
+                chunks.append([])
+                size = 0
+            chunks[-1].append(i)
+            size += entries
+        for chunk in chunks:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                seeds = _Batch([parts[i] for i in chunk]).run(tol, max_iter)
+            for i, seed in zip(chunk, seeds):
+                out[i] = seed
+    return out
 
 
 def solve(
@@ -257,42 +582,10 @@ def solve(
     Newton system solved counts, the one that finds a point centered too)
     or before rounding stalls the path.
     """
-    ws = _Workspace(problem)
-    if ws.scale == 0.0:
-        X = ws.congruence(np.broadcast_to(np.eye(len(ws.diag)), ws.costs.shape).copy())
-        return Seed(blocks=ws.to_blocks(X), objective=0.0, bound=0.0, gap=0.0,
-                    iterations=0, multipliers={c: 0.0 for c in ws.chan_list},
-                    objective_trace=[0.0], problem=problem)
-    y = np.full(ws.nch, max(float(np.linalg.eigvalsh(ws.costs)[:, -1].max()), 0.0) + 1.0)
-    best = None  # (gap, X, objective, bound, y, steps), all divided by ws.scale
-    trace: list[float] = []
-    t, steps, stalled = 1.0, 0, False
-    while True:
-        f, L = ws.barrier(y, t)
-        try:
-            while steps < max_iter:
-                steps += 1
-                step = ws.newton_step(y, t, f, L)
-                if step is None:
-                    break
-                y, f, L = step
-        except np.linalg.LinAlgError:
-            stalled = True
-        X, obj, bound, y_cert = ws.certify(y, t, L)
-        trace.append(obj * ws.scale)
-        if best is None or bound - obj < best[0]:
-            best = (bound - obj, X, obj, bound, y_cert, steps)
-        if best[0] * ws.scale <= tol or steps >= max_iter or stalled:
-            break
-        t *= _MU
-
-    gap, X, obj, bound, y, its = best
-    seed = Seed(blocks=ws.to_blocks(X), objective=obj * ws.scale, bound=bound * ws.scale,
-                gap=gap * ws.scale, iterations=its,
-                multipliers=dict(zip(ws.chan_list, y * ws.scale)),
-                objective_trace=trace, problem=problem)
+    (seed,) = solve_many([problem], tol, max_iter)
     if seed.gap > tol:
         raise SolverError(
-            f"gap {seed.gap:.3e} above tolerance {tol:.3e} after {steps} Newton steps", seed
+            f"gap {seed.gap:.3e} above tolerance {tol:.3e}, best certificate at "
+            f"Newton step {seed.iterations} of at most {max_iter}", seed
         )
     return seed

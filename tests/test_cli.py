@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qclass import cli, mixed, verify
@@ -150,6 +151,20 @@ class TestDumpCommand:
         assert all(min(b["eigenvalues"]) >= -1e-9 for b in payload["blocks"])
 
 
+@pytest.mark.parametrize("cmd", [["machine", "lm", "--n", "2", "--r", "0.5"],
+                                 ["dump", "seed", "--n", "2", "--r", "0.5"]],
+                         ids=["machine-lm", "dump-seed"])
+@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan"])
+def test_bad_tolerance_rejected_before_solving(monkeypatch, capsys, cmd, tol):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the solver ran with an unusable tolerance")
+
+    monkeypatch.setattr(mixed, "build_lm_problem", not_reached)
+    assert cli.main([*cmd, f"--tol={tol}"]) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tolerance" in err
+
+
 class TestVerifyCommand:
     def test_su2_suite_passes(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -201,12 +216,25 @@ class TestSweepCommand:
         assert len(lines) == 9
         manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
         assert manifest["config"]["steps"] == 4
+        mschema, mresolver = load_schema("manifest.schema.json")
+        jsonschema.validate(manifest, mschema, resolver=mresolver)
+        assert manifest["environment"]["numpy"] == np.__version__
+        assert manifest["environment"]["cpu_count"] == os.cpu_count()
+        assert manifest["elapsed_s"] > 0.0
         rows = [line.split(",") for line in lines[1:]]
         assert all(float(r[4]) >= -1e-7 for r in rows)
 
     def test_empty_sweep_exit_1(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         assert cli.main(["sweep", "fig1", "--n-max", "0", "--out", str(out)]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_exit_1(self, tmp_path, capsys, tol):
+        out = tmp_path / "table.csv"
+        assert cli.main(["sweep", "fig1", "--n-max", "2", "--steps", "3", f"--tol={tol}",
+                         "--out", str(out)]) == cli.EXIT_DOMAIN
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 

@@ -278,15 +278,16 @@ class TestLabelByLabelSolve:
             assert machines.verify_seed(seed)
 
     def test_r_independent_labels_solved_once(self, monkeypatch):
+        # labels are counted where they enter the solver's batch entry
         calls = []
-        real = sdp.solve
+        real = sdp.solve_many
 
-        def counting(problem, *args, **kwargs):
-            calls.append(problem.blocks[0].xi)
-            return real(problem, *args, **kwargs)
+        def counting(problems, *args, **kwargs):
+            calls.extend(problem.blocks[0].xi for problem in problems)
+            return real(problems, *args, **kwargs)
 
-        monkeypatch.setattr(sdp, "solve", counting)
-        mixed._unit_label_seed.cache_clear()
+        monkeypatch.setattr(sdp, "solve_many", counting)
+        mixed._unit_seeds.clear()
         mixed.solve_lm(4, 0.5)
         assert sorted(calls) == [(0, 0), (0, 2), (0, 4), (2, 2), (2, 4), (4, 4)]
         calls.clear()
@@ -362,11 +363,27 @@ class TestSweep:
         # with no cached label solve, so the lanes fill the cache in one
         # process at threads = 1 and in two at threads = 2
         config = mixed.SweepConfig(n_values=(2, 4), r_min=0.3, r_max=1.0, steps=3)
-        mixed._unit_label_seed.cache_clear()
+        mixed._unit_seeds.clear()
         one = mixed.run_sweep(config, threads=1).to_csv()
-        mixed._unit_label_seed.cache_clear()
+        mixed._unit_seeds.clear()
         two = mixed.run_sweep(config, threads=2).to_csv()
         assert one == two
+
+    def test_row_independent_of_its_batch(self):
+        # a lane solves all its purities in one batch; each row must be what
+        # solve_lm gives alone, and the same in the 23-step and 46-step grids
+        coarse = mixed.run_sweep(mixed.SweepConfig(n_values=(3, 4), r_min=0.12, r_max=1.0,
+                                                   steps=23))
+        fine = mixed.run_sweep(mixed.SweepConfig(n_values=(3, 4), r_min=0.1, r_max=1.0,
+                                                 steps=46))
+        fine_rows = {(row.n, row.r): row for row in fine.rows}
+        shared = [row for row in coarse.rows if (row.n, row.r) in fine_rows]
+        assert len(shared) == 2 * 19
+        for row in shared:
+            assert row == fine_rows[row.n, row.r]
+        for row in coarse.rows[::7]:
+            lm, seed = mixed.solve_lm(row.n, row.r)
+            assert (lm.excess_risk, seed.gap) == (row.R_lm, row.solver_gap)
 
     def test_pool_capped_at_core_count(self, monkeypatch):
         # a fake context records the requested pool size and maps in-process
@@ -428,3 +445,6 @@ class TestSweep:
             mixed.SweepConfig(n_values=(0, 1))
         with pytest.raises(ValueError):
             mixed.SweepConfig(n_values=())
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                mixed.SweepConfig(tol=tol)

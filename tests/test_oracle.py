@@ -167,6 +167,17 @@ class TestTwirl:
         with pytest.raises(ValueError):
             oracle.twirl_product(oracle.MAX_FULL_QUBITS + 1, np.array([0.5, 0.5]))
 
+    def test_twirl_cap_refuses_before_allocating(self, monkeypatch):
+        # one qubit past the cap is refused before the grid or any operator exists
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(oracle, "_sphere_grid", no_grid)
+        with pytest.raises(ValueError, match="cap"):
+            oracle.twirl_product(oracle.MAX_TWIRL_QUBITS + 1, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="cap"):
+            oracle.build_average_states(oracle.MAX_TWIRL_QUBITS, 0, 0.5)
+
 
 class TestHelstrom:
     def test_equal_states(self):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qclass import machines, mixed
+from qclass import machines, mixed, sdp
 from qclass.sdp import (
-    BlockSdpProblem, InfeasibleError, SdpBlock, Seed, SolverError, solve,
+    BlockSdpProblem, InfeasibleError, SdpBlock, Seed, SolverError, solve, solve_many,
 )
 
 
@@ -144,6 +144,13 @@ class TestSolve:
         trace = seed.objective_trace
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_unusable_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError):
+            solve(n1_pure_problem(), tol=tol)
+        with pytest.raises(ValueError):
+            solve_many([n1_pure_problem()], tol=tol)
+
     def test_iteration_cap_carries_best_iterate(self):
         hard = mixed.build_lm_problem(2, 0.6)
         with pytest.raises(SolverError) as exc:
@@ -152,6 +159,73 @@ class TestSolve:
         assert isinstance(seed, Seed)
         assert seed.constraint_residual() <= 1e-8
         assert seed.gap > 1e-12
+
+
+def random_tridiagonal(rng, d, scale=1.0):
+    """Diagonally dominant, hence positive definite, symmetric tridiagonal bands."""
+    off = rng.normal(size=d - 1)
+    diag = np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0]) + rng.uniform(0.05, 1.0, d)
+    return scale * diag, scale * off
+
+
+def label_problem(n, r, xi):
+    return BlockSdpProblem([b for b in mixed.build_lm_problem(n, r).blocks if b.xi == xi])
+
+
+def assert_same_seed(a, b):
+    assert (a.objective, a.bound, a.gap, a.iterations) == (b.objective, b.bound, b.gap,
+                                                           b.iterations)
+    assert a.objective_trace == b.objective_trace and a.multipliers == b.multipliers
+    for key in a.blocks:
+        assert np.array_equal(a.blocks[key], b.blocks[key])
+
+
+class TestBandKernels:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 30, 101])
+    def test_pivots_match_cholesky(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            diag, off = random_tridiagonal(rng, d)
+            S = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            piv = sdp.ldl_pivots(diag[:, None], (off * off)[:, None])[:, 0]
+            np.testing.assert_allclose(piv, np.diag(np.linalg.cholesky(S)) ** 2, rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 30, 101])
+    def test_ratio_inverse_matches_inv_without_overflow(self, d):
+        # at scale 1e4 and d = 101 the leading minors reach 1e400: the two-sequence
+        # products would overflow, the ratio form must not
+        rng = np.random.default_rng(100 + d)
+        for scale in (1.0, 1e4):
+            diag, off = random_tridiagonal(rng, d, scale)
+            S = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                piv = sdp.ldl_pivots(diag[:, None], (off * off)[:, None])
+                M = sdp.tridiagonal_inverse(piv, off[:, None])[:, :, 0]
+            np.testing.assert_allclose(M, np.linalg.inv(S), rtol=1e-12, atol=0)
+            l2 = ((off / piv[:-1, 0]) ** 2)[:, None]
+            np.testing.assert_array_equal(sdp.inverse_diagonal(piv, l2)[:, 0], np.diag(M))
+
+    def test_infeasible_neighbour_leaves_steps_unchanged(self, monkeypatch):
+        # four problems of one shape share a loop; in some line-search round one
+        # trial point leaves the cone while another is accepted, and every
+        # problem still ends exactly where it ends alone
+        problems = [label_problem(4, r, (2, 4)) for r in (0.3, 0.6, 0.9)]
+        problems.append(label_problem(4, 0.5, (2, 2)))
+        alone = [solve_many([p], tol=1e-9)[0] for p in problems]
+        rounds = []
+        real = sdp._Batch.log_det
+
+        def recording(self, ys, cols):
+            piv, logdet = real(self, ys, cols)
+            owners = np.unique(self.prob[cols])
+            rounds.extend([bool(np.isfinite(row[k])) for k in owners] for row in logdet)
+            return piv, logdet
+
+        monkeypatch.setattr(sdp._Batch, "log_det", recording)
+        together = solve_many(problems, tol=1e-9)
+        assert any(True in r and False in r for r in rounds)
+        for a, b in zip(together, alone):
+            assert_same_seed(a, b)
 
 
 class TestCertificate:
@@ -213,6 +287,19 @@ class TestProblemValidation:
             BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0,
                                       cost=np.array([[0.0, 1.0], [0.0, 0.0]]),
                                       weight=1.0, channels=(0, 2))])
+
+    def test_non_tridiagonal_cost(self):
+        cost = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="tridiagonal"):
+            BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=cost, weight=1.0,
+                                      channels=(0, 2, 4))])
+        BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=np.triu(np.tril(cost, 1), -1),
+                                  weight=1.0, channels=(0, 2, 4))])
+
+    def test_repeated_channel(self):
+        with pytest.raises(ValueError, match="repeated"):
+            BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=np.zeros((2, 2)),
+                                      weight=1.0, channels=(2, 2))])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
