@@ -14,21 +14,22 @@ eigendecomposition of ``oracle.average_state_diff_mixed`` remains the
 cross-check in the tests and in ``qclass verify``.
 
 The seed problem never couples two block labels, so each label is its own
-solver problem, and two symmetries cut their number: a label and its mirror
-(jC, jA) share one build and one solve, and a label with jA = jC or jA = 0
-costs a non-negative multiple of one r-independent matrix, solved once and
-scaled.  The remaining labels of every purity in a sweep lane go to the
-solver's batch entry together; ``solve_lm`` is the one-purity case.  Solving
-the whole problem jointly is the cross-check in the tests.  Every solve
-starts from the solver's analytic starting point, with no warm start, and
-the solver's results do not depend on what shares a batch, so each sweep
-row depends only on its own (n, r).
+solver problem; a label and its mirror (jC, jA) share one solve, and a label
+with jA = jC or jA = 0 costs a non-negative multiple of one r-independent
+matrix, solved once and scaled.  A cost is a Jz_A + c (m 1 - Jz_A) with
+Jz_A tridiagonal, so each label's bands are read once (``_label_template``)
+and r enters through p_xi, kappa_A and kappa_C alone.  A sweep lane solves
+every label of every purity in one solver call and sums each row from the
+label seeds, without a dense problem; ``solve_lm`` is the one-purity case,
+and its seed carries ``build_lm_problem``, whose joint solve is the
+cross-check in the tests.  Each sweep row depends only on its own (n, r).
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -58,19 +59,11 @@ def _kappa(tj: int, r: float) -> float:
 
 
 def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
-    """[kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) for given side coefficients.
-
-    Summed sector by sector from the cached Jz sectors, in the order and
-    arithmetic of ``blocks.combine``.
-    """
-    scale = 2.0 * (label.jA.twice_value + 1) * (label.jC.twice_value + 1)
-    a, c = kA / scale, -kC / scale
-    sectors, index = {}, {}
-    for tm in blk.sector_range(label):
-        jz_a = blk.coupled_jz_sector(label, "A", tm)
-        sectors[tm] = np.zeros(jz_a.shape) + a * jz_a + c * blk.coupled_jz_sector(label, "C", tm)
-        index[tm] = blk.coupled_sector_index(label, tm)
-    return BlockOperator(label=label, basis=blk.BASIS_AC_COUPLED, sectors=sectors, index=index)
+    """[kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) for given side coefficients, from the template."""
+    blocks = _label_template(label.jA.twice_value, label.jC.twice_value).blocks(1.0, kA, kC)
+    return BlockOperator(label=label, basis=blk.BASIS_AC_COUPLED,
+                         sectors={b.tm: b.cost for b in blocks},
+                         index={b.tm: b.channels for b in blocks})
 
 
 # ---------------------------------------------------------------------------
@@ -139,32 +132,86 @@ def mixed_programmable_risk(n: int, r: float,
 # Learning-machine risk through the block semidefinite problem
 
 
+@dataclass(frozen=True, eq=False)
+class _LabelTemplate:
+    """The r-independent part of one label's costs, as read-only bands.
+
+    One column per sector, front-padded with zero rows; row i is the channel
+    2j = |2jA - 2jC| + 2i in every sector.
+    """
+
+    xi: tuple[int, int]
+    keys: list             # (xi, 2m) of each sector, m ascending
+    index: list            # doubled coupled momenta of each sector
+    channels: list         # (xi, 2j) of each row
+    slot: np.ndarray       # (D, sectors)
+    jz: np.ndarray         # diagonal of Jz_A, (D, sectors)
+    jz_c: np.ndarray       # m - diagonal of Jz_A: diagonal of Jz_C
+    off: np.ndarray        # off-diagonal of Jz_A, (D - 1, sectors)
+
+    def costs(self, kA: float, kC: float) -> tuple[np.ndarray, np.ndarray]:
+        """Bands of [kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}), summed as 0 + a Jz_A + c Jz_C is."""
+        scale = 2.0 * (self.xi[0] + 1) * (self.xi[1] + 1)
+        a, c = kA / scale, -kC / scale
+        return 0.0 + a * self.jz + c * self.jz_c, 0.0 + a * self.off + c * (-self.off)
+
+    def bands(self, weight: float, kA: float, kC: float) -> sdp.Bands:
+        return sdp.Bands(self.keys, self.channels, self.slot,
+                         *(2.0 * weight * a for a in self.costs(kA, kC)))
+
+    def blocks(self, weight: float, kA: float, kC: float) -> list[sdp.SdpBlock]:
+        dense, D = sdp._dense(*self.costs(kA, kC)), len(self.slot)
+        return [sdp.SdpBlock(self.xi, tm, dense[k, D - len(tjs):, D - len(tjs):].copy(),
+                             weight, tjs)
+                for k, ((_, tm), tjs) in enumerate(zip(self.keys, self.index))]
+
+
+@lru_cache(maxsize=None)
+def _label_template(ta: int, tc: int) -> _LabelTemplate:
+    tms = list(blk.sector_range(BlockLabel(HalfInteger(ta), HalfInteger(tc))))
+    D, count = min(ta, tc) + 1, len(tms)
+    jz, jz_c = np.zeros((D, count)), np.zeros((D, count))
+    off, slot = np.zeros((D - 1, count)), np.full((D, count), D)
+    tjs, index = tuple(range(abs(ta - tc), ta + tc + 1, 2)), []
+    for k, tm in enumerate(tms):
+        diag, o = blk.jz_a_bands(ta, tc, tm)
+        lo = D - len(diag)
+        jz[lo:, k], jz_c[lo:, k], off[lo:, k] = diag, tm / 2.0 - diag, o
+        slot[lo:, k] = np.arange(lo, D)
+        index.append(tjs[lo:])
+    for a in (jz, jz_c, off, slot):
+        a.flags.writeable = False
+    return _LabelTemplate((ta, tc), [((ta, tc), tm) for tm in tms], index,
+                          [((ta, tc), tj) for tj in tjs], slot, jz, jz_c, off)
+
+
+def _solved_labels(n: int) -> list[_LabelTemplate]:
+    """Templates of the labels with jA <= jC, in label order."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    return [_label_template(ta, tc) for ta in range(n % 2, n + 1, 2) for tc in range(ta, n + 1, 2)]
+
+
 def build_lm_problem(n: int, r: float) -> sdp.BlockSdpProblem:
     """Seed-optimization problem: every block label, every magnetic sector.
 
-    Only labels with jA <= jC are built.  The mirror (jC, jA) has the same
-    weight, and its sector m shares the cost array and channels of sector -m.
+    Only labels with jA <= jC are built, from their templates.  The mirror
+    (jC, jA) has the same weight, and its sector m shares the cost array
+    and channels of sector -m.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    params = SpectrumParams(n, r)
+    templates = _solved_labels(n)
     probs = block_probabilities(n, r)
-    built, out = {}, []
+    built = {t.xi: t.blocks(probs[t.xi], _kappa(t.xi[0], r), _kappa(t.xi[1], r))
+             for t in templates}
+    out = []
     for label in block_labels(n):
         ta, tc = label.jA.twice_value, label.jC.twice_value
         if ta <= tc:
-            built[ta, tc] = _label_blocks((ta, tc), gamma_up_mixed(label, params), probs[ta, tc])
             out += built[ta, tc]
-        else:  # labels ascend in jA, so the mirror is built already
+        else:
             out += [sdp.SdpBlock((ta, tc), -b.tm, b.cost, b.weight, b.channels)
                     for b in reversed(built[tc, ta])]
     return sdp.BlockSdpProblem(out)
-
-
-def _label_blocks(xi: tuple[int, int], gamma: BlockOperator, weight: float) -> list[sdp.SdpBlock]:
-    return [sdp.SdpBlock(xi=xi, tm=tm, cost=np.asarray(cost), weight=weight,
-                         channels=gamma.index[tm])
-            for tm, cost in gamma.iter_sectors()]
 
 
 def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
@@ -174,7 +221,8 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
     The one-purity case of ``_lm_seeds``; above ``tol``, ``SolverError``
     carries the assembled seed.
     """
-    (seed,) = _lm_seeds(n, [r], tol, max_iter)
+    (parts,) = _lm_seeds(n, [r], tol, max_iter)
+    seed = _assemble_seed(build_lm_problem(n, r), parts)
     return _lm_report(n, r, seed, tol), seed
 
 
@@ -187,84 +235,67 @@ def _lm_report(n: int, r: float, seed: sdp.Seed, tol: float) -> machines.Machine
     return machines.make_report("lm", n, error, r=r, method="sdp", solver_gap=seed.gap)
 
 
-def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[sdp.Seed]:
-    """Assembled seeds of ``build_lm_problem(n, r)`` for every r, in one batch.
-
-    No constraint couples two block labels, so each label is its own
-    problem.  Only labels with jA <= jC are solved: the mirror (jC, jA) has
-    the same cost with m negated, so its sectors are X[(tc, ta), -tm] =
-    X[(ta, tc), tm].  Labels with jA = jC or jA = 0 have cost s(r) C_unit
-    with s = p_xi kappa >= 0; their unit problem is solved once per
-    tolerance (``_unit_label_seeds``) and scaled.  The other labels of every
-    r go to the solver together.  Each label gets tol / (number of labels),
-    so the assembled certified gap, the sum of the labels' scaled gaps,
-    stays within ``tol``.
-    """
-    sdp.check_tol(tol)
-    problems = [build_lm_problem(n, r) for r in rs]
-    by_label = []
-    for problem in problems:
-        labels: dict[tuple[int, int], list[sdp.SdpBlock]] = {}
-        for b in problem.blocks:
-            labels.setdefault(b.xi, []).append(b)
-        by_label.append(labels)
-    label_tol = tol / len(by_label[0])
-    solved = [xi for xi in by_label[0] if xi[0] <= xi[1]]
-    unit = [xi for xi in solved if xi[0] == xi[1] or xi[0] == 0]
-    unit_seeds = dict(zip(unit, _unit_label_seeds(unit, label_tol, max_iter)))
-    varying = [sdp.BlockSdpProblem(labels[xi]) for labels in by_label
-               for xi in solved if xi not in unit_seeds]
-    varying_seeds = iter(sdp.solve_many(varying, label_tol, max_iter))
-    seeds = []
-    for r, problem, labels in zip(rs, problems, by_label):
-        parts = [(xi, unit_seeds[xi], labels[xi][0].weight * _kappa(xi[1], r))
-                 if xi in unit_seeds else (xi, next(varying_seeds), 1.0) for xi in solved]
-        seeds.append(_assemble_seed(problem, parts))
-    return seeds
-
-
 _unit_seeds: dict[tuple, sdp.Seed] = {}
 
 
-def _unit_label_seeds(labels: list[tuple[int, int]], tol: float,
-                      max_iter: int) -> list[sdp.Seed]:
-    """Solves of labels at unit cost (Jz_A - Jz_C) / (2 d_{2jA} d_{2jC}), cached.
+def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[list[tuple]]:
+    """(label, label seed, cost scale) of every solved label at every r, from one solver call.
 
-    For jA = jC, and for jA = 0 where Jz_A vanishes, this is the label's cost
-    divided by p_xi kappa_C, which is the only place r enters.  The labels
-    not cached yet go to the solver together.  The best point is kept if the
-    gap does not close; the caller judges its gap.  Cached sectors are
-    read-only, as every seed assembled from them shares them.
+    Only labels with jA <= jC are solved: the mirror (jC, jA) has the same
+    cost with m negated.  Labels with jA = jC or jA = 0 cost p_xi kappa_C
+    times their unit cost (kA = kC = 1, weight 1), solved once per
+    tolerance and cached with read-only sectors.  The uncached unit labels
+    and the other labels of every r go to the solver together.  Each label
+    gets tol / (number of labels), so the assembled certified gap, the sum
+    of the labels' scaled gaps, stays within ``tol``.
     """
-    todo = [xi for xi in labels if (xi, tol, max_iter) not in _unit_seeds]
-    problems = [sdp.BlockSdpProblem(_label_blocks(
-        xi, _gamma(BlockLabel(HalfInteger(xi[0]), HalfInteger(xi[1])), 1.0, 1.0), 1.0))
-        for xi in todo]
-    for xi, seed in zip(todo, sdp.solve_many(problems, tol, max_iter)):
+    sdp.check_tol(tol)
+    templates = _solved_labels(n)
+    label_tol = tol / len(block_labels(n))
+    unit = {t.xi for t in templates if t.xi[0] == t.xi[1] or t.xi[0] == 0}
+    todo = [t for t in templates
+            if t.xi in unit and (t.xi, label_tol, max_iter) not in _unit_seeds]
+    problems = [t.bands(1.0, 1.0, 1.0) for t in todo]
+    grid = []
+    for r in rs:
+        probs = block_probabilities(n, r)
+        kappa = {tj: _kappa(tj, r) for tj in range(n % 2, n + 1, 2)}
+        grid.append((probs, kappa))
+        problems += [t.bands(probs[t.xi], kappa[t.xi[0]], kappa[t.xi[1]])
+                     for t in templates if t.xi not in unit]
+    seeds = iter(sdp.solve_many(problems, label_tol, max_iter))
+    for t, seed in zip(todo, seeds):
         for X in seed.blocks.values():
             X.flags.writeable = False
-        _unit_seeds[xi, tol, max_iter] = seed
-    return [_unit_seeds[xi, tol, max_iter] for xi in labels]
+        _unit_seeds[t.xi, label_tol, max_iter] = seed
+    return [[(t.xi, _unit_seeds[t.xi, label_tol, max_iter], probs[t.xi] * kappa[t.xi[1]])
+             if t.xi in unit else (t.xi, next(seeds), 1.0) for t in templates]
+            for probs, kappa in grid]
+
+
+def _totals(parts: list) -> dict:
+    """Objective, bound, gap and Newton steps from label parts; a mirrored label counts twice."""
+    objective = bound = gap = 0.0
+    iterations = 0
+    for (ta, tc), seed, scale in parts:
+        weight = (1 if ta == tc else 2) * scale
+        objective += weight * seed.objective
+        bound += weight * seed.bound
+        gap += weight * seed.gap
+        iterations += seed.iterations
+    return dict(objective=objective, bound=bound, gap=gap, iterations=iterations)
 
 
 def _assemble_seed(problem: sdp.BlockSdpProblem, parts: list) -> sdp.Seed:
     """The whole problem's seed from (label, label seed, cost scale) triples, mirrors filled in.
 
-    Objective, bound, gap and multipliers of a label scale with its cost;
-    a label with a mirror counts twice.  The objective trace sums the
-    labels' scaled traces, each held at its last value once it ends.
+    The objective trace sums the labels' scaled traces, each held at its
+    last value once it ends.
     """
     blocks, multipliers, traces = {}, {}, []
-    objective = bound = gap = 0.0
-    iterations = 0
     for (ta, tc), seed, scale in parts:
         mirrors = [(ta, tc)] if ta == tc else [(ta, tc), (tc, ta)]
-        weight = len(mirrors) * scale
-        objective += weight * seed.objective
-        bound += weight * seed.bound
-        gap += weight * seed.gap
-        iterations += seed.iterations
-        traces.append([weight * v for v in seed.objective_trace])
+        traces.append([len(mirrors) * scale * v for v in seed.objective_trace])
         for (_, tm), X in seed.blocks.items():
             for k, xi in enumerate(mirrors):
                 blocks[xi, -tm if k else tm] = X
@@ -274,10 +305,9 @@ def _assemble_seed(problem: sdp.BlockSdpProblem, parts: list) -> sdp.Seed:
     steps = max(len(t) for t in traces)
     trace = [sum(t[min(k, len(t) - 1)] for t in traces) for k in range(steps)]
     return sdp.Seed(
-        blocks={b.key: blocks[b.key] for b in problem.blocks}, objective=objective,
-        bound=bound, gap=gap, iterations=iterations,
+        blocks={b.key: blocks[b.key] for b in problem.blocks},
         multipliers={c: multipliers[c] for c in sorted(multipliers)},
-        objective_trace=trace, problem=problem,
+        objective_trace=trace, problem=problem, **_totals(parts),
     )
 
 
@@ -388,6 +418,8 @@ class SweepConfig:
             raise ValueError("steps must be >= 1")
         if not 0.0 < self.r_min <= self.r_max <= 1.0:
             raise ValueError("need 0 < r_min <= r_max <= 1")
+        if self.steps > 1 and self.r_min == self.r_max:
+            raise ValueError("r_min == r_max admits one step only")
         if not self.n_values:
             raise ValueError("the sweep needs at least one n value")
         if any(n < 1 for n in self.n_values):
@@ -432,29 +464,24 @@ class SweepTable:
 
 
 def _sweep_lane(args) -> list[SweepRow]:
-    """All rows of one n, in r order, solved as one batch.
+    """All rows of one n, in r order, from one solver call.
 
     Each row depends only on its own (n, r): the solver gives every problem
-    the result it would give it alone.
+    the result it would give it alone, and a row sums what ``solve_lm`` sums.
     """
     n, config = args
     rs = [float(r) for r in config.r_grid()]
     rows = []
-    for r, seed in zip(rs, _lm_seeds(n, rs, config.tol, config.max_iter)):
-        opt = mixed_programmable_risk(n, r)
+    for r, parts in zip(rs, _lm_seeds(n, rs, config.tol, config.max_iter)):
+        opt = mixed_programmable_risk(n, r).excess_risk
+        seed = sdp.Seed(blocks={}, multipliers={}, **_totals(parts))
         try:
-            lm = _lm_report(n, r, seed, config.tol)
-            rows.append(SweepRow(
-                n=n, r=r, R_lm=lm.excess_risk, R_opt=opt.excess_risk,
-                rel_gap=(lm.excess_risk - opt.excess_risk) / opt.excess_risk
-                if opt.excess_risk else 0.0,
-                solver_gap=seed.gap,
-            ))
+            lm, error = _lm_report(n, r, seed, config.tol).excess_risk, None
+            rel_gap = (lm - opt) / opt if opt else 0.0
         except sdp.SolverError as exc:
-            rows.append(SweepRow(
-                n=n, r=r, R_lm=math.nan, R_opt=opt.excess_risk,
-                rel_gap=math.nan, solver_gap=seed.gap, error=str(exc),
-            ))
+            lm, error, rel_gap = math.nan, str(exc), math.nan
+        rows.append(SweepRow(n=n, r=r, R_lm=lm, R_opt=opt, rel_gap=rel_gap,
+                             solver_gap=seed.gap, error=error))
     return rows
 
 

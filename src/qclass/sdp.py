@@ -31,15 +31,16 @@ primal point X_b = S_b^-1 / t, made exactly feasible by a diagonal
 congruence, attains an objective below it; the difference is the reported
 gap.  ``Seed.iterations`` counts Newton steps.
 
-``solve_many`` runs one Newton loop over many independent problems, each
-with its own t, step length, centering test, certificate and step cap;
-``solve`` is its one-problem case.  Backtracking evaluates three step
-lengths (s, s/2, s/4) per round and takes the first that decreases enough,
-which is the point one-at-a-time backtracking reaches.  A problem's result
-does not depend on what else shares its batch: its sectors are padded only
-to its own largest sector, its sums run in a fixed order, and LAPACK sees
-its matrices one size at a time.  The solver is blind to block symmetries,
-which ``mixed`` uses when it passes in one block label per problem.
+``solve_many`` runs one Newton loop over many independent problems of any
+shape, each with its own t, step length, centering test, certificate and
+step cap; ``solve`` is its one-problem case.  Backtracking evaluates three
+step lengths (s, s/2, s/4) per round and takes the first that decreases
+enough, which is the point one-at-a-time backtracking reaches.  A problem's
+result does not depend on what else shares its loop: padding its sectors
+adds pivots of exactly 1 and zero inverse entries in a dummy channel, its
+sums run in a fixed order, and LAPACK sees its matrices at its own size.
+The engine reads ``Bands`` and is blind to block symmetries, which ``mixed``
+uses when it passes in one block label per problem.
 """
 from __future__ import annotations
 
@@ -60,6 +61,7 @@ _MAX_HALVINGS = 60          # backtracking trials before a Newton step counts as
 _TRIALS = 3                 # step lengths tried at once, a divisor of _MAX_HALVINGS
 _FRACTIONS = (_BETA ** np.arange(_TRIALS))[:, None, None]
 _CHUNK_ENTRIES = 1 << 20    # packed inverse entries held at once; bounds a batch's memory
+_PAD_ENTRIES = 1 << 14      # padding one problem may add to a batch; more costs more than a loop
 
 
 class InfeasibleError(ValueError):
@@ -93,7 +95,7 @@ class SdpBlock:
 
     xi: Hashable          # block label key, e.g. (2*jA, 2*jC)
     tm: int               # doubled magnetic number of the sector
-    cost: np.ndarray      # Hermitian tridiagonal cost matrix (the conditioned operator sector)
+    cost: np.ndarray      # real symmetric tridiagonal cost (the conditioned operator sector)
     weight: float         # block probability multiplying the cost
     channels: tuple[int, ...]  # doubled coupled momentum per diagonal index, distinct
 
@@ -118,6 +120,8 @@ class BlockSdpProblem:
                 raise ValueError(f"block {b.key}: cost shape {b.cost.shape} != channels")
             if len(set(b.channels)) != len(b.channels):
                 raise ValueError(f"block {b.key}: repeated channel")
+            if np.iscomplexobj(b.cost) and b.cost.imag.any():
+                raise ValueError(f"block {b.key}: cost is not real")
             if np.abs(b.cost - b.cost.conj().T).max() > 1e-10:
                 raise ValueError(f"block {b.key}: cost is not Hermitian")
             if len(b.channels) > 2 and b.cost[_off_band(len(b.channels))].any():
@@ -133,6 +137,39 @@ class BlockSdpProblem:
                     raise InfeasibleError(f"non-positive constraint target for channel {tj}")
                 out[(b.xi, tj)] = tgt
         return out
+
+    def bands(self) -> "Bands":
+        """This problem in the engine's input form."""
+        chan_list = sorted(self.constraint_channels())
+        chan_pos = {c: i for i, c in enumerate(chan_list)}
+        D, count = max(len(b.channels) for b in self.blocks), len(self.blocks)
+        diag, off = np.zeros((D, count)), np.zeros((D - 1, count))
+        slot = np.full((D, count), len(chan_list))
+        for k, b in enumerate(self.blocks):
+            cost, lo = 2.0 * b.weight * np.real(b.cost), D - len(b.channels)
+            diag[lo:, k], off[lo:, k] = np.diagonal(cost), np.diagonal(cost, 1)
+            slot[lo:, k] = [chan_pos[(b.xi, tj)] for tj in b.channels]
+        return Bands([b.key for b in self.blocks], chan_list, slot, diag, off, self)
+
+
+@dataclass(eq=False)
+class Bands:
+    """A problem in the engine's input form: per sector (column), the bands of 2 w_b C_b.
+
+    Sectors are front-padded with zero rows to the largest; ``slot`` gives
+    each row's index into the sorted (xi, 2j) ``channels``, and
+    ``len(channels)`` on padding rows.  Seeds carry ``problem``, if given.
+    """
+
+    keys: list                 # (xi, 2m) of each sector
+    channels: list
+    slot: np.ndarray           # (D, sectors)
+    diag: np.ndarray           # (D, sectors)
+    off: np.ndarray            # (D - 1, sectors)
+    problem: BlockSdpProblem = None
+
+    def __post_init__(self):  # the engine works in units of the largest absolute entry
+        self.scale = max(float(np.abs(self.diag).max()), float(np.abs(self.off).max(initial=0.0)))
 
 
 @dataclass
@@ -261,91 +298,85 @@ def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 # Batched barrier method
 
 
-class _Bands:
-    """One problem's sectors as bands, each front-padded to its largest sector.
+def _seed(part: Bands, X, objective, bound, gap, iterations, y, trace) -> Seed:
+    """A Seed in the problem's units from a (D, D, sectors) primal of its bands, front-padded."""
+    nch, s = len(part.channels), part.scale
+    lo = (len(X) - np.count_nonzero(part.slot < nch, axis=0)).tolist()
+    blocks = {key: np.ascontiguousarray(X[lo[k]:, lo[k]:, k]) for k, key in enumerate(part.keys)}
+    return Seed(blocks=blocks, objective=objective * s, bound=bound * s, gap=gap * s,
+                iterations=iterations, multipliers=dict(zip(part.channels, y[:nch] * s)),
+                objective_trace=[v * s for v in trace], problem=part.problem)
 
-    Padding rows belong to a dummy channel (index ``nch``) whose multiplier
-    is pinned at 1 and whose target is 0, so a padded S_b is an identity
-    followed by the sector, and the congruence zeroes a padded X_b outside
-    its sector.  Costs are stored divided by ``scale``, their largest
-    absolute entry.
-    """
 
-    def __init__(self, problem: BlockSdpProblem):
-        self.problem = problem
-        channels = problem.constraint_channels()
-        self.chan_list = sorted(channels)
-        self.nch = nch = len(self.chan_list)
-        self.targets = np.array([channels[c] for c in self.chan_list] + [0], float)
-        chan_pos = {c: i for i, c in enumerate(self.chan_list)}
-        self.D = D = max(len(b.channels) for b in problem.blocks)
-        count = len(problem.blocks)
-        self.diag, self.off = np.zeros((D, count)), np.zeros((D - 1, count))
-        self.slot = np.full((D, count), nch)
-        for k, b in enumerate(problem.blocks):
-            d = len(b.channels)
-            cost = 2.0 * b.weight * np.real(b.cost)
-            self.diag[D - d:, k] = np.diagonal(cost)
-            self.off[D - d:, k] = np.diagonal(cost, 1)
-            self.slot[D - d:, k] = [chan_pos[(b.xi, tj)] for tj in b.channels]
-        self.scale = max(float(np.abs(self.diag).max()), float(np.abs(self.off).max(initial=0.0)))
-        if self.scale > 0.0:
-            self.diag /= self.scale
-            self.off /= self.scale
-
-    def seed(self, X, objective, bound, gap, iterations, y, trace) -> Seed:
-        """A Seed in the problem's units from the (D, D, sectors) primal of this problem."""
-        blocks = {}
-        for k, b in enumerate(self.problem.blocks):
-            lo = self.D - len(b.channels)
-            blocks[b.key] = np.ascontiguousarray(X[lo:, lo:, k])
-        return Seed(blocks=blocks, objective=objective * self.scale, bound=bound * self.scale,
-                    gap=gap * self.scale, iterations=iterations,
-                    multipliers=dict(zip(self.chan_list, y[:self.nch] * self.scale)),
-                    objective_trace=[v * self.scale for v in trace], problem=self.problem)
-
-    def zero_seed(self) -> Seed:
-        """Zero cost: the identity made feasible by the congruence; objective, bound, gap 0."""
-        counts = np.bincount(self.slot.ravel(), minlength=self.nch + 1)
-        X = np.zeros((self.D, self.D, self.slot.shape[1]))
-        ar = np.arange(self.D)
-        X[ar, ar] = (self.targets / np.maximum(counts, 1))[self.slot]
-        return self.seed(X, 0.0, 0.0, 0.0, 0, np.zeros(self.nch + 1), [0.0])
+def _zero_seed(part: Bands) -> Seed:
+    """Zero cost: the identity made feasible by the congruence; objective, bound, gap 0."""
+    nch, (D, count) = len(part.channels), part.slot.shape
+    targets = np.array([tj + 1 for _, tj in part.channels] + [0], float)
+    X = np.zeros((D, D, count))
+    ar = np.arange(D)
+    counts = np.bincount(part.slot.ravel(), minlength=nch + 1)
+    X[ar, ar] = (targets / np.maximum(counts, 1))[part.slot]
+    return _seed(part, X, 0.0, 0.0, 0.0, 0, np.zeros(nch + 1), [0.0])
 
 
 class _Batch:
-    """Problems of one shape (largest sector D, channel count) in one Newton loop.
+    """Problems of any shape in one Newton loop, costs in units of each problem's ``scale``.
 
-    Sector arrays of every problem are concatenated along the sector axis.
-    Per-problem sums go through ``np.bincount``, which adds in index order,
-    so each problem's numbers are those it would get alone.  The control
-    state (t, step counts, step lengths, barrier values) is plain Python,
-    one entry per problem; numpy does the per-sector work.
+    Sectors are front-padded to the batch's largest sector D and joined
+    along the sector axis.  Column ``nch`` of the channel table, past the
+    largest channel count, is a dummy channel (multiplier pinned at 1,
+    target 0) owning every padding row, so a padded S_b is an identity
+    followed by the sector.  Per-problem sums go through ``np.bincount``,
+    which adds in index order, and LAPACK sees each matrix at its own
+    problem's size, so each problem gets the numbers it gets alone.  The
+    control state is plain Python, one entry per problem.
     """
 
-    def __init__(self, parts: list[_Bands]):
+    def __init__(self, parts: list[Bands]):
         self.parts = parts
         self.K = K = len(parts)
-        self.D, self.nch = D, nch = parts[0].D, parts[0].nch
+        self.D = D = max(len(p.slot) for p in parts)
+        self.nch = nch = max(len(p.channels) for p in parts)
         self.counts = [p.slot.shape[1] for p in parts]
         self.prob = np.repeat(np.arange(K), self.counts)
-        self.cd = np.concatenate([p.diag for p in parts], axis=1)
-        self.co = np.concatenate([p.off for p in parts], axis=1)
+        self.size = np.repeat([len(p.slot) for p in parts], self.counts)  # own D per sector
+        self.width = np.array([len(p.channels) for p in parts])
+        self.sizes = sorted(set(self.size.tolist()))
+        self.cd, self.co = np.zeros((D, len(self.prob))), np.zeros((D - 1, len(self.prob)))
+        slot = np.full((D, len(self.prob)), nch)
+        self.b = np.zeros((K, nch + 1))
+        first = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        for k, (p, lo) in enumerate(zip(parts, first.tolist())):
+            at = np.s_[D - len(p.slot):, lo:lo + self.counts[k]]  # the rows of co end one earlier
+            self.cd[at], self.co[at] = p.diag / p.scale, p.off / p.scale
+            slot[at] = np.where(p.slot < len(p.channels), p.slot, nch)
+            self.b[k, :len(p.channels)] = [tj + 1 for _, tj in p.channels]
         self.co2 = self.co * self.co
-        slot = np.concatenate([p.slot for p in parts], axis=1)
         self.gslot = self.prob * (nch + 1) + slot          # flat (problem, channel)
         self.owners = np.broadcast_to(self.prob, (2 * D - 1, len(self.prob)))
         iu, ju = _strict_upper(D)
         self.upper_cols = ju
         iu, ju = np.r_[np.arange(D), iu], np.r_[np.arange(D), ju]  # diagonal first
         self.pairs = (self.prob * (nch + 1) + slot[iu]) * (nch + 1) + slot[ju]
-        self.b = np.stack([p.targets for p in parts])
         self.rows = np.repeat(np.arange(K), nch + 1)
         self.rows2 = np.repeat(np.arange(2 * K), nch + 1)
         self._stacked: dict[int, tuple] = {}
-        lam = np.linalg.eigvalsh(_dense(self.cd, self.co))[:, -1]
-        first = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        lam = self.eigenvalue(self.cd, self.co, slice(None), -1)
         self.start = np.maximum(np.maximum.reduceat(lam, first), 0.0) + 1.0
+
+    def eigenvalue(self, diag, off, cols, which: int) -> np.ndarray:
+        """Eigenvalue ``which`` of each sector of ``cols``, cut to its own problem's size.
+
+        ``diag`` and ``off`` are the bands of those sectors.
+        """
+        size = self.size[cols]
+        out = np.empty(len(size))
+        for d in self.sizes:
+            at = size == d
+            if at.any():
+                out[at] = np.linalg.eigvalsh(_dense(diag[self.D - d:, at],
+                                                    off[self.D - d:, at]))[:, which]
+        return out
 
     def columns(self, ks: list[int]):
         """Row and sector-column indexers of the problems ``ks`` (ascending); slices for all."""
@@ -400,19 +431,23 @@ class _Batch:
                              minlength=K * (nch + 1)).reshape(K, nch + 1)
         B = np.bincount(self.pairs[:, cols].ravel(), weights=W.ravel(),
                         minlength=K * (nch + 1) ** 2).reshape(K, nch + 1, nch + 1)
-        B = B[rows, :nch, :nch]
-        H = B + B.transpose(0, 2, 1)
-        rhs = g[rows, :nch, None]
         dy = np.zeros((K, nch + 1))
         singular = []
-        try:
-            dy[rows, :nch] = -np.linalg.solve(H, rhs)[..., 0]
-        except np.linalg.LinAlgError:
-            for k, row in enumerate(np.arange(K)[rows]):
-                try:
-                    dy[row, :nch] = -np.linalg.solve(H[k:k + 1], rhs[k:k + 1])[0, :, 0]
-                except np.linalg.LinAlgError:
-                    singular.append(row)
+        ks = np.arange(K)[rows]
+        width = self.width[ks]
+        for w in sorted(set(width.tolist())):  # one LAPACK call per channel count
+            group = ks[width == w]
+            Bw = B[group, :w, :w]
+            H = Bw + Bw.transpose(0, 2, 1)
+            rhs = g[group, :w, None]
+            try:
+                dy[group, :w] = -np.linalg.solve(H, rhs)[..., 0]
+            except np.linalg.LinAlgError:
+                for k, row in enumerate(group.tolist()):
+                    try:
+                        dy[row, :w] = -np.linalg.solve(H[k:k + 1], rhs[k:k + 1])[0, :, 0]
+                    except np.linalg.LinAlgError:
+                        singular.append(row)
         decrement2, bdy = np.bincount(self.rows2, weights=np.concatenate(
             [(g * dy).ravel(), (self.b * dy).ravel()]), minlength=2 * K).reshape(2, K)
         decrement2 = (-decrement2).tolist()
@@ -439,8 +474,8 @@ class _Batch:
         terms = np.concatenate([self.cd[:, cols] * (diag * (Dg * Dg)),
                                 2.0 * self.co[:, cols] * X[ar[:-1], ar[1:]]])
         objective = np.bincount(self.owners[:, cols].ravel(), weights=terms.ravel(), minlength=K)
-        slack = _dense(y.ravel()[self.gslot[:, cols]] - self.cd[:, cols], -self.co[:, cols])
-        deficits = np.maximum(-np.linalg.eigvalsh(slack)[:, 0], 0.0)
+        deficits = np.maximum(-self.eigenvalue(y.ravel()[self.gslot[:, cols]] - self.cd[:, cols],
+                                               -self.co[:, cols], cols, 0), 0.0)
         y_cert = y.copy()
         if deficits.any():
             lift = np.zeros(K * (nch + 1))
@@ -531,41 +566,37 @@ class _Batch:
                     else:
                         t[k] *= _MU
                         tb[k] = t[k] * self.b[k]
-        return [part.seed(X, obj, bound, gap, its, yk, trace)
+        return [_seed(part, X, obj, bound, gap, its, yk, trace)
                 for part, (gap, X, obj, bound, yk, its), trace in zip(self.parts, best, traces)]
 
 
-def solve_many(problems: list[BlockSdpProblem], tol: float = DEFAULT_TOL,
+def solve_many(problems: list[BlockSdpProblem | Bands], tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER) -> list[Seed]:
     """Best certified Seed of every problem, in order; the caller judges each gap.
 
-    Problems of one shape share a Newton loop, in chunks of at most
-    ``_CHUNK_ENTRIES`` packed inverse entries.  Each result is the one
-    ``solve`` gives for its problem alone.
+    A problem is a ``BlockSdpProblem`` or its ``Bands``.  All share one
+    Newton loop, taken in order of largest sector and cut into chunks of at
+    most ``_CHUNK_ENTRIES`` packed inverse entries, or where padding would
+    cost more than a loop.  Each result is the one ``solve`` gives alone.
     """
     check_tol(tol)
-    parts = [_Bands(p) for p in problems]
-    out: list = [None] * len(parts)
-    shapes: dict[tuple, list[int]] = {}
-    for i, part in enumerate(parts):
-        if part.scale == 0.0:
-            out[i] = part.zero_seed()
-        else:
-            shapes.setdefault((part.D, part.nch), []).append(i)
-    for (D, _), members in shapes.items():
-        chunks, size = [[]], 0
-        for i in members:
-            entries = parts[i].slot.shape[1] * D * (D + 1) // 2
-            if chunks[-1] and size + entries > _CHUNK_ENTRIES:
-                chunks.append([])
-                size = 0
-            chunks[-1].append(i)
-            size += entries
-        for chunk in chunks:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                seeds = _Batch([parts[i] for i in chunk]).run(tol, max_iter)
-            for i, seed in zip(chunk, seeds):
-                out[i] = seed
+    parts = [p if isinstance(p, Bands) else p.bands() for p in problems]
+    out = [_zero_seed(p) if p.scale == 0.0 else None for p in parts]
+    chunks, sectors, top = [[]], 0, 1
+    for i in sorted((i for i, p in enumerate(parts) if p.scale != 0.0),
+                    key=lambda i: len(parts[i].slot)):
+        D, count = parts[i].slot.shape
+        if chunks[-1] and ((sectors + count) * D * (D + 1) // 2 > _CHUNK_ENTRIES
+                           or sectors * (D * (D + 1) - top * (top + 1)) // 2 > _PAD_ENTRIES):
+            chunks.append([])
+            sectors = 0
+        chunks[-1].append(i)
+        sectors, top = sectors + count, D
+    for chunk in filter(None, chunks):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            seeds = _Batch([parts[i] for i in chunk]).run(tol, max_iter)
+        for i, seed in zip(chunk, seeds):
+            out[i] = seed
     return out
 
 

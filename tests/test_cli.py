@@ -238,6 +238,14 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_degenerate_grid_exit_1(self, tmp_path, capsys):
+        # r_min == r_max with several steps would write the same rows steps times
+        out = tmp_path / "table.csv"
+        assert cli.main(["sweep", "fig1", "--n-max", "2", "--r-min", "0.5", "--r-max", "0.5",
+                         "--steps", "3", "--out", str(out)]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_1(self, tmp_path, capsys, threads):
         out = tmp_path / "table.csv"

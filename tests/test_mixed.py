@@ -283,7 +283,7 @@ class TestLabelByLabelSolve:
         real = sdp.solve_many
 
         def counting(problems, *args, **kwargs):
-            calls.extend(problem.blocks[0].xi for problem in problems)
+            calls.extend(problem.keys[0][0] for problem in problems)
             return real(problems, *args, **kwargs)
 
         monkeypatch.setattr(sdp, "solve_many", counting)
@@ -385,6 +385,40 @@ class TestSweep:
             lm, seed = mixed.solve_lm(row.n, row.r)
             assert (lm.excess_risk, seed.gap) == (row.R_lm, row.solver_gap)
 
+    def test_one_newton_loop_per_lane(self, monkeypatch):
+        # every label of every r of a lane, unit labels included, runs in one loop;
+        # zero costs ((0, 0), and p_xi = 0 off (n, n) at r = 1) need no loop
+        loops = []
+        real = sdp._Batch.run
+
+        def counting(self, *args):
+            loops.append(self.K)
+            return real(self, *args)
+
+        monkeypatch.setattr(sdp._Batch, "run", counting)
+        mixed._unit_seeds.clear()
+        config = mixed.SweepConfig(n_values=(1, 2, 3, 4), r_min=0.12, r_max=1.0, steps=23)
+        mixed.run_sweep(config)
+        assert loops == [1, 2, 2 + 22, 4 + 22]
+        loops.clear()
+        mixed._sweep_lane((4, config))
+        assert loops == [22]
+
+    def test_lane_builds_no_dense_problem(self, monkeypatch):
+        # a lane reads its costs from the label templates' bands alone
+        config = mixed.SweepConfig(n_values=(3, 4), r_min=0.3, r_max=1.0, steps=4)
+        want = mixed.run_sweep(config).to_csv()
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("dense route used")
+
+        for module, name in ((mixed, "gamma_up_mixed"), (mixed, "_gamma"),
+                             (mixed, "build_lm_problem"), (blk, "_coupled_jz_sector_cached"),
+                             (sdp, "BlockSdpProblem")):
+            monkeypatch.setattr(module, name, not_reached)
+        mixed._unit_seeds.clear()
+        assert mixed.run_sweep(config).to_csv() == want
+
     def test_pool_capped_at_core_count(self, monkeypatch):
         # a fake context records the requested pool size and maps in-process
         import multiprocessing
@@ -448,3 +482,7 @@ class TestSweep:
         for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 mixed.SweepConfig(tol=tol)
+        # a degenerate grid would solve one point steps times over
+        with pytest.raises(ValueError, match="one step"):
+            mixed.SweepConfig(r_min=0.5, r_max=0.5, steps=3)
+        assert mixed.SweepConfig(r_min=0.5, r_max=0.5, steps=1).r_grid().tolist() == [0.5]

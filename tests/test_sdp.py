@@ -228,6 +228,37 @@ class TestBandKernels:
             assert_same_seed(a, b)
 
 
+    def test_shapes_share_one_loop(self, monkeypatch):
+        # labels of five (largest sector, channel count) shapes at several r run in
+        # one loop, one of them as bands; in some round one trial point leaves the
+        # cone while another is accepted, and each problem ends where it ends alone
+        problems = [label_problem(n, r, xi) for r in (0.3, 0.6, 0.9)
+                    for n, xi in ((1, (1, 1)), (2, (0, 2)), (2, (2, 2)), (4, (4, 4)), (4, (2, 4)))]
+        problems[-1] = problems[-1].bands()
+        alone = [solve_many([p], tol=1e-9)[0] for p in problems]
+        batches, rounds = [], []
+        real_init, real_log_det = sdp._Batch.__init__, sdp._Batch.log_det
+
+        def init(self, parts):
+            batches.append(len(parts))
+            real_init(self, parts)
+
+        def recording(self, ys, cols):
+            piv, logdet = real_log_det(self, ys, cols)
+            owners = np.unique(self.prob[cols])
+            rounds.extend([bool(np.isfinite(row[k])) for k in owners] for row in logdet)
+            return piv, logdet
+
+        monkeypatch.setattr(sdp._Batch, "__init__", init)
+        monkeypatch.setattr(sdp._Batch, "log_det", recording)
+        together = solve_many(problems, tol=1e-9)
+        assert batches == [len(problems)]
+        assert any(True in r and False in r for r in rounds)
+        for a, b in zip(together, alone):
+            assert_same_seed(a, b)
+        assert together[0].problem is problems[0]
+
+
 class TestCertificate:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_independent_recertification(self, n):
@@ -300,6 +331,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="repeated"):
             BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=np.zeros((2, 2)),
                                       weight=1.0, channels=(2, 2))])
+
+    def test_complex_cost(self):
+        # Hermitian, and a diagonal phase maps it to the n = 1 pure problem (optimum
+        # 1/sqrt(3)); the engine keeps real bands, so it must refuse the imaginary part
+        cost = np.array([[0.0, 1j / 12], [-1j / 12, 0.0]])
+        with pytest.raises(ValueError, match="not real"):
+            BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=cost, weight=1.0, channels=(0, 2))])
+        BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=cost.real + 0j, weight=1.0,
+                                  channels=(0, 2))])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
