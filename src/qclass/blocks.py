@@ -237,26 +237,31 @@ def _coupled_jz_sector_cached(ta: int, tc: int, which: str, tm: int) -> np.ndarr
         mat = tm / 2.0 * np.eye(len(jz_a)) - jz_a
     else:
         diag, off = jz_a_bands(ta, tc, tm)
-        mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        lo = max(abs(tm) - abs(ta - tc), 0) // 2  # the padding rows, j < |m|
+        mat = np.diag(diag[lo:]) + np.diag(off[lo:], 1) + np.diag(off[lo:], -1)
     mat.flags.writeable = False
     return mat
 
 
-def jz_a_bands(ta: int, tc: int, tm: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of Jz_A in the coupled sector tm of (ta/2) x (tc/2).
+def jz_a_bands(ta: int, tc: int, tm) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of Jz_A in the coupled sectors tm of (ta/2) x (tc/2).
 
     <j, m| Jz_A |j, m> = m [j(j+1) + jA(jA+1) - jC(jC+1)] / (2 j(j+1)) and
-    <j-1, m| Jz_A |j, m> = sqrt((j^2-m^2)(j^2-(jA-jC)^2)((jA+jC+1)^2-j^2)) / (2j sqrt(4j^2-1)),
-    over the sector's j ascending.
+    <j-1, m| Jz_A |j, m> = sqrt((j^2-m^2)(j^2-(jA-jC)^2)((jA+jC+1)^2-j^2)) / (2j sqrt(4j^2-1)).
+    ``tm`` is one doubled magnetic number or an array of them, one column
+    each.  Row i is 2j = |2jA - 2jC| + 2i in every sector; the rows with
+    j < |m|, outside the sector, are zero (its front padding).
     """
-    js = np.array(coupled_sector_index(BlockLabel(HalfInteger(ta), HalfInteger(tc)), tm)) / 2.0
-    m, ja, jc = tm / 2.0, ta / 2.0, tc / 2.0
+    m = np.asarray(tm) / 2.0
+    js = np.arange(abs(ta - tc), ta + tc + 1, 2).reshape((-1,) + (1,) * m.ndim) / 2.0
+    ja, jc = ta / 2.0, tc / 2.0
+    inside = js >= np.abs(m)
     jj = js * (js + 1.0)
     diag = np.divide(m * (jj + ja * (ja + 1.0) - jc * (jc + 1.0)), 2.0 * jj,
-                     out=np.zeros_like(js), where=jj > 0)
+                     out=np.zeros(inside.shape), where=inside & (jj > 0))
     hi = js[1:]
-    off = np.sqrt((hi ** 2 - m * m) * (hi ** 2 - (ja - jc) ** 2)
-                  * ((ja + jc + 1.0) ** 2 - hi ** 2)) / (2.0 * hi * np.sqrt(4.0 * hi ** 2 - 1.0))
+    radicand = (hi ** 2 - m * m) * (hi ** 2 - (ja - jc) ** 2) * ((ja + jc + 1.0) ** 2 - hi ** 2)
+    off = np.sqrt(np.where(inside[:-1], radicand, 0.0)) / (2.0 * hi * np.sqrt(4.0 * hi ** 2 - 1.0))
     return diag, off
 
 

@@ -17,19 +17,20 @@ The seed problem never couples two block labels, so each label is its own
 solver problem; a label and its mirror (jC, jA) share one solve, and a label
 with jA = jC or jA = 0 costs a non-negative multiple of one r-independent
 matrix, solved once and scaled.  A cost is a Jz_A + c (m 1 - Jz_A) with
-Jz_A tridiagonal, so each label's bands are read once (``_label_template``)
-and r enters through p_xi, kappa_A and kappa_C alone.  A sweep lane solves
-every label of every purity in one solver call and sums each row from the
-label seeds, without a dense problem; ``solve_lm`` is the one-purity case,
-and its seed carries ``build_lm_problem``, whose joint solve is the
-cross-check in the tests.  Each sweep row depends only on its own (n, r).
+Jz_A tridiagonal, so each label's bands come from one formula over its
+(j, m) grid (``_label_template``) and r enters through p_xi, kappa_A and
+kappa_C alone.  Every problem is an ``sdp.Bands``; no dense cost is formed
+for the solver.  A sweep lane solves every label of every purity in one
+solver call and sums each row from the label seeds; ``solve_lm`` is the
+one-purity case, and its seed carries ``build_lm_problem``, the whole
+problem's bands, whose joint solve is the cross-check in the tests.  Each
+sweep row depends only on its own (n, r).
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -60,10 +61,13 @@ def _kappa(tj: int, r: float) -> float:
 
 def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
     """[kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) for given side coefficients, from the template."""
-    blocks = _label_template(label.jA.twice_value, label.jC.twice_value).blocks(1.0, kA, kC)
-    return BlockOperator(label=label, basis=blk.BASIS_AC_COUPLED,
-                         sectors={b.tm: b.cost for b in blocks},
-                         index={b.tm: b.channels for b in blocks})
+    t = _label_template(label.jA.twice_value, label.jC.twice_value)
+    dense, D = sdp._dense(*t.costs(kA, kC)), len(t.slot)
+    sectors, index = {}, {}
+    for k, (_, tm) in enumerate(t.keys):
+        index[tm] = blk.coupled_sector_index(label, tm)
+        sectors[tm] = dense[k, D - len(index[tm]):, D - len(index[tm]):].copy()
+    return BlockOperator(label=label, basis=blk.BASIS_AC_COUPLED, sectors=sectors, index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +138,14 @@ def mixed_programmable_risk(n: int, r: float,
 
 @dataclass(frozen=True, eq=False)
 class _LabelTemplate:
-    """The r-independent part of one label's costs, as read-only bands.
+    """The r-independent part of one label's costs, as bands.
 
-    One column per sector, front-padded with zero rows; row i is the channel
-    2j = |2jA - 2jC| + 2i in every sector.
+    One column per sector, m ascending, front-padded with zero rows; row i
+    is the channel 2j = |2jA - 2jC| + 2i in every sector.
     """
 
     xi: tuple[int, int]
     keys: list             # (xi, 2m) of each sector, m ascending
-    index: list            # doubled coupled momenta of each sector
     channels: list         # (xi, 2j) of each row
     slot: np.ndarray       # (D, sectors)
     jz: np.ndarray         # diagonal of Jz_A, (D, sectors)
@@ -159,30 +162,16 @@ class _LabelTemplate:
         return sdp.Bands(self.keys, self.channels, self.slot,
                          *(2.0 * weight * a for a in self.costs(kA, kC)))
 
-    def blocks(self, weight: float, kA: float, kC: float) -> list[sdp.SdpBlock]:
-        dense, D = sdp._dense(*self.costs(kA, kC)), len(self.slot)
-        return [sdp.SdpBlock(self.xi, tm, dense[k, D - len(tjs):, D - len(tjs):].copy(),
-                             weight, tjs)
-                for k, ((_, tm), tjs) in enumerate(zip(self.keys, self.index))]
 
-
-@lru_cache(maxsize=None)
 def _label_template(ta: int, tc: int) -> _LabelTemplate:
-    tms = list(blk.sector_range(BlockLabel(HalfInteger(ta), HalfInteger(tc))))
-    D, count = min(ta, tc) + 1, len(tms)
-    jz, jz_c = np.zeros((D, count)), np.zeros((D, count))
-    off, slot = np.zeros((D - 1, count)), np.full((D, count), D)
-    tjs, index = tuple(range(abs(ta - tc), ta + tc + 1, 2)), []
-    for k, tm in enumerate(tms):
-        diag, o = blk.jz_a_bands(ta, tc, tm)
-        lo = D - len(diag)
-        jz[lo:, k], jz_c[lo:, k], off[lo:, k] = diag, tm / 2.0 - diag, o
-        slot[lo:, k] = np.arange(lo, D)
-        index.append(tjs[lo:])
-    for a in (jz, jz_c, off, slot):
-        a.flags.writeable = False
-    return _LabelTemplate((ta, tc), [((ta, tc), tm) for tm in tms], index,
-                          [((ta, tc), tj) for tj in tjs], slot, jz, jz_c, off)
+    tms = np.arange(-(ta + tc), ta + tc + 1, 2)
+    tjs = range(abs(ta - tc), ta + tc + 1, 2)
+    jz, off = blk.jz_a_bands(ta, tc, tms)
+    inside = np.array(tjs)[:, None] >= np.abs(tms)
+    return _LabelTemplate((ta, tc), [((ta, tc), tm) for tm in tms.tolist()],
+                          [((ta, tc), tj) for tj in tjs],
+                          np.where(inside, np.arange(len(tjs))[:, None], len(tjs)),
+                          jz, np.where(inside, tms / 2.0 - jz, 0.0), off)
 
 
 def _solved_labels(n: int) -> list[_LabelTemplate]:
@@ -192,26 +181,35 @@ def _solved_labels(n: int) -> list[_LabelTemplate]:
     return [_label_template(ta, tc) for ta in range(n % 2, n + 1, 2) for tc in range(ta, n + 1, 2)]
 
 
-def build_lm_problem(n: int, r: float) -> sdp.BlockSdpProblem:
+def build_lm_problem(n: int, r: float) -> sdp.Bands:
     """Seed-optimization problem: every block label, every magnetic sector.
 
     Only labels with jA <= jC are built, from their templates.  The mirror
-    (jC, jA) has the same weight, and its sector m shares the cost array
-    and channels of sector -m.
+    (jC, jA) has the same weight, and its sector m has the cost bands of
+    sector -m: its columns are its partner's, reversed.  Labels and their
+    channels come in sorted order, and every sector is front-padded to
+    n + 1 rows.
     """
-    templates = _solved_labels(n)
     probs = block_probabilities(n, r)
-    built = {t.xi: t.blocks(probs[t.xi], _kappa(t.xi[0], r), _kappa(t.xi[1], r))
-             for t in templates}
-    out = []
-    for label in block_labels(n):
-        ta, tc = label.jA.twice_value, label.jC.twice_value
-        if ta <= tc:
-            out += built[ta, tc]
-        else:
-            out += [sdp.SdpBlock((ta, tc), -b.tm, b.cost, b.weight, b.channels)
-                    for b in reversed(built[tc, ta])]
-    return sdp.BlockSdpProblem(out)
+    built = {t.xi: t.bands(probs[t.xi], _kappa(t.xi[0], r), _kappa(t.xi[1], r))
+             for t in _solved_labels(n)}
+    labels = [(label.jA.twice_value, label.jC.twice_value) for label in block_labels(n)]
+    D, count = n + 1, sum(ta + tc + 1 for ta, tc in labels)
+    keys, channels = [], []
+    diag, off, slot = np.zeros((D, count)), np.zeros((D - 1, count)), np.full((D, count), -1)
+    first = 0
+    for ta, tc in labels:
+        bands = built[min(ta, tc), max(ta, tc)]
+        cols = slice(None) if ta <= tc else slice(None, None, -1)
+        (rows, width), nch = bands.slot.shape, len(bands.channels)
+        at = np.s_[D - rows:, first:first + width]  # the rows of off end one earlier
+        diag[at], off[at] = bands.diag[:, cols], bands.off[:, cols]
+        slot[at] = np.where(bands.slot < nch, bands.slot + len(channels), -1)[:, cols]
+        keys += [((ta, tc), tm) for _, tm in bands.keys]
+        channels += [((ta, tc), tj) for _, tj in bands.channels]
+        first += width
+    slot[slot < 0] = len(channels)
+    return sdp.Bands(keys, channels, slot, diag, off)
 
 
 def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
@@ -223,14 +221,16 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
     """
     (parts,) = _lm_seeds(n, [r], tol, max_iter)
     seed = _assemble_seed(build_lm_problem(n, r), parts)
-    return _lm_report(n, r, seed, tol), seed
+    return _lm_report(n, r, seed, tol, len(parts), max_iter), seed
 
 
-def _lm_report(n: int, r: float, seed: sdp.Seed, tol: float) -> machines.MachineReport:
+def _lm_report(n: int, r: float, seed: sdp.Seed, tol: float, labels: int,
+               max_iter: int) -> machines.MachineReport:
+    """The report of a seed assembled from ``labels`` label solves of at most ``max_iter`` steps."""
     if not seed.gap <= tol:
         raise sdp.SolverError(
-            f"gap {seed.gap:.3e} above tolerance {tol:.3e} after "
-            f"{seed.iterations} iterations", seed)
+            f"gap {seed.gap:.3e} above tolerance {tol:.3e} after {seed.iterations} "
+            f"Newton steps summed over {labels} solved labels, at most {max_iter} each", seed)
     error = 0.5 * (1.0 - seed.objective / 2.0)
     return machines.make_report("lm", n, error, r=r, method="sdp", solver_gap=seed.gap)
 
@@ -286,7 +286,7 @@ def _totals(parts: list) -> dict:
     return dict(objective=objective, bound=bound, gap=gap, iterations=iterations)
 
 
-def _assemble_seed(problem: sdp.BlockSdpProblem, parts: list) -> sdp.Seed:
+def _assemble_seed(problem: sdp.Bands, parts: list) -> sdp.Seed:
     """The whole problem's seed from (label, label seed, cost scale) triples, mirrors filled in.
 
     The objective trace sums the labels' scaled traces, each held at its
@@ -305,17 +305,10 @@ def _assemble_seed(problem: sdp.BlockSdpProblem, parts: list) -> sdp.Seed:
     steps = max(len(t) for t in traces)
     trace = [sum(t[min(k, len(t) - 1)] for t in traces) for k in range(steps)]
     return sdp.Seed(
-        blocks={b.key: blocks[b.key] for b in problem.blocks},
+        blocks={key: blocks[key] for key in problem.keys},
         multipliers={c: multipliers[c] for c in sorted(multipliers)},
         objective_trace=trace, problem=problem, **_totals(parts),
     )
-
-
-def mixed_lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
-                  max_iter: int = sdp.DEFAULT_MAX_ITER) -> machines.MachineReport:
-    """Optimal learning-machine risk at (n, r) through the block solver."""
-    report, _ = solve_lm(n, r, tol=tol, max_iter=max_iter)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +469,8 @@ def _sweep_lane(args) -> list[SweepRow]:
         opt = mixed_programmable_risk(n, r).excess_risk
         seed = sdp.Seed(blocks={}, multipliers={}, **_totals(parts))
         try:
-            lm, error = _lm_report(n, r, seed, config.tol).excess_risk, None
+            report = _lm_report(n, r, seed, config.tol, len(parts), config.max_iter)
+            lm, error = report.excess_risk, None
             rel_gap = (lm - opt) / opt if opt else 0.0
         except sdp.SolverError as exc:
             lm, error, rel_gap = math.nan, str(exc), math.nan

@@ -9,7 +9,10 @@ and statistical simulation of the actual measurement protocol.
 
 It also holds the dense route of the block algebra, which shares only the
 block weights with production: every coupling comes from ``coupling_isometry``
-and the averaged states of a block are explicit matrices.
+and the averaged states of a block are explicit matrices.  Seed problems
+given as dense sector costs become the solver's ``sdp.Bands`` through
+``dense_seed_problem``, which checks them, and ``dense_seed_sectors`` expands
+any problem back to dense costs for the cross-checks.
 
 Basis conventions match the rest of the package: magnetic numbers ascend, so
 the qubit basis is (down, up) and a spin coherent state along +z is the last
@@ -25,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import blocks as blk
-from . import machines
+from . import machines, sdp
 from .blocks import BlockLabel, BlockOperator, SpectrumParams
 from .su2 import HalfInteger, _cg_doubled, multiplicity
 
@@ -415,6 +418,60 @@ def average_state_diff_pure(n: int) -> BlockOperator:
         raise ValueError(f"need at least one training qubit per side, got n={n}")
     label = BlockLabel(HalfInteger(n), HalfInteger(n))
     return average_state_diff_mixed(label, SpectrumParams(n=n, r=1.0))
+
+
+# ---------------------------------------------------------------------------
+# Dense seed problems: the solver's bands from explicit sector costs, and back
+
+
+def dense_seed_problem(sectors: Sequence[tuple]) -> sdp.Bands:
+    """The seed problem of dense sectors (xi, 2m, cost, weight, channels), as ``sdp.Bands``.
+
+    Each cost must be real, symmetric and tridiagonal over its distinct
+    doubled channels 2j, whose targets 2j + 1 must be positive; keys (xi, 2m)
+    must be distinct.  Sectors keep their order; channels are sorted.
+    """
+    if not sectors:
+        raise sdp.InfeasibleError("problem has no blocks")
+    seen = set()
+    for xi, tm, cost, _, channels in sectors:
+        key = (xi, tm)
+        if key in seen:
+            raise ValueError(f"duplicate block key {key}")
+        seen.add(key)
+        if cost.shape != (len(channels),) * 2:
+            raise ValueError(f"block {key}: cost shape {cost.shape} != channels")
+        if len(set(channels)) != len(channels):
+            raise ValueError(f"block {key}: repeated channel")
+        if np.iscomplexobj(cost) and cost.imag.any():
+            raise ValueError(f"block {key}: cost is not real")
+        if np.abs(cost - cost.conj().T).max() > 1e-10:
+            raise ValueError(f"block {key}: cost is not Hermitian")
+        i = np.arange(len(channels))
+        if cost[np.abs(i[:, None] - i) > 1].any():
+            raise ValueError(f"block {key}: cost is not tridiagonal")
+        if min(channels) + 1 <= 0:
+            raise sdp.InfeasibleError(f"non-positive constraint target for channel {min(channels)}")
+    chan_list = sorted({(xi, tj) for xi, _, _, _, channels in sectors for tj in channels})
+    chan_pos = {c: i for i, c in enumerate(chan_list)}
+    D, count = max(len(channels) for *_, channels in sectors), len(sectors)
+    diag, off = np.zeros((D, count)), np.zeros((D - 1, count))
+    slot = np.full((D, count), len(chan_list))
+    for k, (xi, _, cost, weight, channels) in enumerate(sectors):
+        cost, lo = 2.0 * weight * np.real(cost), D - len(channels)
+        diag[lo:, k], off[lo:, k] = np.diagonal(cost), np.diagonal(cost, 1)
+        slot[lo:, k] = [chan_pos[xi, tj] for tj in channels]
+    return sdp.Bands([(xi, tm) for xi, tm, *_ in sectors], chan_list, slot, diag, off)
+
+
+def dense_seed_sectors(problem: sdp.Bands) -> list[tuple]:
+    """(key, channels, 2 w C) of every sector of a problem, each cost a dense matrix."""
+    dense, D, out = sdp._dense(problem.diag, problem.off), len(problem.slot), []
+    for k, key in enumerate(problem.keys):
+        slots = problem.sector_slots(k)
+        out.append((key, tuple(problem.channels[c][1] for c in slots),
+                    dense[k, D - len(slots):, D - len(slots):]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,18 @@ enough, which is the point one-at-a-time backtracking reaches.  A problem's
 result does not depend on what else shares its loop: padding its sectors
 adds pivots of exactly 1 and zero inverse entries in a dummy channel, its
 sums run in a fixed order, and LAPACK sees its matrices at its own size.
-The engine reads ``Bands`` and is blind to block symmetries, which ``mixed``
-uses when it passes in one block label per problem.
+A problem is a ``Bands``, the one problem form: the keys, channels and two
+bands per sector that the engine reads.  ``mixed`` builds them from its
+label templates and passes in one block label per problem; the engine is
+blind to the block symmetries that ``mixed`` uses.  Dense sector costs
+become ``Bands``, with every input check, through
+``oracle.dense_seed_problem``, which only the cross-checks use.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Hashable
 
 import numpy as np
 
@@ -82,83 +85,13 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
-@lru_cache(maxsize=None)
-def _off_band(d: int) -> np.ndarray:
-    """Mask of the entries of a d x d matrix off its three central diagonals."""
-    i = np.arange(d)
-    return np.abs(i[:, None] - i[None, :]) > 1
-
-
-@dataclass(frozen=True)
-class SdpBlock:
-    """One PSD variable: a magnetic sector of one block label."""
-
-    xi: Hashable          # block label key, e.g. (2*jA, 2*jC)
-    tm: int               # doubled magnetic number of the sector
-    cost: np.ndarray      # real symmetric tridiagonal cost (the conditioned operator sector)
-    weight: float         # block probability multiplying the cost
-    channels: tuple[int, ...]  # doubled coupled momentum per diagonal index, distinct
-
-    @property
-    def key(self) -> tuple:
-        return (self.xi, self.tm)
-
-
-@dataclass
-class BlockSdpProblem:
-    blocks: list[SdpBlock]
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise InfeasibleError("problem has no blocks")
-        seen = set()
-        for b in self.blocks:
-            if b.key in seen:
-                raise ValueError(f"duplicate block key {b.key}")
-            seen.add(b.key)
-            if b.cost.shape != (len(b.channels),) * 2:
-                raise ValueError(f"block {b.key}: cost shape {b.cost.shape} != channels")
-            if len(set(b.channels)) != len(b.channels):
-                raise ValueError(f"block {b.key}: repeated channel")
-            if np.iscomplexobj(b.cost) and b.cost.imag.any():
-                raise ValueError(f"block {b.key}: cost is not real")
-            if np.abs(b.cost - b.cost.conj().T).max() > 1e-10:
-                raise ValueError(f"block {b.key}: cost is not Hermitian")
-            if len(b.channels) > 2 and b.cost[_off_band(len(b.channels))].any():
-                raise ValueError(f"block {b.key}: cost is not tridiagonal")
-
-    def constraint_channels(self) -> dict[tuple, int]:
-        """Map (xi, 2j) -> target 2j+1 over every channel appearing in the problem."""
-        out: dict[tuple, int] = {}
-        for b in self.blocks:
-            for tj in b.channels:
-                tgt = tj + 1
-                if tgt <= 0:
-                    raise InfeasibleError(f"non-positive constraint target for channel {tj}")
-                out[(b.xi, tj)] = tgt
-        return out
-
-    def bands(self) -> "Bands":
-        """This problem in the engine's input form."""
-        chan_list = sorted(self.constraint_channels())
-        chan_pos = {c: i for i, c in enumerate(chan_list)}
-        D, count = max(len(b.channels) for b in self.blocks), len(self.blocks)
-        diag, off = np.zeros((D, count)), np.zeros((D - 1, count))
-        slot = np.full((D, count), len(chan_list))
-        for k, b in enumerate(self.blocks):
-            cost, lo = 2.0 * b.weight * np.real(b.cost), D - len(b.channels)
-            diag[lo:, k], off[lo:, k] = np.diagonal(cost), np.diagonal(cost, 1)
-            slot[lo:, k] = [chan_pos[(b.xi, tj)] for tj in b.channels]
-        return Bands([b.key for b in self.blocks], chan_list, slot, diag, off, self)
-
-
 @dataclass(eq=False)
 class Bands:
-    """A problem in the engine's input form: per sector (column), the bands of 2 w_b C_b.
+    """A seed problem: per sector (column), the bands of its cost 2 w_b C_b.
 
     Sectors are front-padded with zero rows to the largest; ``slot`` gives
     each row's index into the sorted (xi, 2j) ``channels``, and
-    ``len(channels)`` on padding rows.  Seeds carry ``problem``, if given.
+    ``len(channels)`` on padding rows.  Channel (xi, 2j) has target 2j + 1.
     """
 
     keys: list                 # (xi, 2m) of each sector
@@ -166,10 +99,14 @@ class Bands:
     slot: np.ndarray           # (D, sectors)
     diag: np.ndarray           # (D, sectors)
     off: np.ndarray            # (D - 1, sectors)
-    problem: BlockSdpProblem = None
 
     def __post_init__(self):  # the engine works in units of the largest absolute entry
         self.scale = max(float(np.abs(self.diag).max()), float(np.abs(self.off).max(initial=0.0)))
+
+    def sector_slots(self, k: int) -> np.ndarray:
+        """Channel indices of the rows of sector ``k``, its padding cut off."""
+        column = self.slot[:, k]
+        return column[column < len(self.channels)]
 
 
 @dataclass
@@ -183,28 +120,27 @@ class Seed:
     iterations: int
     multipliers: dict[tuple, float]
     objective_trace: list = field(default_factory=list, repr=False)
-    problem: BlockSdpProblem = field(default=None, repr=False)
+    problem: Bands = field(default=None, repr=False)
 
     def constraint_residual(self) -> float:
-        sums: dict[tuple, float] = {}
-        for b in self.problem.blocks:
-            X = self.blocks[b.key]
-            for i, tj in enumerate(b.channels):
-                sums[(b.xi, tj)] = sums.get((b.xi, tj), 0.0) + float(X[i, i].real)
-        targets = self.problem.constraint_channels()
-        return max(abs(sums[c] - t) for c, t in targets.items())
+        """Largest deviation of a channel's diagonal sum, taken in sector order, from its target."""
+        p = self.problem
+        slots = np.concatenate([p.sector_slots(k) for k in range(len(p.keys))])
+        diag = np.concatenate([np.diagonal(self.blocks[key]).real for key in p.keys])
+        sums = np.bincount(slots, weights=diag, minlength=len(p.channels))
+        return float(np.abs(sums - [tj + 1 for _, tj in p.channels]).max())
 
     def min_eigenvalue(self) -> float:
         return min(float(np.linalg.eigvalsh((X + X.conj().T) / 2).min())
                    for X in self.blocks.values())
 
     def to_json_dict(self) -> dict:
-        items = []
-        for b in self.problem.blocks:
-            X = self.blocks[b.key]
+        p, items = self.problem, []
+        for k, (xi, tm) in enumerate(p.keys):
+            X = self.blocks[xi, tm]
             items.append({
-                "xi": list(b.xi), "twice_m": b.tm,
-                "channels": list(b.channels),
+                "xi": list(xi), "twice_m": tm,
+                "channels": [p.channels[c][1] for c in p.sector_slots(k)],
                 "matrix": np.asarray(X).real.tolist(),
                 "eigenvalues": np.linalg.eigvalsh((X + X.conj().T) / 2).tolist(),
             })
@@ -305,7 +241,7 @@ def _seed(part: Bands, X, objective, bound, gap, iterations, y, trace) -> Seed:
     blocks = {key: np.ascontiguousarray(X[lo[k]:, lo[k]:, k]) for k, key in enumerate(part.keys)}
     return Seed(blocks=blocks, objective=objective * s, bound=bound * s, gap=gap * s,
                 iterations=iterations, multipliers=dict(zip(part.channels, y[:nch] * s)),
-                objective_trace=[v * s for v in trace], problem=part.problem)
+                objective_trace=[v * s for v in trace], problem=part)
 
 
 def _zero_seed(part: Bands) -> Seed:
@@ -570,22 +506,21 @@ class _Batch:
                 for part, (gap, X, obj, bound, yk, its), trace in zip(self.parts, best, traces)]
 
 
-def solve_many(problems: list[BlockSdpProblem | Bands], tol: float = DEFAULT_TOL,
+def solve_many(problems: list[Bands], tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER) -> list[Seed]:
     """Best certified Seed of every problem, in order; the caller judges each gap.
 
-    A problem is a ``BlockSdpProblem`` or its ``Bands``.  All share one
-    Newton loop, taken in order of largest sector and cut into chunks of at
-    most ``_CHUNK_ENTRIES`` packed inverse entries, or where padding would
-    cost more than a loop.  Each result is the one ``solve`` gives alone.
+    All share one Newton loop, taken in order of largest sector and cut
+    into chunks of at most ``_CHUNK_ENTRIES`` packed inverse entries, or
+    where padding would cost more than a loop.  Each result is the one
+    ``solve`` gives alone.
     """
     check_tol(tol)
-    parts = [p if isinstance(p, Bands) else p.bands() for p in problems]
-    out = [_zero_seed(p) if p.scale == 0.0 else None for p in parts]
+    out = [_zero_seed(p) if p.scale == 0.0 else None for p in problems]
     chunks, sectors, top = [[]], 0, 1
-    for i in sorted((i for i, p in enumerate(parts) if p.scale != 0.0),
-                    key=lambda i: len(parts[i].slot)):
-        D, count = parts[i].slot.shape
+    for i in sorted((i for i, p in enumerate(problems) if p.scale != 0.0),
+                    key=lambda i: len(problems[i].slot)):
+        D, count = problems[i].slot.shape
         if chunks[-1] and ((sectors + count) * D * (D + 1) // 2 > _CHUNK_ENTRIES
                            or sectors * (D * (D + 1) - top * (top + 1)) // 2 > _PAD_ENTRIES):
             chunks.append([])
@@ -594,17 +529,13 @@ def solve_many(problems: list[BlockSdpProblem | Bands], tol: float = DEFAULT_TOL
         sectors, top = sectors + count, D
     for chunk in filter(None, chunks):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            seeds = _Batch([parts[i] for i in chunk]).run(tol, max_iter)
+            seeds = _Batch([problems[i] for i in chunk]).run(tol, max_iter)
         for i, seed in zip(chunk, seeds):
             out[i] = seed
     return out
 
 
-def solve(
-    problem: BlockSdpProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Seed:
+def solve(problem: Bands, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> Seed:
     """Maximize the seed functional; returns a feasible Seed with certified gap.
 
     Deterministic given (problem, tol, max_iter).  The gap is certified at

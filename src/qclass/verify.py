@@ -226,7 +226,7 @@ def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
     checks = []
     worst = 0.0
     for r in np.linspace(0.1, 1.0, 10):
-        lm = mixed.mixed_lm_risk(1, float(r), tol=1e-8)
+        lm, _ = mixed.solve_lm(1, float(r), tol=1e-8)
         opt = mixed.mixed_programmable_risk(1, float(r))
         worst = max(worst, abs(lm.excess_risk - opt.excess_risk))
     checks.append(_check("n1_lm_equals_opt", "single-copy machine attains the floor at any purity",
@@ -264,7 +264,7 @@ def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
     checks.append(_check("block_probabilities_normalized", "sum p_xi = 1", 0.0, worst, 1e-12))
 
     worst = max(
-        abs(mixed.mixed_lm_risk(n, 1.0, tol=1e-9).error_probability - machines.lm_error(n))
+        abs(mixed.solve_lm(n, 1.0, tol=1e-9)[0].error_probability - machines.lm_error(n))
         for n in (1, 2, 3, 4)
     )
     checks.append(_check("pure_limit_reduction", "r = 1 recovers the pure closed form",

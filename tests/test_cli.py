@@ -70,6 +70,14 @@ class TestMachineCommand:
         assert payload["excess_risk"] == pytest.approx(
             0.5 / 3 - 0.25 / (4 * math.sqrt(3)), abs=1e-7)
 
+    def test_solver_failure_names_what_is_counted(self, capsys):
+        # the Newton steps of all solved labels are summed; the cap holds per label
+        assert cli.main(["machine", "lm", "--n", "2", "--r", "0.5", "--tol", "1e-300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: gap ") and "above tolerance 1.000e-300" in err
+        assert err.rstrip().endswith(
+            "after 1000 Newton steps summed over 3 solved labels, at most 500 each")
+
     def test_domain_error_exit_1(self):
         assert run_cli("machine", "lm", "--n", "0").returncode == 1
         assert run_cli("machine", "lm", "--n", "1", "--r", "0").returncode == 1

@@ -189,13 +189,13 @@ class TestMixedProgrammable:
 class TestMixedLearningMachine:
     def test_n1_attains_floor(self):
         for r in np.linspace(0.1, 1.0, 10):
-            lm = mixed.mixed_lm_risk(1, float(r), tol=1e-8)
+            lm, _ = mixed.solve_lm(1, float(r), tol=1e-8)
             opt = mixed.mixed_programmable_risk(1, float(r))
             assert lm.excess_risk == pytest.approx(opt.excess_risk, abs=1e-6)
 
     def test_pure_limit(self):
         for n in (1, 2, 3, 4, 5):
-            rep = mixed.mixed_lm_risk(n, 1.0, tol=1e-9)
+            rep, _ = mixed.solve_lm(n, 1.0, tol=1e-9)
             assert rep.error_probability == pytest.approx(machines.lm_error(n), abs=1e-7)
 
     def test_n2_gap_profile(self):
@@ -213,12 +213,12 @@ class TestMixedLearningMachine:
 
     def test_dominates_floor(self):
         for n, r in [(2, 0.3), (3, 0.6), (4, 0.85)]:
-            lm = mixed.mixed_lm_risk(n, r, tol=1e-8)
+            lm, _ = mixed.solve_lm(n, r, tol=1e-8)
             opt = mixed.mixed_programmable_risk(n, r)
             assert lm.excess_risk >= opt.excess_risk - 1e-7
 
     def test_report_fields(self):
-        rep = mixed.mixed_lm_risk(2, 0.7, tol=1e-8)
+        rep, _ = mixed.solve_lm(2, 0.7, tol=1e-8)
         assert rep.machine == "lm" and rep.method == "sdp"
         assert rep.solver_gap <= 1e-8
 
@@ -240,11 +240,28 @@ class TestLabelByLabelSolve:
                 xi = (label.jA.twice_value, label.jC.twice_value)
                 g = mixed.gamma_up_mixed(label, params)
                 want += [(xi, tm, mat, g.index[tm], probs[xi]) for tm, mat in g.iter_sectors()]
-            blocks = mixed.build_lm_problem(n, r).blocks
-            assert [b.key for b in blocks] == [(xi, tm) for xi, tm, *_ in want]
-            for b, (_, _, cost, channels, weight) in zip(blocks, want):
-                assert b.channels == channels and b.weight == weight
-                np.testing.assert_allclose(b.cost, cost, rtol=0, atol=1e-16)
+            sectors = oracle.dense_seed_sectors(mixed.build_lm_problem(n, r))
+            assert [key for key, *_ in sectors] == [(xi, tm) for xi, tm, *_ in want]
+            for (_, channels, cost), (_, _, mat, want_channels, weight) in zip(sectors, want):
+                assert channels == want_channels
+                np.testing.assert_allclose(cost, 2.0 * weight * mat, rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("r", [0.3, 1.0])
+    def test_bands_match_dense_builder(self, r):
+        # the checked oracle builder, fed every label's dense block operator, gives
+        # the problem the templates give: same keys, channels and slots, same costs
+        for n in range(1, 7):
+            probs = mixed.block_probabilities(n, r)
+            sectors = []
+            for label in mixed.block_labels(n):
+                xi = (label.jA.twice_value, label.jC.twice_value)
+                g = mixed.gamma_up_mixed(label, SpectrumParams(n, r))
+                sectors += [(xi, tm, mat, probs[xi], g.index[tm]) for tm, mat in g.iter_sectors()]
+            dense, bands = oracle.dense_seed_problem(sectors), mixed.build_lm_problem(n, r)
+            assert (dense.keys, dense.channels) == (bands.keys, bands.channels)
+            np.testing.assert_array_equal(dense.slot, bands.slot)
+            np.testing.assert_allclose(dense.diag, bands.diag, rtol=0, atol=1e-16)
+            np.testing.assert_allclose(dense.off, bands.off, rtol=0, atol=1e-16)
 
     def test_unit_cost_independent_of_r(self):
         # labels with jA = jC or jA = 0 cost p_xi kappa_C(r) times one fixed matrix
@@ -269,12 +286,12 @@ class TestLabelByLabelSolve:
             slack = max(seed.gap, 0.0) + max(joint.gap, 0.0) + 1e-12
             assert abs(seed.objective - joint.objective) <= slack
             # the assembled sectors, mirrors included, attain the assembled objective
-            attained = sum(2.0 * b.weight * float(np.vdot(b.cost, seed.blocks[b.key]))
-                           for b in seed.problem.blocks)
+            attained = sum(float(np.vdot(cost, seed.blocks[key]))
+                           for key, _, cost in oracle.dense_seed_sectors(seed.problem))
             assert attained == pytest.approx(seed.objective, abs=1e-12)
             assert seed.gap <= sdp.DEFAULT_TOL
-            assert set(seed.blocks) == {b.key for b in seed.problem.blocks}
-            assert set(seed.multipliers) == set(seed.problem.constraint_channels())
+            assert set(seed.blocks) == set(seed.problem.keys)
+            assert set(seed.multipliers) == set(seed.problem.channels)
             assert machines.verify_seed(seed)
 
     def test_r_independent_labels_solved_once(self, monkeypatch):
@@ -299,9 +316,8 @@ class TestLabelByLabelSolve:
         for n in (2, 4):
             _, seed = mixed.solve_lm(n, 1.0)
             top = {k: X for k, X in seed.blocks.items() if k[0] == (n, n)}
-            cost = {b.key: b for b in seed.problem.blocks}
-            alone = sum(2.0 * cost[k].weight * float(np.vdot(cost[k].cost, X))
-                        for k, X in top.items())
+            cost = {key: c for key, _, c in oracle.dense_seed_sectors(seed.problem)}
+            alone = sum(float(np.vdot(cost[k], X)) for k, X in top.items())
             assert seed.objective == pytest.approx(alone, abs=1e-12)
             assert 0.5 * (1 - seed.objective / 2) == pytest.approx(machines.lm_error(n), abs=1e-8)
 
@@ -310,7 +326,7 @@ class TestLabelByLabelSolve:
             mixed.solve_lm(2, 0.6, tol=1e-12, max_iter=3)
         seed = exc.value.seed
         assert seed.gap > 1e-12
-        assert set(seed.blocks) == {b.key for b in seed.problem.blocks}
+        assert set(seed.blocks) == set(seed.problem.keys)
         assert seed.constraint_residual() <= 1e-8
 
 
@@ -414,7 +430,7 @@ class TestSweep:
 
         for module, name in ((mixed, "gamma_up_mixed"), (mixed, "_gamma"),
                              (mixed, "build_lm_problem"), (blk, "_coupled_jz_sector_cached"),
-                             (sdp, "BlockSdpProblem")):
+                             (oracle, "dense_seed_problem")):
             monkeypatch.setattr(module, name, not_reached)
         mixed._unit_seeds.clear()
         assert mixed.run_sweep(config).to_csv() == want

@@ -3,21 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from qclass import machines, mixed, sdp
-from qclass.sdp import (
-    BlockSdpProblem, InfeasibleError, SdpBlock, Seed, SolverError, solve, solve_many,
-)
+from qclass import machines, mixed, oracle, sdp
+from qclass.sdp import InfeasibleError, Seed, SolverError, solve, solve_many
 
 
 # -- independent re-certifier: Dykstra projection, fitted multipliers, lifted bound
+# (each sector's cost 2 w C is expanded from the problem's bands to a dense matrix)
+
+
+def constraint_targets(problem):
+    """Target 2j + 1 of every channel (xi, 2j), in order of first appearance."""
+    return {(key[0], tj): tj + 1
+            for key, channels, _ in oracle.dense_seed_sectors(problem) for tj in channels}
 
 
 def channel_slots(problem):
     """(block key, diagonal index) slots of every constraint channel."""
     slots = {}
-    for b in problem.blocks:
-        for i, tj in enumerate(b.channels):
-            slots.setdefault((b.xi, tj), []).append((b.key, i))
+    for key, channels, _ in oracle.dense_seed_sectors(problem):
+        for i, tj in enumerate(channels):
+            slots.setdefault((key[0], tj), []).append((key, i))
     return slots
 
 
@@ -28,7 +33,7 @@ def project_feasible(problem, blocks, tol=1e-13, max_sweeps=2000):
     unnecessary for affine sets, so the limit is the exact projection.
     The final half-step is affine, so constraints hold exactly.
     """
-    targets, slots = problem.constraint_channels(), channel_slots(problem)
+    targets, slots = constraint_targets(problem), channel_slots(problem)
     x = {k: np.real(X).copy() for k, X in blocks.items()}
     p = {k: np.zeros_like(X) for k, X in x.items()}
     for _ in range(max_sweeps):
@@ -54,15 +59,15 @@ def fit_multipliers(problem, blocks):
     Each eigenvector of X enters weighted by its eigenvalue, so directions
     that X barely uses count for little; no active-set threshold is needed.
     """
-    chans = sorted(problem.constraint_channels())
+    chans = sorted(constraint_targets(problem))
     pos = {c: i for i, c in enumerate(chans)}
     rows, rhs = [], []
-    for b in problem.blocks:
-        X = np.real(blocks[b.key])
-        CX = 2.0 * b.weight * np.real(b.cost) @ X
-        for i, tj in enumerate(b.channels):
-            row = np.zeros((len(b.channels), len(chans)))
-            row[:, pos[(b.xi, tj)]] = X[i]
+    for key, channels, cost in oracle.dense_seed_sectors(problem):
+        X = np.real(blocks[key])
+        CX = cost @ X
+        for i, tj in enumerate(channels):
+            row = np.zeros((len(channels), len(chans)))
+            row[:, pos[(key[0], tj)]] = X[i]
             rows.append(row)
             rhs.append(CX[i])
     y = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)[0]
@@ -72,26 +77,25 @@ def fit_multipliers(problem, blocks):
 def repaired_bound(problem, y):
     """Dual value of y after lifting each channel by the deficits of its sectors."""
     lift = dict.fromkeys(y, 0.0)
-    for b in problem.blocks:
-        S = np.diag([y[b.xi, tj] for tj in b.channels]) - 2.0 * b.weight * np.real(b.cost)
+    for (xi, _), channels, cost in oracle.dense_seed_sectors(problem):
+        S = np.diag([y[xi, tj] for tj in channels]) - cost
         deficit = max(-float(np.linalg.eigvalsh(S)[0]), 0.0)
-        for tj in b.channels:
-            lift[b.xi, tj] = max(lift[b.xi, tj], deficit)
-    return sum(t * (y[c] + lift[c]) for c, t in problem.constraint_channels().items())
+        for tj in channels:
+            lift[xi, tj] = max(lift[xi, tj], deficit)
+    return sum(t * (y[c] + lift[c]) for c, t in constraint_targets(problem).items())
 
 
 def objective(problem, blocks):
-    return sum(2.0 * b.weight * float(np.vdot(np.real(b.cost), blocks[b.key]))
-               for b in problem.blocks)
+    return sum(float(np.vdot(cost, blocks[key]))
+               for key, _, cost in oracle.dense_seed_sectors(problem))
 
 
 def n1_pure_problem():
     xi = (1, 1)
-    return BlockSdpProblem([
-        SdpBlock(xi=xi, tm=0, cost=np.array([[0.0, 1 / 12], [1 / 12, 0.0]]),
-                 weight=1.0, channels=(0, 2)),
-        SdpBlock(xi=xi, tm=2, cost=np.zeros((1, 1)), weight=1.0, channels=(2,)),
-        SdpBlock(xi=xi, tm=-2, cost=np.zeros((1, 1)), weight=1.0, channels=(2,)),
+    return oracle.dense_seed_problem([
+        (xi, 0, np.array([[0.0, 1 / 12], [1 / 12, 0.0]]), 1.0, (0, 2)),
+        (xi, 2, np.zeros((1, 1)), 1.0, (2,)),
+        (xi, -2, np.zeros((1, 1)), 1.0, (2,)),
     ])
 
 
@@ -107,26 +111,22 @@ class TestSolve:
         assert w[0] == pytest.approx(0.0, abs=1e-7)
 
     def test_diagonal_problem_is_linear_program(self):
-        lp = BlockSdpProblem([
-            SdpBlock(xi=(0, 0), tm=t, cost=np.array([[c]]), weight=0.5, channels=(0,))
-            for t, c in [(0, 0.3), (2, 0.7), (-2, 0.1)]
+        lp = oracle.dense_seed_problem([
+            ((0, 0), t, np.array([[c]]), 0.5, (0,)) for t, c in [(0, 0.3), (2, 0.7), (-2, 0.1)]
         ])
         seed = solve(lp, tol=1e-10)
         assert seed.objective == pytest.approx(0.7, abs=1e-9)
 
     def test_zero_cost(self):
-        prob = BlockSdpProblem([SdpBlock(xi=(1, 1), tm=0, cost=np.zeros((2, 2)),
-                                         weight=1.0, channels=(0, 2))])
+        prob = oracle.dense_seed_problem([((1, 1), 0, np.zeros((2, 2)), 1.0, (0, 2))])
         seed = solve(prob, tol=1e-8)
         assert seed.objective == 0.0
         assert seed.bound == 0.0
 
     def test_cost_scaling(self):
         base = solve(n1_pure_problem(), tol=1e-10)
-        doubled = BlockSdpProblem([
-            SdpBlock(xi=b.xi, tm=b.tm, cost=2 * b.cost, weight=b.weight, channels=b.channels)
-            for b in n1_pure_problem().blocks
-        ])
+        p = n1_pure_problem()
+        doubled = sdp.Bands(p.keys, p.channels, p.slot, 2 * p.diag, 2 * p.off)
         seed2 = solve(doubled, tol=1e-10)
         assert seed2.objective == pytest.approx(2 * base.objective, abs=1e-8)
         assert seed2.bound == pytest.approx(2 * base.bound, abs=1e-8)
@@ -169,7 +169,9 @@ def random_tridiagonal(rng, d, scale=1.0):
 
 
 def label_problem(n, r, xi):
-    return BlockSdpProblem([b for b in mixed.build_lm_problem(n, r).blocks if b.xi == xi])
+    """The bands of label xi (jA <= jC) alone, as the solver gets them from a sweep lane."""
+    weight = mixed.block_probabilities(n, r)[xi]
+    return mixed._label_template(*xi).bands(weight, mixed._kappa(xi[0], r), mixed._kappa(xi[1], r))
 
 
 def assert_same_seed(a, b):
@@ -230,11 +232,10 @@ class TestBandKernels:
 
     def test_shapes_share_one_loop(self, monkeypatch):
         # labels of five (largest sector, channel count) shapes at several r run in
-        # one loop, one of them as bands; in some round one trial point leaves the
-        # cone while another is accepted, and each problem ends where it ends alone
+        # one loop; in some round one trial point leaves the cone while another
+        # is accepted, and each problem ends where it ends alone
         problems = [label_problem(n, r, xi) for r in (0.3, 0.6, 0.9)
                     for n, xi in ((1, (1, 1)), (2, (0, 2)), (2, (2, 2)), (4, (4, 4)), (4, (2, 4)))]
-        problems[-1] = problems[-1].bands()
         alone = [solve_many([p], tol=1e-9)[0] for p in problems]
         batches, rounds = [], []
         real_init, real_log_det = sdp._Batch.__init__, sdp._Batch.log_det
@@ -306,42 +307,40 @@ class TestSeed:
 class TestProblemValidation:
     def test_empty(self):
         with pytest.raises(InfeasibleError):
-            BlockSdpProblem([])
+            oracle.dense_seed_problem([])
 
     def test_duplicate_keys(self):
-        b = SdpBlock(xi=(0, 0), tm=0, cost=np.zeros((1, 1)), weight=1.0, channels=(0,))
+        b = ((0, 0), 0, np.zeros((1, 1)), 1.0, (0,))
         with pytest.raises(ValueError):
-            BlockSdpProblem([b, b])
+            oracle.dense_seed_problem([b, b])
 
     def test_non_hermitian_cost(self):
         with pytest.raises(ValueError):
-            BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0,
-                                      cost=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                      weight=1.0, channels=(0, 2))])
+            oracle.dense_seed_problem([((0, 0), 0, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0,
+                                        (0, 2))])
 
     def test_non_tridiagonal_cost(self):
         cost = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
         with pytest.raises(ValueError, match="tridiagonal"):
-            BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=cost, weight=1.0,
-                                      channels=(0, 2, 4))])
-        BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=np.triu(np.tril(cost, 1), -1),
-                                  weight=1.0, channels=(0, 2, 4))])
+            oracle.dense_seed_problem([((0, 0), 0, cost, 1.0, (0, 2, 4))])
+        oracle.dense_seed_problem([((0, 0), 0, np.triu(np.tril(cost, 1), -1), 1.0, (0, 2, 4))])
 
     def test_repeated_channel(self):
         with pytest.raises(ValueError, match="repeated"):
-            BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=np.zeros((2, 2)),
-                                      weight=1.0, channels=(2, 2))])
+            oracle.dense_seed_problem([((0, 0), 0, np.zeros((2, 2)), 1.0, (2, 2))])
 
     def test_complex_cost(self):
         # Hermitian, and a diagonal phase maps it to the n = 1 pure problem (optimum
         # 1/sqrt(3)); the engine keeps real bands, so it must refuse the imaginary part
         cost = np.array([[0.0, 1j / 12], [-1j / 12, 0.0]])
         with pytest.raises(ValueError, match="not real"):
-            BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=cost, weight=1.0, channels=(0, 2))])
-        BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=cost.real + 0j, weight=1.0,
-                                  channels=(0, 2))])
+            oracle.dense_seed_problem([((0, 0), 0, cost, 1.0, (0, 2))])
+        oracle.dense_seed_problem([((0, 0), 0, cost.real + 0j, 1.0, (0, 2))])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            BlockSdpProblem([SdpBlock(xi=(0, 0), tm=0, cost=np.zeros((2, 2)),
-                                      weight=1.0, channels=(0,))])
+            oracle.dense_seed_problem([((0, 0), 0, np.zeros((2, 2)), 1.0, (0,))])
+
+    def test_non_positive_target(self):
+        with pytest.raises(InfeasibleError):
+            oracle.dense_seed_problem([((0, 0), 0, np.zeros((1, 1)), 1.0, (-2,))])
