@@ -83,7 +83,7 @@ def _environment() -> dict:
 
 def _manifest(args: argparse.Namespace, config: dict, tolerances: dict) -> dict:
     return {
-        "command": " ".join([Path(sys.argv[0]).name] + sys.argv[1:]) if sys.argv else "qclass",
+        "command": " ".join(["qclass", *args.argv]),
         "config": config,
         "version": __version__,
         "seed": getattr(args, "seed", None),
@@ -192,6 +192,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
+    if args.tol is not None:
+        sdp.check_tol(args.tol)
     _check_writable(args.out)
     report = verify_mod.run_suites(names, seed=args.seed, tol=args.tol)
     text = dumps17(report)
@@ -323,6 +325,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     args.started = time.perf_counter()
     try:
         return args.fn(args)

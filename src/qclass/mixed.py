@@ -16,15 +16,16 @@ cross-check in the tests and in ``qclass verify``.
 The seed problem never couples two block labels, so each label is its own
 solver problem; a label and its mirror (jC, jA) share one solve, and a label
 with jA = jC or jA = 0 costs a non-negative multiple of one r-independent
-matrix, solved once and scaled.  A cost is a Jz_A + c (m 1 - Jz_A) with
-Jz_A tridiagonal, so each label's bands come from one formula over its
-(j, m) grid (``_label_template``) and r enters through p_xi, kappa_A and
-kappa_C alone.  Every problem is an ``sdp.Bands``; no dense cost is formed
-for the solver.  A sweep lane solves every label of every purity in one
-solver call and sums each row from the label seeds; ``solve_lm`` is the
-one-purity case, and its seed carries ``build_lm_problem``, the whole
-problem's bands, whose joint solve is the cross-check in the tests.  Each
-sweep row depends only on its own (n, r).
+matrix, solved once per call and scaled for every purity of that call.  A
+cost is a Jz_A + c (m 1 - Jz_A) with Jz_A tridiagonal, so each label's
+bands come from one formula over its (j, m) grid (``_label_template``) and
+r enters through p_xi, kappa_A and kappa_C alone.  Every problem is an
+``sdp.Bands``; no dense cost is formed for the solver.  A sweep lane solves
+every label of every purity in one solver call and sums each row from the
+label seeds; ``solve_lm`` is the one-purity case, and its seed carries
+``build_lm_problem``, the whole problem's bands, whose joint solve is the
+cross-check in the tests.  Each sweep row depends only on its own (n, r),
+and no solver state outlives a call.
 """
 from __future__ import annotations
 
@@ -220,22 +221,25 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
     carries the assembled seed.
     """
     (parts,) = _lm_seeds(n, [r], tol, max_iter)
-    seed = _assemble_seed(build_lm_problem(n, r), parts)
-    return _lm_report(n, r, seed, tol, len(parts), max_iter), seed
+    totals = _totals(parts)
+    seed = _assemble_seed(build_lm_problem(n, r), parts, totals)
+    error = _gap_error(totals, tol, len(parts), max_iter)
+    if error is not None:
+        raise sdp.SolverError(error, seed)
+    return _lm_report(n, r, totals), seed
 
 
-def _lm_report(n: int, r: float, seed: sdp.Seed, tol: float, labels: int,
-               max_iter: int) -> machines.MachineReport:
-    """The report of a seed assembled from ``labels`` label solves of at most ``max_iter`` steps."""
-    if not seed.gap <= tol:
-        raise sdp.SolverError(
-            f"gap {seed.gap:.3e} above tolerance {tol:.3e} after {seed.iterations} "
-            f"Newton steps summed over {labels} solved labels, at most {max_iter} each", seed)
-    error = 0.5 * (1.0 - seed.objective / 2.0)
-    return machines.make_report("lm", n, error, r=r, method="sdp", solver_gap=seed.gap)
+def _gap_error(totals: dict, tol: float, labels: int, max_iter: int) -> Optional[str]:
+    """Why ``labels`` label solves of at most ``max_iter`` steps miss ``tol``; None if met."""
+    if totals["gap"] <= tol:
+        return None
+    return (f"gap {totals['gap']:.3e} above tolerance {tol:.3e} after {totals['iterations']} "
+            f"Newton steps summed over {labels} solved labels, at most {max_iter} each")
 
 
-_unit_seeds: dict[tuple, sdp.Seed] = {}
+def _lm_report(n: int, r: float, totals: dict) -> machines.MachineReport:
+    error = 0.5 * (1.0 - totals["objective"] / 2.0)
+    return machines.make_report("lm", n, error, r=r, method="sdp", solver_gap=totals["gap"])
 
 
 def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[list[tuple]]:
@@ -243,19 +247,15 @@ def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[list[t
 
     Only labels with jA <= jC are solved: the mirror (jC, jA) has the same
     cost with m negated.  Labels with jA = jC or jA = 0 cost p_xi kappa_C
-    times their unit cost (kA = kC = 1, weight 1), solved once per
-    tolerance and cached with read-only sectors.  The uncached unit labels
-    and the other labels of every r go to the solver together.  Each label
-    gets tol / (number of labels), so the assembled certified gap, the sum
-    of the labels' scaled gaps, stays within ``tol``.
+    times their unit cost (kA = kC = 1, weight 1), solved once for all of
+    ``rs``; they and the other labels of every r go to the solver together.
+    Each label gets tol / (number of labels), so the assembled certified
+    gap, the sum of the labels' scaled gaps, stays within ``tol``.
     """
     sdp.check_tol(tol)
     templates = _solved_labels(n)
-    label_tol = tol / len(block_labels(n))
     unit = {t.xi for t in templates if t.xi[0] == t.xi[1] or t.xi[0] == 0}
-    todo = [t for t in templates
-            if t.xi in unit and (t.xi, label_tol, max_iter) not in _unit_seeds]
-    problems = [t.bands(1.0, 1.0, 1.0) for t in todo]
+    problems = [t.bands(1.0, 1.0, 1.0) for t in templates if t.xi in unit]
     grid = []
     for r in rs:
         probs = block_probabilities(n, r)
@@ -263,12 +263,9 @@ def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[list[t
         grid.append((probs, kappa))
         problems += [t.bands(probs[t.xi], kappa[t.xi[0]], kappa[t.xi[1]])
                      for t in templates if t.xi not in unit]
-    seeds = iter(sdp.solve_many(problems, label_tol, max_iter))
-    for t, seed in zip(todo, seeds):
-        for X in seed.blocks.values():
-            X.flags.writeable = False
-        _unit_seeds[t.xi, label_tol, max_iter] = seed
-    return [[(t.xi, _unit_seeds[t.xi, label_tol, max_iter], probs[t.xi] * kappa[t.xi[1]])
+    seeds = iter(sdp.solve_many(problems, tol / len(block_labels(n)), max_iter))
+    unit_seeds = {t.xi: next(seeds) for t in templates if t.xi in unit}
+    return [[(t.xi, unit_seeds[t.xi], probs[t.xi] * kappa[t.xi[1]])
              if t.xi in unit else (t.xi, next(seeds), 1.0) for t in templates]
             for probs, kappa in grid]
 
@@ -286,7 +283,7 @@ def _totals(parts: list) -> dict:
     return dict(objective=objective, bound=bound, gap=gap, iterations=iterations)
 
 
-def _assemble_seed(problem: sdp.Bands, parts: list) -> sdp.Seed:
+def _assemble_seed(problem: sdp.Bands, parts: list, totals: dict) -> sdp.Seed:
     """The whole problem's seed from (label, label seed, cost scale) triples, mirrors filled in.
 
     The objective trace sums the labels' scaled traces, each held at its
@@ -307,7 +304,7 @@ def _assemble_seed(problem: sdp.Bands, parts: list) -> sdp.Seed:
     return sdp.Seed(
         blocks={key: blocks[key] for key in problem.keys},
         multipliers={c: multipliers[c] for c in sorted(multipliers)},
-        objective_trace=trace, problem=problem, **_totals(parts),
+        objective_trace=trace, problem=problem, **totals,
     )
 
 
@@ -467,15 +464,15 @@ def _sweep_lane(args) -> list[SweepRow]:
     rows = []
     for r, parts in zip(rs, _lm_seeds(n, rs, config.tol, config.max_iter)):
         opt = mixed_programmable_risk(n, r).excess_risk
-        seed = sdp.Seed(blocks={}, multipliers={}, **_totals(parts))
-        try:
-            report = _lm_report(n, r, seed, config.tol, len(parts), config.max_iter)
-            lm, error = report.excess_risk, None
+        totals = _totals(parts)
+        error = _gap_error(totals, config.tol, len(parts), config.max_iter)
+        if error is None:
+            lm = _lm_report(n, r, totals).excess_risk
             rel_gap = (lm - opt) / opt if opt else 0.0
-        except sdp.SolverError as exc:
-            lm, error, rel_gap = math.nan, str(exc), math.nan
+        else:
+            lm = rel_gap = math.nan
         rows.append(SweepRow(n=n, r=r, R_lm=lm, R_opt=opt, rel_gap=rel_gap,
-                             solver_gap=seed.gap, error=error))
+                             solver_gap=totals["gap"], error=error))
     return rows
 
 

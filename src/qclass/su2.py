@@ -34,9 +34,6 @@ class HalfInteger:
     def value(self) -> float:
         return self.twice_value / 2
 
-    def is_integer(self) -> bool:
-        return self.twice_value % 2 == 0
-
     def __add__(self, other: "HalfInteger") -> "HalfInteger":
         return HalfInteger(self.twice_value + as_half(other).twice_value)
 

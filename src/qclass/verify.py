@@ -222,22 +222,21 @@ def machines_suite(seed: int = 0, tol: float = 1e-12) -> list[dict]:
     return checks
 
 
+def _purity_scan(n: int, steps: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(R_lm, R_opt) at ``steps`` purities from 0.1 to 1 from one sweep lane; nan if unsolved."""
+    config = mixed.SweepConfig(n_values=(n,), r_min=0.1, r_max=1.0, steps=steps, tol=tol)
+    rows = mixed.run_sweep(config).rows
+    return np.array([row.R_lm for row in rows]), np.array([row.R_opt for row in rows])
+
+
 def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
     checks = []
-    worst = 0.0
-    for r in np.linspace(0.1, 1.0, 10):
-        lm, _ = mixed.solve_lm(1, float(r), tol=1e-8)
-        opt = mixed.mixed_programmable_risk(1, float(r))
-        worst = max(worst, abs(lm.excess_risk - opt.excess_risk))
+    lm, opt = _purity_scan(1, 10, 1e-8)
     checks.append(_check("n1_lm_equals_opt", "single-copy machine attains the floor at any purity",
-                         0.0, worst, tol))
+                         0.0, float(np.abs(lm - opt).max()), tol))
 
-    rel_peak, abs_peak = 0.0, 0.0
-    for r in np.linspace(0.1, 1.0, 19):
-        lm, _ = mixed.solve_lm(2, float(r), tol=1e-9)
-        opt = mixed.mixed_programmable_risk(2, float(r))
-        rel_peak = max(rel_peak, lm.excess_risk / opt.excess_risk - 1.0)
-        abs_peak = max(abs_peak, lm.excess_risk - opt.excess_risk)
+    lm, opt = _purity_scan(2, 19, 1e-9)
+    rel_peak, abs_peak = float((lm / opt - 1.0).max()), float((lm - opt).max())
     checks.append(_check("n2_worst_gap_abs",
                          "two-copy worst excess-risk gap, absolute (percentage points)",
                          0.005, abs_peak, 0.002))

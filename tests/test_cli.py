@@ -160,14 +160,16 @@ class TestDumpCommand:
 
 
 @pytest.mark.parametrize("cmd", [["machine", "lm", "--n", "2", "--r", "0.5"],
-                                 ["dump", "seed", "--n", "2", "--r", "0.5"]],
-                         ids=["machine-lm", "dump-seed"])
-@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan"])
+                                 ["dump", "seed", "--n", "2", "--r", "0.5"],
+                                 ["verify", "--suite", "mixed"]],
+                         ids=["machine-lm", "dump-seed", "verify"])
+@pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
 def test_bad_tolerance_rejected_before_solving(monkeypatch, capsys, cmd, tol):
     def not_reached(*args, **kwargs):
         raise AssertionError("the solver ran with an unusable tolerance")
 
     monkeypatch.setattr(mixed, "build_lm_problem", not_reached)
+    monkeypatch.setattr(verify, "run_suites", not_reached)
     assert cli.main([*cmd, f"--tol={tol}"]) == cli.EXIT_DOMAIN
     err = capsys.readouterr().err
     assert err.startswith("error:") and "tolerance" in err
@@ -231,6 +233,13 @@ class TestSweepCommand:
         assert manifest["elapsed_s"] > 0.0
         rows = [line.split(",") for line in lines[1:]]
         assert all(float(r[4]) >= -1e-7 for r in rows)
+
+    def test_manifest_records_parsed_command(self, tmp_path):
+        # an in-process call records its own argv, not the host process's
+        argv = ["sweep", "fig1", "--n-max", "1", "--steps", "2", "--out", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert manifest["command"] == " ".join(["qclass", *argv])
 
     def test_empty_sweep_exit_1(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -295,7 +295,8 @@ class TestLabelByLabelSolve:
             assert machines.verify_seed(seed)
 
     def test_r_independent_labels_solved_once(self, monkeypatch):
-        # labels are counted where they enter the solver's batch entry
+        # labels are counted where they enter the solver's batch entry; within
+        # one call the unit labels go once, (2, 4) once per purity
         calls = []
         real = sdp.solve_many
 
@@ -304,12 +305,9 @@ class TestLabelByLabelSolve:
             return real(problems, *args, **kwargs)
 
         monkeypatch.setattr(sdp, "solve_many", counting)
-        mixed._unit_seeds.clear()
-        mixed.solve_lm(4, 0.5)
-        assert sorted(calls) == [(0, 0), (0, 2), (0, 4), (2, 2), (2, 4), (4, 4)]
-        calls.clear()
-        mixed.solve_lm(4, 0.7)
-        assert calls == [(2, 4)]
+        config = mixed.SweepConfig(n_values=(4,), r_min=0.5, r_max=0.7, steps=2)
+        mixed.run_sweep(config)
+        assert sorted(calls) == [(0, 0), (0, 2), (0, 4), (2, 2), (2, 4), (2, 4), (4, 4)]
 
     def test_zero_scale_labels_contribute_nothing(self):
         # at r = 1 every label but (n, n) has p_xi = 0, and (0, 0) has kappa = 0
@@ -375,13 +373,11 @@ class TestSweep:
             == [(r.n, r.r, r.R_lm, r.R_opt) for r in b.rows]
 
     def test_thread_determinism_shared_label(self):
-        # label (2, 2) belongs to the n = 2 and the n = 4 lane; each run starts
-        # with no cached label solve, so the lanes fill the cache in one
-        # process at threads = 1 and in two at threads = 2
+        # label (2, 2) belongs to the n = 2 and the n = 4 lane; each lane
+        # solves it itself, in one process at threads = 1 and in two at
+        # threads = 2
         config = mixed.SweepConfig(n_values=(2, 4), r_min=0.3, r_max=1.0, steps=3)
-        mixed._unit_seeds.clear()
         one = mixed.run_sweep(config, threads=1).to_csv()
-        mixed._unit_seeds.clear()
         two = mixed.run_sweep(config, threads=2).to_csv()
         assert one == two
 
@@ -403,7 +399,8 @@ class TestSweep:
 
     def test_one_newton_loop_per_lane(self, monkeypatch):
         # every label of every r of a lane, unit labels included, runs in one loop;
-        # zero costs ((0, 0), and p_xi = 0 off (n, n) at r = 1) need no loop
+        # zero costs ((0, 0), and p_xi = 0 off (n, n) at r = 1) need no loop;
+        # a lane run alone solves its unit labels again, in the same one loop
         loops = []
         real = sdp._Batch.run
 
@@ -412,13 +409,12 @@ class TestSweep:
             return real(self, *args)
 
         monkeypatch.setattr(sdp._Batch, "run", counting)
-        mixed._unit_seeds.clear()
         config = mixed.SweepConfig(n_values=(1, 2, 3, 4), r_min=0.12, r_max=1.0, steps=23)
         mixed.run_sweep(config)
         assert loops == [1, 2, 2 + 22, 4 + 22]
         loops.clear()
         mixed._sweep_lane((4, config))
-        assert loops == [22]
+        assert loops == [4 + 22]
 
     def test_lane_builds_no_dense_problem(self, monkeypatch):
         # a lane reads its costs from the label templates' bands alone
@@ -432,7 +428,6 @@ class TestSweep:
                              (mixed, "build_lm_problem"), (blk, "_coupled_jz_sector_cached"),
                              (oracle, "dense_seed_problem")):
             monkeypatch.setattr(module, name, not_reached)
-        mixed._unit_seeds.clear()
         assert mixed.run_sweep(config).to_csv() == want
 
     def test_pool_capped_at_core_count(self, monkeypatch):
