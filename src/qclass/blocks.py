@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Literal
 
 import numpy as np
@@ -221,26 +220,17 @@ def sector_range(label: BlockLabel) -> range:
 
 
 def coupled_jz_sector(label: BlockLabel, which: Literal["A", "C"], tm: int) -> np.ndarray:
-    """Matrix of Jz on one training side, in the coupled |j, m> basis of one sector."""
-    return _coupled_jz_sector_cached(
-        label.jA.twice_value, label.jC.twice_value, which, tm
-    )
+    """Matrix of Jz on one training side, in the coupled |j, m> basis of one sector.
 
-
-@lru_cache(maxsize=None)
-def _coupled_jz_sector_cached(ta: int, tc: int, which: str, tm: int) -> np.ndarray:
-    """Jz_A is tridiagonal in j (Wigner-Eckart); Jz_C = m 1 - Jz_A."""
+    Jz_A is tridiagonal in j (Wigner-Eckart); Jz_C = m 1 - Jz_A.
+    """
     if which not in ("A", "C"):
         raise ValueError(f"which must be 'A' or 'C', got {which!r}")
-    if which == "C":
-        jz_a = _coupled_jz_sector_cached(ta, tc, "A", tm)
-        mat = tm / 2.0 * np.eye(len(jz_a)) - jz_a
-    else:
-        diag, off = jz_a_bands(ta, tc, tm)
-        lo = max(abs(tm) - abs(ta - tc), 0) // 2  # the padding rows, j < |m|
-        mat = np.diag(diag[lo:]) + np.diag(off[lo:], 1) + np.diag(off[lo:], -1)
-    mat.flags.writeable = False
-    return mat
+    ta, tc = label.jA.twice_value, label.jC.twice_value
+    diag, off = jz_a_bands(ta, tc, tm)
+    lo = max(abs(tm) - abs(ta - tc), 0) // 2  # the padding rows, j < |m|
+    mat = np.diag(diag[lo:]) + np.diag(off[lo:], 1) + np.diag(off[lo:], -1)
+    return tm / 2.0 * np.eye(len(mat)) - mat if which == "C" else mat
 
 
 def jz_a_bands(ta: int, tc: int, tm) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +259,7 @@ def coupled_jz(label: BlockLabel, which: Literal["A", "C"]) -> BlockOperator:
     """Jz of one training side as a block operator in the coupled basis."""
     sectors, index = {}, {}
     for tm in sector_range(label):
-        sectors[tm] = np.array(coupled_jz_sector(label, which, tm))
+        sectors[tm] = coupled_jz_sector(label, which, tm)
         index[tm] = coupled_sector_index(label, tm)
     return BlockOperator(label=label, basis=BASIS_AC_COUPLED, sectors=sectors, index=index)
 

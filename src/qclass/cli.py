@@ -119,6 +119,7 @@ def _write_with_manifest(path: str, content: str, manifest: dict) -> None:
 
 def cmd_machine(args) -> int:
     tol = args.tol
+    sdp.check_tol(tol)
     unbalanced = args.nA is not None or args.nC is not None
     if unbalanced and (args.machine != "opt" or args.nA is None or args.nC is None):
         raise ValueError("--nA and --nC must be given together, and to the opt machine only")
@@ -222,6 +223,7 @@ def cmd_su2(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    sdp.check_tol(args.tol)
     _check_writable(args.out)
     if args.what == "gamma":
         ta = args.n if args.jA is None else su2.as_half(args.jA).twice_value

@@ -248,19 +248,20 @@ def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[list[t
     Only labels with jA <= jC are solved: the mirror (jC, jA) has the same
     cost with m negated.  Labels with jA = jC or jA = 0 cost p_xi kappa_C
     times their unit cost (kA = kC = 1, weight 1), solved once for all of
-    ``rs``; they and the other labels of every r go to the solver together.
-    Each label gets tol / (number of labels), so the assembled certified
-    gap, the sum of the labels' scaled gaps, stays within ``tol``.
+    ``rs``; one whose scale is 0 at every r gets weight 0, which the solver
+    answers without a loop.  They and the other labels of every r go to the
+    solver together.  Each label gets tol / (number of labels), so the
+    assembled certified gap, the sum of the labels' scaled gaps, stays
+    within ``tol``.
     """
     sdp.check_tol(tol)
     templates = _solved_labels(n)
     unit = {t.xi for t in templates if t.xi[0] == t.xi[1] or t.xi[0] == 0}
-    problems = [t.bands(1.0, 1.0, 1.0) for t in templates if t.xi in unit]
-    grid = []
-    for r in rs:
-        probs = block_probabilities(n, r)
-        kappa = {tj: _kappa(tj, r) for tj in range(n % 2, n + 1, 2)}
-        grid.append((probs, kappa))
+    grid = [(block_probabilities(n, r), {tj: _kappa(tj, r) for tj in range(n % 2, n + 1, 2)})
+            for r in rs]
+    live = {xi for xi in unit if any(probs[xi] * kappa[xi[1]] for probs, kappa in grid)}
+    problems = [t.bands(float(t.xi in live), 1.0, 1.0) for t in templates if t.xi in unit]
+    for probs, kappa in grid:
         problems += [t.bands(probs[t.xi], kappa[t.xi[0]], kappa[t.xi[1]])
                      for t in templates if t.xi not in unit]
     seeds = iter(sdp.solve_many(problems, tol / len(block_labels(n)), max_iter))

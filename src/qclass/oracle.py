@@ -427,14 +427,14 @@ def average_state_diff_pure(n: int) -> BlockOperator:
 def dense_seed_problem(sectors: Sequence[tuple]) -> sdp.Bands:
     """The seed problem of dense sectors (xi, 2m, cost, weight, channels), as ``sdp.Bands``.
 
-    Each cost must be real, symmetric and tridiagonal over its distinct
-    doubled channels 2j, whose targets 2j + 1 must be positive; keys (xi, 2m)
-    must be distinct.  Sectors keep their order; channels are sorted.
+    Costs and weights must be finite, and each cost real, symmetric and
+    tridiagonal over its distinct doubled channels 2j, whose targets 2j + 1
+    must be positive; keys (xi, 2m) must be distinct.  Sectors keep their order; channels are sorted.
     """
     if not sectors:
         raise sdp.InfeasibleError("problem has no blocks")
     seen = set()
-    for xi, tm, cost, _, channels in sectors:
+    for xi, tm, cost, weight, channels in sectors:
         key = (xi, tm)
         if key in seen:
             raise ValueError(f"duplicate block key {key}")
@@ -443,6 +443,8 @@ def dense_seed_problem(sectors: Sequence[tuple]) -> sdp.Bands:
             raise ValueError(f"block {key}: cost shape {cost.shape} != channels")
         if len(set(channels)) != len(channels):
             raise ValueError(f"block {key}: repeated channel")
+        if not (np.isfinite(cost).all() and math.isfinite(weight)):
+            raise ValueError(f"block {key}: cost or weight is not finite")
         if np.iscomplexobj(cost) and cost.imag.any():
             raise ValueError(f"block {key}: cost is not real")
         if np.abs(cost - cost.conj().T).max() > 1e-10:

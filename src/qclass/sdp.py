@@ -14,8 +14,9 @@ that block, must equal 2j + 1.  Its dual has one multiplier y_c per channel:
 Every cost C_b is tridiagonal (the seed costs are combinations of Jz_A, which
 is tridiagonal in j, and m 1), so the engine keeps two bands per sector.  It
 is a damped-Newton log-barrier method on the dual (Vandenberghe and Boyd,
-"Semidefinite Programming", SIAM Rev. 1996): from a strictly feasible start
-it minimizes t b'y - sum_b log det S_b(y) for t growing geometrically,
+"Semidefinite Programming", SIAM Rev. 1996): from a strictly feasible start,
+every multiplier 1 above the cost's Gershgorin bound (or above 0), it
+minimizes t b'y - sum_b log det S_b(y) for t growing geometrically,
 backtracking each step until every S_b stays positive definite.  The forward
 LDL' pivots of S_b decide feasibility and give log det S_b; the entries of
 S_b^-1 that the gradient and Hessian need follow from the same pivots in
@@ -38,7 +39,8 @@ step lengths (s, s/2, s/4) per round and takes the first that decreases
 enough, which is the point one-at-a-time backtracking reaches.  A problem's
 result does not depend on what else shares its loop: padding its sectors
 adds pivots of exactly 1 and zero inverse entries in a dummy channel, its
-sums run in a fixed order, and LAPACK sees its matrices at its own size.
+sums run in a fixed order, and LAPACK solves its Newton system at its own
+channel count; no eigensolver runs in the loop.
 A problem is a ``Bands``, the one problem form: the keys, channels and two
 bands per sector that the engine reads.  ``mixed`` builds them from its
 label templates and passes in one block label per problem; the engine is
@@ -100,8 +102,8 @@ class Bands:
     diag: np.ndarray           # (D, sectors)
     off: np.ndarray            # (D - 1, sectors)
 
-    def __post_init__(self):  # the engine works in units of the largest absolute entry
-        self.scale = max(float(np.abs(self.diag).max()), float(np.abs(self.off).max(initial=0.0)))
+    def __post_init__(self):  # the engine works in units of the largest absolute entry, or nan
+        self.scale = float(np.maximum(np.abs(self.diag).max(), np.abs(self.off).max(initial=0.0)))
 
     def sector_slots(self, k: int) -> np.ndarray:
         """Channel indices of the rows of sector ``k``, its padding cut off."""
@@ -220,6 +222,17 @@ def tridiagonal_inverse(piv: np.ndarray, off: np.ndarray) -> np.ndarray:
     return M
 
 
+def gershgorin_floor(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """min_i (a_i - |b_{i-1}| - |b_i|) of symmetric tridiagonal matrices, one per column.
+
+    Each is a lower bound on that matrix's least eigenvalue (Gershgorin).
+    """
+    radius, a = np.zeros_like(diag), np.abs(off)
+    radius[:-1] += a
+    radius[1:] += a
+    return (diag - radius).min(axis=0)
+
+
 def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """(sectors, D, D) symmetric matrices from position-major bands."""
     D, count = diag.shape
@@ -263,9 +276,9 @@ class _Batch:
     largest channel count, is a dummy channel (multiplier pinned at 1,
     target 0) owning every padding row, so a padded S_b is an identity
     followed by the sector.  Per-problem sums go through ``np.bincount``,
-    which adds in index order, and LAPACK sees each matrix at its own
-    problem's size, so each problem gets the numbers it gets alone.  The
-    control state is plain Python, one entry per problem.
+    which adds in index order, and LAPACK solves each Newton system at its
+    own problem's channel count, so each problem gets the numbers it gets
+    alone.  The control state is plain Python, one entry per problem.
     """
 
     def __init__(self, parts: list[Bands]):
@@ -275,9 +288,7 @@ class _Batch:
         self.nch = nch = max(len(p.channels) for p in parts)
         self.counts = [p.slot.shape[1] for p in parts]
         self.prob = np.repeat(np.arange(K), self.counts)
-        self.size = np.repeat([len(p.slot) for p in parts], self.counts)  # own D per sector
         self.width = np.array([len(p.channels) for p in parts])
-        self.sizes = sorted(set(self.size.tolist()))
         self.cd, self.co = np.zeros((D, len(self.prob))), np.zeros((D - 1, len(self.prob)))
         slot = np.full((D, len(self.prob)), nch)
         self.b = np.zeros((K, nch + 1))
@@ -297,22 +308,8 @@ class _Batch:
         self.rows = np.repeat(np.arange(K), nch + 1)
         self.rows2 = np.repeat(np.arange(2 * K), nch + 1)
         self._stacked: dict[int, tuple] = {}
-        lam = self.eigenvalue(self.cd, self.co, slice(None), -1)
-        self.start = np.maximum(np.maximum.reduceat(lam, first), 0.0) + 1.0
-
-    def eigenvalue(self, diag, off, cols, which: int) -> np.ndarray:
-        """Eigenvalue ``which`` of each sector of ``cols``, cut to its own problem's size.
-
-        ``diag`` and ``off`` are the bands of those sectors.
-        """
-        size = self.size[cols]
-        out = np.empty(len(size))
-        for d in self.sizes:
-            at = size == d
-            if at.any():
-                out[at] = np.linalg.eigvalsh(_dense(diag[self.D - d:, at],
-                                                    off[self.D - d:, at]))[:, which]
-        return out
+        top = -gershgorin_floor(-self.cd, self.co)  # padding rows give 0
+        self.start = np.maximum(np.maximum.reduceat(top, first), 0.0) + 1.0
 
     def columns(self, ks: list[int]):
         """Row and sector-column indexers of the problems ``ks`` (ascending); slices for all."""
@@ -394,8 +391,10 @@ class _Batch:
     def certify(self, y, t, piv, cols):
         """Congruence-repaired primals, their objectives and guarded dual bounds.
 
-        y is strictly feasible already; the lift of any negative eigenvalue of
-        S_b onto its channels only guards the bound against rounding.
+        y is strictly feasible already, so every pivot ``piv`` of S_b(y) is
+        positive.  Only to guard the bound against rounding, a sector with a
+        pivot that is not positive lifts its channels by its Gershgorin
+        deficit, which is at least its -lambda_min.
         """
         K, nch = self.K, self.nch
         X = tridiagonal_inverse(piv[:, cols], -self.co[:, cols]) / t[self.prob[cols]]
@@ -410,12 +409,13 @@ class _Batch:
         terms = np.concatenate([self.cd[:, cols] * (diag * (Dg * Dg)),
                                 2.0 * self.co[:, cols] * X[ar[:-1], ar[1:]]])
         objective = np.bincount(self.owners[:, cols].ravel(), weights=terms.ravel(), minlength=K)
-        deficits = np.maximum(-self.eigenvalue(y.ravel()[self.gslot[:, cols]] - self.cd[:, cols],
-                                               -self.co[:, cols], cols, 0), 0.0)
         y_cert = y.copy()
-        if deficits.any():
-            lift = np.zeros(K * (nch + 1))
+        lifted = ~(piv[:, cols] > 0.0).all(axis=0)
+        if lifted.any():
             where = self.gslot[:, cols]
+            floor = gershgorin_floor(y.ravel()[where] - self.cd[:, cols], self.co[:, cols])
+            deficits = np.where(lifted, np.maximum(-floor, 0.0), 0.0)
+            lift = np.zeros(K * (nch + 1))
             np.maximum.at(lift, where, np.broadcast_to(deficits, where.shape))
             y_cert += lift.reshape(K, nch + 1)
             y_cert[:, nch] = 1.0
@@ -545,7 +545,7 @@ def solve(problem: Bands, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     or before rounding stalls the path.
     """
     (seed,) = solve_many([problem], tol, max_iter)
-    if seed.gap > tol:
+    if not seed.gap <= tol:  # a nan gap certifies nothing
         raise SolverError(
             f"gap {seed.gap:.3e} above tolerance {tol:.3e}, best certificate at "
             f"Newton step {seed.iterations} of at most {max_iter}", seed

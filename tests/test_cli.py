@@ -161,8 +161,12 @@ class TestDumpCommand:
 
 @pytest.mark.parametrize("cmd", [["machine", "lm", "--n", "2", "--r", "0.5"],
                                  ["dump", "seed", "--n", "2", "--r", "0.5"],
-                                 ["verify", "--suite", "mixed"]],
-                         ids=["machine-lm", "dump-seed", "verify"])
+                                 ["verify", "--suite", "mixed"],
+                                 ["machine", "opt", "--n", "2", "--r", "0.5"],
+                                 ["machine", "lm", "--n", "2", "--r", "1.0"],
+                                 ["dump", "gamma", "--n", "2", "--r", "0.5"]],
+                         ids=["machine-lm", "dump-seed", "verify", "machine-opt",
+                              "machine-lm-pure", "dump-gamma"])
 @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
 def test_bad_tolerance_rejected_before_solving(monkeypatch, capsys, cmd, tol):
     def not_reached(*args, **kwargs):

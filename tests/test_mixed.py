@@ -111,7 +111,7 @@ class TestBlockTraceNorms:
 
     def test_production_paths_skip_exact_coefficients(self):
         # the floor and the seed problem are built from closed forms alone
-        for cached in (su2._cg_doubled, su2._w6j_doubled, blk._coupled_jz_sector_cached):
+        for cached in (su2._cg_doubled, su2._w6j_doubled):
             cached.cache_clear()
         mixed.mixed_programmable_risk(6, 0.7)
         mixed.build_lm_problem(3, 0.6)
@@ -309,8 +309,17 @@ class TestLabelByLabelSolve:
         mixed.run_sweep(config)
         assert sorted(calls) == [(0, 0), (0, 2), (0, 4), (2, 2), (2, 4), (2, 4), (4, 4)]
 
-    def test_zero_scale_labels_contribute_nothing(self):
-        # at r = 1 every label but (n, n) has p_xi = 0, and (0, 0) has kappa = 0
+    def test_zero_scale_labels_contribute_nothing(self, monkeypatch):
+        # at r = 1 every label but (n, n) has p_xi = 0, and (0, 0) has kappa = 0;
+        # only (n, n) reaches a Newton loop
+        loops = []
+        real = sdp._Batch.run
+
+        def counting(self, *args):
+            loops.append(self.K)
+            return real(self, *args)
+
+        monkeypatch.setattr(sdp._Batch, "run", counting)
         for n in (2, 4):
             _, seed = mixed.solve_lm(n, 1.0)
             top = {k: X for k, X in seed.blocks.items() if k[0] == (n, n)}
@@ -318,6 +327,7 @@ class TestLabelByLabelSolve:
             alone = sum(float(np.vdot(cost[k], X)) for k, X in top.items())
             assert seed.objective == pytest.approx(alone, abs=1e-12)
             assert 0.5 * (1 - seed.objective / 2) == pytest.approx(machines.lm_error(n), abs=1e-8)
+        assert loops == [1, 1]
 
     def test_failure_carries_assembled_seed(self):
         with pytest.raises(sdp.SolverError) as exc:
@@ -425,7 +435,7 @@ class TestSweep:
             raise AssertionError("dense route used")
 
         for module, name in ((mixed, "gamma_up_mixed"), (mixed, "_gamma"),
-                             (mixed, "build_lm_problem"), (blk, "_coupled_jz_sector_cached"),
+                             (mixed, "build_lm_problem"), (blk, "coupled_jz_sector"),
                              (oracle, "dense_seed_problem")):
             monkeypatch.setattr(module, name, not_reached)
         assert mixed.run_sweep(config).to_csv() == want

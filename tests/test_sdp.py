@@ -151,6 +151,13 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_many([n1_pure_problem()], tol=tol)
 
+    def test_nan_band_is_not_solved(self):
+        p = n1_pure_problem()
+        off = p.off.copy()
+        off[-1, 0] = math.nan
+        with pytest.raises(SolverError):
+            solve(sdp.Bands(p.keys, p.channels, p.slot, p.diag, off))
+
     def test_iteration_cap_carries_best_iterate(self):
         hard = mixed.build_lm_problem(2, 0.6)
         with pytest.raises(SolverError) as exc:
@@ -232,8 +239,8 @@ class TestBandKernels:
 
     def test_shapes_share_one_loop(self, monkeypatch):
         # labels of five (largest sector, channel count) shapes at several r run in
-        # one loop; in some round one trial point leaves the cone while another
-        # is accepted, and each problem ends where it ends alone
+        # one loop with no eigensolver; in some round one trial point leaves the
+        # cone while another is accepted, and each problem ends where it ends alone
         problems = [label_problem(n, r, xi) for r in (0.3, 0.6, 0.9)
                     for n, xi in ((1, (1, 1)), (2, (0, 2)), (2, (2, 2)), (4, (4, 4)), (4, (2, 4)))]
         alone = [solve_many([p], tol=1e-9)[0] for p in problems]
@@ -250,9 +257,14 @@ class TestBandKernels:
             rounds.extend([bool(np.isfinite(row[k])) for k in owners] for row in logdet)
             return piv, logdet
 
+        def no_eigensolver(*args, **kwargs):
+            raise AssertionError("eigensolver called in the barrier loop")
+
         monkeypatch.setattr(sdp._Batch, "__init__", init)
         monkeypatch.setattr(sdp._Batch, "log_det", recording)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
         together = solve_many(problems, tol=1e-9)
+        monkeypatch.undo()
         assert batches == [len(problems)]
         assert any(True in r and False in r for r in rounds)
         for a, b in zip(together, alone):
@@ -283,6 +295,34 @@ class TestCertificate:
                     seed = exc.seed
                 assert seed.constraint_residual() <= 1e-12
                 assert seed.min_eigenvalue() >= -1e-12
+
+
+    def test_guard_lifts_indefinite_sector(self):
+        # two labels with disjoint channels, scale 1; at y = 0.5 the first sector,
+        # S = 0.5 - 2 w C with off-diagonals 1, is indefinite (lambda_min = 0.5 -
+        # sqrt 2), the second, S = 0.5 - 0.25, is positive definite
+        path = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]])
+        problem = oracle.dense_seed_problem([((1, 1), 0, path, 1.0, (0, 2, 4)),
+                                             ((0, 0), 0, np.array([[0.125]]), 1.0, (0,))])
+        batch = sdp._Batch([problem])
+        y = np.full((1, batch.nch + 1), 0.5)
+        y[:, batch.nch] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):  # as in solve_many
+            piv = batch.log_det(y[None], slice(None))[0][:, 0]
+            _, _, bound, y_cert = batch.certify(y, np.ones(1), piv, slice(None))
+        positive = (piv > 0).all(axis=0)
+        assert positive.tolist() == [False, True]
+        for k in range(batch.counts[0]):
+            where = batch.gslot[:, k]
+            S = np.diag(y_cert.ravel()[where]) - sdp._dense(batch.cd[:, k:k + 1],
+                                                            batch.co[:, k:k + 1])[0]
+            assert np.linalg.eigvalsh(S)[0] >= 0.0
+            lifted = y_cert.ravel()[where] != y.ravel()[where]
+            assert lifted.any() != positive[k]
+        # the first sector's channels 0, 2, 4 are lifted by its Gershgorin deficit
+        # 2 - 0.5; the dummy channel stays at 1
+        assert y_cert[0].tolist() == [0.5, 2.0, 2.0, 2.0, 1.0]
+        assert bound == [1 * 0.5 + (1 + 3 + 5) * 2.0]
 
 
 class TestSeed:
@@ -336,6 +376,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="not real"):
             oracle.dense_seed_problem([((0, 0), 0, cost, 1.0, (0, 2))])
         oracle.dense_seed_problem([((0, 0), 0, cost.real + 0j, 1.0, (0, 2))])
+
+    def test_non_finite_cost(self):
+        for bad in (math.nan, math.inf):
+            cost = np.array([[0.0, 1 / 12], [1 / 12, bad]])
+            with pytest.raises(ValueError, match="not finite"):
+                oracle.dense_seed_problem([((0, 0), 0, cost, 1.0, (0, 2))])
+            with pytest.raises(ValueError, match="not finite"):
+                oracle.dense_seed_problem([((0, 0), 0, np.zeros((2, 2)), bad, (0, 2))])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
