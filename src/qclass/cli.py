@@ -139,7 +139,7 @@ def cmd_machine(args) -> int:
         if args.r == 1.0:
             report = machines.make_report("lm", args.n, machines.lm_error(args.n))
         else:
-            report, _ = mixed.solve_lm(args.n, args.r, tol=tol)
+            report = mixed.lm_risk(args.n, args.r, tol=tol)
     elif args.machine in ("ed", "ed-n1", "reversed"):
         if args.r != 1.0:
             raise ValueError(f"the {args.machine} machine is implemented for pure sources only")

@@ -20,12 +20,19 @@ matrix, solved once per call and scaled for every purity of that call.  A
 cost is a Jz_A + c (m 1 - Jz_A) with Jz_A tridiagonal, so each label's
 bands come from one formula over its (j, m) grid (``_label_template``) and
 r enters through p_xi, kappa_A and kappa_C alone.  Every problem is an
-``sdp.Bands``; no dense cost is formed for the solver.  A sweep lane solves
-every label of every purity in one solver call and sums each row from the
-label seeds; ``solve_lm`` is the one-purity case, and its seed carries
-``build_lm_problem``, the whole problem's bands, whose joint solve is the
-cross-check in the tests.  Each sweep row depends only on its own (n, r),
-and no solver state outlives a call.
+``sdp.Bands``; no dense cost is formed for the solver.
+
+Every dual slack S_m(y) is an unreduced tridiagonal, so every optimal X_m
+has rank at most one, and most labels are solved by the rank-one seed of
+one full sector (``sdp.rank_one_seed``), certified by the LDL' pivots of
+S_m(y) in every sector.  The other labels run the barrier on an active set
+of sectors that grows until no sector is violated (``_label_seeds``).  A
+sweep lane sends every label of every purity through that route at once
+and sums each row from the label seeds; ``lm_risk`` is the one-purity
+case, and ``solve_lm`` also assembles the label seeds over
+``build_lm_problem``, the whole problem's bands, whose joint barrier solve
+is the cross-check in the tests.  Each sweep row depends only on its own
+(n, r), and no solver state outlives a call.
 """
 from __future__ import annotations
 
@@ -191,9 +198,13 @@ def build_lm_problem(n: int, r: float) -> sdp.Bands:
     channels come in sorted order, and every sector is front-padded to
     n + 1 rows.
     """
+    return _whole_problem(n, r, _solved_labels(n))
+
+
+def _whole_problem(n: int, r: float, templates: list[_LabelTemplate]) -> sdp.Bands:
     probs = block_probabilities(n, r)
     built = {t.xi: t.bands(probs[t.xi], _kappa(t.xi[0], r), _kappa(t.xi[1], r))
-             for t in _solved_labels(n)}
+             for t in templates}
     labels = [(label.jA.twice_value, label.jC.twice_value) for label in block_labels(n)]
     D, count = n + 1, sum(ta + tc + 1 for ta, tc in labels)
     keys, channels = [], []
@@ -217,16 +228,31 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
              max_iter: int = sdp.DEFAULT_MAX_ITER) -> tuple[machines.MachineReport, sdp.Seed]:
     """Optimal learning-machine risk at (n, r); returns (report, solved seed).
 
-    The one-purity case of ``_lm_seeds``; above ``tol``, ``SolverError``
-    carries the assembled seed.
+    The one-purity case of ``_lm_seeds``, its label seeds assembled over
+    the whole problem; above ``tol``, ``SolverError`` carries that seed.
     """
-    (parts,) = _lm_seeds(n, [r], tol, max_iter)
+    templates = _solved_labels(n)
+    (parts,) = _lm_seeds(templates, n, [r], tol, max_iter)
     totals = _totals(parts)
-    seed = _assemble_seed(build_lm_problem(n, r), parts, totals)
+    seed = _assemble_seed(_whole_problem(n, r, templates), parts, totals)
     error = _gap_error(totals, tol, len(parts), max_iter)
     if error is not None:
         raise sdp.SolverError(error, seed)
     return _lm_report(n, r, totals), seed
+
+
+def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
+            max_iter: int = sdp.DEFAULT_MAX_ITER) -> machines.MachineReport:
+    """The report of ``solve_lm`` from the label totals alone, as a sweep row takes it.
+
+    No whole problem is assembled, so ``SolverError`` carries no seed.
+    """
+    (parts,) = _lm_seeds(_solved_labels(n), n, [r], tol, max_iter)
+    totals = _totals(parts)
+    error = _gap_error(totals, tol, len(parts), max_iter)
+    if error is not None:
+        raise sdp.SolverError(error, None)
+    return _lm_report(n, r, totals)
 
 
 def _gap_error(totals: dict, tol: float, labels: int, max_iter: int) -> Optional[str]:
@@ -242,20 +268,20 @@ def _lm_report(n: int, r: float, totals: dict) -> machines.MachineReport:
     return machines.make_report("lm", n, error, r=r, method="sdp", solver_gap=totals["gap"])
 
 
-def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[list[tuple]]:
-    """(label, label seed, cost scale) of every solved label at every r, from one solver call.
+def _lm_seeds(templates: list[_LabelTemplate], n: int, rs: list[float], tol: float,
+              max_iter: int) -> list[list[tuple]]:
+    """(label, label seed, cost scale) of every solved label at every r.
 
-    Only labels with jA <= jC are solved: the mirror (jC, jA) has the same
-    cost with m negated.  Labels with jA = jC or jA = 0 cost p_xi kappa_C
-    times their unit cost (kA = kC = 1, weight 1), solved once for all of
-    ``rs``; one whose scale is 0 at every r gets weight 0, which the solver
-    answers without a loop.  They and the other labels of every r go to the
-    solver together.  Each label gets tol / (number of labels), so the
-    assembled certified gap, the sum of the labels' scaled gaps, stays
+    ``templates`` are ``_solved_labels(n)``: only labels with jA <= jC are
+    solved, as the mirror (jC, jA) has the same cost with m negated.  Labels
+    with jA = jC or jA = 0 cost p_xi kappa_C times their unit cost (kA = kC
+    = 1, weight 1), solved once for all of ``rs``; one whose scale is 0 at
+    every r gets weight 0.  They and the other labels of every r go to
+    ``_label_seeds`` together.  Each label gets tol / (number of labels), so
+    the assembled certified gap, the sum of the labels' scaled gaps, stays
     within ``tol``.
     """
     sdp.check_tol(tol)
-    templates = _solved_labels(n)
     unit = {t.xi for t in templates if t.xi[0] == t.xi[1] or t.xi[0] == 0}
     grid = [(block_probabilities(n, r), {tj: _kappa(tj, r) for tj in range(n % 2, n + 1, 2)})
             for r in rs]
@@ -264,11 +290,73 @@ def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[list[t
     for probs, kappa in grid:
         problems += [t.bands(probs[t.xi], kappa[t.xi[0]], kappa[t.xi[1]])
                      for t in templates if t.xi not in unit]
-    seeds = iter(sdp.solve_many(problems, tol / len(block_labels(n)), max_iter))
+    seeds = iter(_label_seeds(problems, tol / len(block_labels(n)), max_iter))
     unit_seeds = {t.xi: next(seeds) for t in templates if t.xi in unit}
     return [[(t.xi, unit_seeds[t.xi], probs[t.xi] * kappa[t.xi[1]])
              if t.xi in unit else (t.xi, next(seeds), 1.0) for t in templates]
             for probs, kappa in grid]
+
+
+def _label_seeds(problems: list[sdp.Bands], share: float, max_iter: int) -> list[sdp.Seed]:
+    """Certified seed of every label problem: its closed form, or the barrier on active sectors.
+
+    ``sdp.rank_one_seed`` is accepted when every pivot of S_m(y) is
+    positive in every sector and its gap is within ``share``.  Otherwise the
+    label's active set is that closed form's sector plus the sectors it
+    violates, and the barrier solves the label restricted to it; every
+    other sector is checked by the pivots of S_m(y) at the barrier's
+    multipliers, violators join, and the round repeats until none is
+    violated, at worst on the whole label.  The restricted primal, 0
+    outside the active set, is feasible for the whole label, and a y
+    feasible in every sector bounds its optimum, so the gap keeps its
+    meaning.  Every round sends all open labels to one ``solve_many`` call.
+    A round that misses ``share`` ends its label, its violated sectors
+    lifted by their Gershgorin deficits so that the bound still holds.
+    """
+    seeds, active, spent = [], {}, {}
+    for i, p in enumerate(problems):
+        seed, best = sdp.rank_one_seed(p)
+        y = np.array([seed.multipliers[c] for c in p.channels])
+        violated = ~(sdp.slack_pivots(p, y) > 0.0).all(axis=0)
+        if seed.gap <= share and not violated.any():
+            seeds.append(seed)
+            continue
+        violated[best] = True
+        seeds.append(None)
+        active[i], spent[i] = violated, (0, [])
+    while active:
+        order = sorted(active)
+        parts = sdp.solve_many([_restrict(problems[i], active[i]) for i in order], share, max_iter)
+        for i, part in zip(order, parts):
+            p, on = problems[i], active.pop(i)
+            iterations, trace = spent[i][0] + part.iterations, spent[i][1] + part.objective_trace
+            y = np.array([part.multipliers[c] for c in p.channels])
+            violated = ~(sdp.slack_pivots(p, y) > 0.0).all(axis=0) & ~on
+            if violated.any() and part.gap <= share:
+                active[i], spent[i] = on | violated, (iterations, trace)
+                continue
+            bound = part.bound
+            if violated.any():
+                y = _lift_violated(p, y, violated)
+                bound = float(np.array([tj + 1.0 for _, tj in p.channels]) @ y)
+            seeds[i] = sdp.sparse_seed(p, part.blocks, part.objective, bound, iterations, y, trace)
+    return seeds
+
+
+def _restrict(p: sdp.Bands, on: np.ndarray) -> sdp.Bands:
+    """The label problem ``p`` on the sectors ``on`` alone."""
+    return sdp.Bands([key for key, keep in zip(p.keys, on) if keep], p.channels,
+                     p.slot[:, on], p.diag[:, on], p.off[:, on])
+
+
+def _lift_violated(p: sdp.Bands, y: np.ndarray, violated: np.ndarray) -> np.ndarray:
+    """y with the channels of each violated sector lifted by that sector's Gershgorin deficit."""
+    nch = len(p.channels)
+    floor = sdp.gershgorin_floor(np.append(y, 1.0)[p.slot] - p.diag, p.off)
+    deficit = np.where(violated, np.maximum(-floor, 0.0), 0.0)
+    lift = np.zeros(nch + 1)
+    np.maximum.at(lift, p.slot.ravel(), np.broadcast_to(deficit, p.slot.shape).ravel())
+    return y + lift[:nch]
 
 
 def _totals(parts: list) -> dict:
@@ -463,7 +551,7 @@ def _sweep_lane(args) -> list[SweepRow]:
     n, config = args
     rs = [float(r) for r in config.r_grid()]
     rows = []
-    for r, parts in zip(rs, _lm_seeds(n, rs, config.tol, config.max_iter)):
+    for r, parts in zip(rs, _lm_seeds(_solved_labels(n), n, rs, config.tol, config.max_iter)):
         opt = mixed_programmable_risk(n, r).excess_risk
         totals = _totals(parts)
         error = _gap_error(totals, config.tol, len(parts), config.max_iter)

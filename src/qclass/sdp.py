@@ -41,6 +41,13 @@ result does not depend on what else shares its loop: padding its sectors
 adds pivots of exactly 1 and zero inverse entries in a dummy channel, its
 sums run in a fixed order, and LAPACK solves its Newton system at its own
 channel count; no eigensolver runs in the loop.
+Seed costs make every S_b(y) an unreduced tridiagonal, whose eigenvalues
+are simple, so an optimal X_b has rank at most one (Alizadeh, Haeberly and
+Overton, Math. Program. 77, 1997).  ``rank_one_seed`` takes the rank-one
+point of one full sector, whose dual y_j = (C v)_j / v_j attains b'y =
+v'Cv, lifted by ``_LIFT`` times the problem's scale; ``slack_pivots``
+certifies it, sector by sector, in O(D) per sector, and ``sparse_seed``
+fills the sectors it leaves at 0.  No Newton step runs for such a seed.
 A problem is a ``Bands``, the one problem form: the keys, channels and two
 bands per sector that the engine reads.  ``mixed`` builds them from its
 label templates and passes in one block label per problem; the engine is
@@ -67,6 +74,7 @@ _TRIALS = 3                 # step lengths tried at once, a divisor of _MAX_HALV
 _FRACTIONS = (_BETA ** np.arange(_TRIALS))[:, None, None]
 _CHUNK_ENTRIES = 1 << 20    # packed inverse entries held at once; bounds a batch's memory
 _PAD_ENTRIES = 1 << 14      # padding one problem may add to a batch; more costs more than a loop
+_LIFT = 1e-12               # lift of a closed-form dual, in units of its problem's scale
 
 
 class InfeasibleError(ValueError):
@@ -74,9 +82,12 @@ class InfeasibleError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The duality gap did not close within the Newton-step cap; carries the best point."""
+    """The duality gap did not close within the Newton-step cap; carries the best point.
 
-    def __init__(self, message: str, seed: "Seed"):
+    The point is None where the caller assembles none (``mixed.lm_risk``).
+    """
+
+    def __init__(self, message: str, seed: "Seed | None"):
         super().__init__(message)
         self.seed = seed
 
@@ -250,7 +261,7 @@ def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 def _seed(part: Bands, X, objective, bound, gap, iterations, y, trace) -> Seed:
     """A Seed in the problem's units from a (D, D, sectors) primal of its bands, front-padded."""
     nch, s = len(part.channels), part.scale
-    lo = (len(X) - np.count_nonzero(part.slot < nch, axis=0)).tolist()
+    lo = (len(X) - sector_sizes(part)).tolist()
     blocks = {key: np.ascontiguousarray(X[lo[k]:, lo[k]:, k]) for k, key in enumerate(part.keys)}
     return Seed(blocks=blocks, objective=objective * s, bound=bound * s, gap=gap * s,
                 iterations=iterations, multipliers=dict(zip(part.channels, y[:nch] * s)),
@@ -266,6 +277,72 @@ def _zero_seed(part: Bands) -> Seed:
     counts = np.bincount(part.slot.ravel(), minlength=nch + 1)
     X[ar, ar] = (targets / np.maximum(counts, 1))[part.slot]
     return _seed(part, X, 0.0, 0.0, 0.0, 0, np.zeros(nch + 1), [0.0])
+
+
+# ---------------------------------------------------------------------------
+# Closed-form rank-one seeds and their pivot certificate
+
+
+def sector_sizes(problem: Bands) -> np.ndarray:
+    """Rows of each sector, its padding cut off."""
+    return np.count_nonzero(problem.slot < len(problem.channels), axis=0)
+
+
+def slack_pivots(problem: Bands, y: np.ndarray) -> np.ndarray:
+    """LDL' pivots (D, sectors) of every S_b(y), y one multiplier per channel.
+
+    Padding rows pivot at 1; S_b(y) is positive definite exactly when its
+    column is positive; a zero pivot makes the pivots after it nan.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ldl_pivots(np.append(y, 1.0)[problem.slot] - problem.diag,
+                          problem.off * problem.off)
+
+
+def sparse_seed(problem: Bands, blocks: dict, objective: float, bound: float, iterations: int,
+                y: np.ndarray, trace: list) -> Seed:
+    """A Seed of ``problem`` holding ``blocks``, every other sector a read-only zero view."""
+    sizes = sector_sizes(problem).tolist()
+    return Seed(blocks={key: blocks[key] if key in blocks else np.broadcast_to(0.0, (d, d))
+                        for key, d in zip(problem.keys, sizes)},
+                objective=objective, bound=bound, gap=bound - objective, iterations=iterations,
+                multipliers=dict(zip(problem.channels, y)), objective_trace=trace,
+                problem=problem)
+
+
+def rank_one_seed(problem: Bands) -> tuple[Seed, int]:
+    """The best rank-one point on a full sector with its dual, lifted by ``_LIFT`` scale.
+
+    A full sector has a row for every channel, so X = v v' there, with
+    v_j = s_j sqrt(2j + 1), and 0 elsewhere meets every constraint.  Signs
+    s_j s_{j+1} = sign(o_j) make every off-diagonal term of v'Cv positive,
+    and y_j = (C v)_j / v_j puts v in the kernel of S(y); with the signs
+    taken out S(y) is a Z-matrix with a positive null vector, so it is
+    positive semidefinite on that sector, and b'y = v'Cv.  Of the full
+    sectors the one with the largest v'Cv is taken, and returned with the
+    seed.  The lift makes the gap ``_LIFT`` scale sum_j (2j + 1) up to
+    rounding; the seed is certified where ``slack_pivots`` of its
+    multipliers are all positive.  A problem needs a full sector.
+    """
+    nch, D = len(problem.channels), len(problem.slot)
+    full = np.flatnonzero(sector_sizes(problem) == nch)
+    rows = slice(D - nch, None)
+    targets = np.array([tj + 1.0 for _, tj in problem.channels])
+    root = np.sqrt(targets[problem.slot[rows, full]])
+    diag, off = problem.diag[rows, full], problem.off[D - nch:, full]
+    link = np.abs(off) * root[:-1] * root[1:]
+    values = (diag * root * root).sum(axis=0) + 2.0 * link.sum(axis=0)
+    best = int(np.argmax(values))
+    a, v = np.abs(off[:, best]), root[:, best]
+    y = diag[:, best] + _LIFT * problem.scale
+    y[1:] += a * v[:-1] / v[1:]
+    y[:-1] += a * v[1:] / v[:-1]
+    v = v * np.cumprod(np.r_[1.0, np.where(off[:, best] < 0.0, -1.0, 1.0)])
+    y_channels = np.empty(nch)
+    y_channels[problem.slot[rows, full[best]]] = y
+    objective = float(values[best])
+    return sparse_seed(problem, {problem.keys[full[best]]: np.outer(v, v)}, objective,
+                       float(targets @ y_channels), 0, y_channels, [objective]), int(full[best])
 
 
 class _Batch:

@@ -263,7 +263,7 @@ def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
     checks.append(_check("block_probabilities_normalized", "sum p_xi = 1", 0.0, worst, 1e-12))
 
     worst = max(
-        abs(mixed.solve_lm(n, 1.0, tol=1e-9)[0].error_probability - machines.lm_error(n))
+        abs(mixed.lm_risk(n, 1.0, tol=1e-9).error_probability - machines.lm_error(n))
         for n in (1, 2, 3, 4)
     )
     checks.append(_check("pure_limit_reduction", "r = 1 recovers the pure closed form",

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qclass import cli, mixed, verify
+from qclass import cli, mixed, sdp, verify
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -173,6 +173,8 @@ def test_bad_tolerance_rejected_before_solving(monkeypatch, capsys, cmd, tol):
         raise AssertionError("the solver ran with an unusable tolerance")
 
     monkeypatch.setattr(mixed, "build_lm_problem", not_reached)
+    monkeypatch.setattr(sdp, "rank_one_seed", not_reached)
+    monkeypatch.setattr(sdp, "solve_many", not_reached)
     monkeypatch.setattr(verify, "run_suites", not_reached)
     assert cli.main([*cmd, f"--tol={tol}"]) == cli.EXIT_DOMAIN
     err = capsys.readouterr().err

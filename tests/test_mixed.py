@@ -295,23 +295,39 @@ class TestLabelByLabelSolve:
             assert machines.verify_seed(seed)
 
     def test_r_independent_labels_solved_once(self, monkeypatch):
-        # labels are counted where they enter the solver's batch entry; within
-        # one call the unit labels go once, (2, 4) once per purity
-        calls = []
-        real = sdp.solve_many
+        # labels are counted where they enter the closed form, which every label
+        # problem passes first; within one call the unit labels go once, (2, 4)
+        # once per purity.  At n = 5, r = 0.1 label (1, 5) needs the barrier, and no
+        # unit label enters an active-set round twice
+        calls, rounds = [], []
+        real_closed, real_many = sdp.rank_one_seed, sdp.solve_many
 
-        def counting(problems, *args, **kwargs):
-            calls.extend(problem.keys[0][0] for problem in problems)
-            return real(problems, *args, **kwargs)
+        def closed(problem):
+            calls.append(problem.keys[0][0])
+            return real_closed(problem)
 
-        monkeypatch.setattr(sdp, "solve_many", counting)
+        def many(problems, *args, **kwargs):
+            rounds.append([problem.keys[0][0] for problem in problems])
+            return real_many(problems, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "rank_one_seed", closed)
+        monkeypatch.setattr(sdp, "solve_many", many)
         config = mixed.SweepConfig(n_values=(4,), r_min=0.5, r_max=0.7, steps=2)
         mixed.run_sweep(config)
         assert sorted(calls) == [(0, 0), (0, 2), (0, 4), (2, 2), (2, 4), (2, 4), (4, 4)]
+        calls.clear()
+        rounds.clear()
+        mixed.run_sweep(mixed.SweepConfig(n_values=(5,), r_min=0.1, r_max=0.2, steps=2))
+        assert sorted(calls) == [(1, 1), (1, 3), (1, 3), (1, 5), (1, 5), (3, 3), (3, 5), (3, 5),
+                                 (5, 5)]
+        assert rounds and (1, 5) in rounds[0]
+        for labels in rounds:
+            unit = [xi for xi in labels if xi[0] in (0, xi[1])]
+            assert len(unit) == len(set(unit))
 
     def test_zero_scale_labels_contribute_nothing(self, monkeypatch):
         # at r = 1 every label but (n, n) has p_xi = 0, and (0, 0) has kappa = 0;
-        # only (n, n) reaches a Newton loop
+        # (n, n) is the pure seed, certified in closed form, so no Newton loop runs
         loops = []
         real = sdp._Batch.run
 
@@ -327,7 +343,7 @@ class TestLabelByLabelSolve:
             alone = sum(float(np.vdot(cost[k], X)) for k, X in top.items())
             assert seed.objective == pytest.approx(alone, abs=1e-12)
             assert 0.5 * (1 - seed.objective / 2) == pytest.approx(machines.lm_error(n), abs=1e-8)
-        assert loops == [1, 1]
+        assert loops == []
 
     def test_failure_carries_assembled_seed(self):
         with pytest.raises(sdp.SolverError) as exc:
@@ -336,6 +352,108 @@ class TestLabelByLabelSolve:
         assert seed.gap > 1e-12
         assert set(seed.blocks) == set(seed.problem.keys)
         assert seed.constraint_residual() <= 1e-8
+
+
+def label_problems(n, r):
+    """(label, problem) of every solved label, as a lane builds them; unit labels at unit cost."""
+    probs = mixed.block_probabilities(n, r)
+    return [(t.xi, t.bands(1.0, 1.0, 1.0) if t.xi[0] in (0, t.xi[1])
+             else t.bands(probs[t.xi], mixed._kappa(t.xi[0], r), mixed._kappa(t.xi[1], r)))
+            for t in mixed._solved_labels(n)]
+
+
+def least_slack_eigenvalues(problem, multipliers):
+    """Least eigenvalue of the dense S_m(y) = diag(y) - 2 w C_m of every sector."""
+    return [float(np.linalg.eigvalsh(np.diag([multipliers[key[0], tj] for tj in channels])
+                                     - cost)[0])
+            for key, channels, cost in oracle.dense_seed_sectors(problem)]
+
+
+class TestClosedFormSeeds:
+    @pytest.mark.parametrize("r", [0.12, 0.5, 0.9, 1.0])
+    def test_closed_form_labels_recertified(self, r):
+        # every label the closed form closes (no Newton step): a dense eigensolver
+        # finds S_m(y) positive semidefinite in every sector, the constraints hold,
+        # and the barrier on the same label agrees within the two gaps
+        closed = 0
+        for n in range(1, 7):
+            share = sdp.DEFAULT_TOL / len(mixed.block_labels(n))
+            for xi, p in label_problems(n, r):
+                (seed,) = mixed._label_seeds([p], share, sdp.DEFAULT_MAX_ITER)
+                if p.scale == 0.0 or seed.iterations:
+                    continue
+                closed += 1
+                assert min(least_slack_eigenvalues(p, seed.multipliers)) >= -1e-12 * p.scale
+                assert seed.constraint_residual() <= 1e-12
+                (barrier,) = sdp.solve_many([p], share)
+                assert 0.0 < seed.gap <= share and barrier.gap <= share
+                assert abs(seed.objective - barrier.objective) <= seed.gap + barrier.gap
+        assert closed >= 10
+
+    def test_pure_limit_is_the_closed_form(self, monkeypatch):
+        # at r = 1 only (n, n) has weight, and its closed form is the paper's seed:
+        # sector m = 0, amplitudes sqrt(2j + 1); no Newton loop runs
+        def not_reached(*args, **kwargs):
+            raise AssertionError("barrier ran at r = 1")
+
+        monkeypatch.setattr(sdp._Batch, "run", not_reached)
+        for n in (1, 2, 5, 10, 20):
+            rep = mixed.lm_risk(n, 1.0)
+            assert rep.error_probability == pytest.approx(machines.lm_error(n), abs=1e-12)
+            seed, best = sdp.rank_one_seed(dict(label_problems(n, 1.0))[n, n])
+            assert seed.problem.keys[best] == ((n, n), 0)
+            np.testing.assert_allclose(np.abs(seed.blocks[(n, n), 0]),
+                                       np.outer(*[machines.lm_seed(n).coefficients] * 2),
+                                       rtol=1e-15)
+
+    def test_lowered_multiplier_refused(self):
+        # each certified closed form of n = 4, r = 0.5 stops being certified once
+        # any one of its multipliers is lowered by 1e-6
+        certified = 0
+        for xi, p in label_problems(4, 0.5):
+            seed, _ = sdp.rank_one_seed(p)
+            y = np.array([seed.multipliers[c] for c in p.channels])
+            if p.scale == 0.0 or not (sdp.slack_pivots(p, y) > 0.0).all():
+                continue
+            certified += 1
+            for c in range(len(y)):
+                low = y.copy()
+                low[c] -= 1e-6
+                assert not (sdp.slack_pivots(p, low) > 0.0).all()
+        assert certified == 5
+
+    def test_active_set_matches_whole_label(self):
+        # label (1, 5) at (5, 0.1) is not closed by its closed form; the barrier on
+        # its active sectors agrees with the barrier on the whole label within the
+        # two gaps, leaves the other sectors at 0, and its multipliers are
+        # feasible in every sector
+        n, r = 5, 0.1
+        share = sdp.DEFAULT_TOL / len(mixed.block_labels(n))
+        p = dict(label_problems(n, r))[1, 5]
+        closed, _ = sdp.rank_one_seed(p)
+        y = np.array([closed.multipliers[c] for c in p.channels])
+        assert not (sdp.slack_pivots(p, y) > 0.0).all()
+        (active,) = mixed._label_seeds([p], share, sdp.DEFAULT_MAX_ITER)
+        (whole,) = sdp.solve_many([p], share)
+        assert active.iterations > 0 and active.gap <= share and whole.gap <= share
+        assert abs(active.objective - whole.objective) <= active.gap + whole.gap
+        assert 0 < sum(X.any() for X in active.blocks.values()) < len(p.keys)
+        assert min(least_slack_eigenvalues(p, active.multipliers)) >= -1e-12 * p.scale
+        assert active.constraint_residual() <= 1e-12
+
+    def test_violated_sectors_lifted_to_a_valid_bound(self):
+        # a round that misses its share ends its label; the channels of each
+        # violated sector are lifted by its Gershgorin deficit, which leaves every
+        # S_m(y) positive semidefinite and the other channels as they were
+        p = dict(label_problems(5, 0.1))[1, 5]
+        closed, _ = sdp.rank_one_seed(p)
+        y = np.array([closed.multipliers[c] for c in p.channels])
+        violated = ~(sdp.slack_pivots(p, y) > 0.0).all(axis=0)
+        lifted = mixed._lift_violated(p, y, violated)
+        touched = np.unique(np.concatenate([p.sector_slots(k) for k in np.flatnonzero(violated)]))
+        assert (lifted[touched] > y[touched]).all()
+        assert np.delete(lifted, touched).tolist() == np.delete(y, touched).tolist()
+        assert min(least_slack_eigenvalues(p, dict(zip(p.channels, lifted)))) >= 0.0
 
 
 class TestUnbalancedAsymptotic:
@@ -408,23 +526,30 @@ class TestSweep:
             assert (lm.excess_risk, seed.gap) == (row.R_lm, row.solver_gap)
 
     def test_one_newton_loop_per_lane(self, monkeypatch):
-        # every label of every r of a lane, unit labels included, runs in one loop;
-        # zero costs ((0, 0), and p_xi = 0 off (n, n) at r = 1) need no loop;
-        # a lane run alone solves its unit labels again, in the same one loop
-        loops = []
-        real = sdp._Batch.run
+        # every open label of every r of a lane, unit labels included, goes to one
+        # solve_many call per active-set round, and each round runs one loop;
+        # zero costs ((0, 0), and p_xi = 0 off (n, n) at r = 1) need no loop.  On
+        # the benchmark's grid every label of n <= 4 is certified in closed form,
+        # so no round runs; at n = 5 the labels of r = 0.1 need the barrier
+        rounds, loops = [], []
+        real_many, real_run = sdp.solve_many, sdp._Batch.run
+
+        def many(problems, *args, **kwargs):
+            rounds.append(sum(problem.scale != 0.0 for problem in problems))
+            return real_many(problems, *args, **kwargs)
 
         def counting(self, *args):
             loops.append(self.K)
-            return real(self, *args)
+            return real_run(self, *args)
 
+        monkeypatch.setattr(sdp, "solve_many", many)
         monkeypatch.setattr(sdp._Batch, "run", counting)
         config = mixed.SweepConfig(n_values=(1, 2, 3, 4), r_min=0.12, r_max=1.0, steps=23)
         mixed.run_sweep(config)
-        assert loops == [1, 2, 2 + 22, 4 + 22]
-        loops.clear()
-        mixed._sweep_lane((4, config))
-        assert loops == [4 + 22]
+        assert loops == []
+        config = mixed.SweepConfig(n_values=(5,), r_min=0.1, r_max=1.0, steps=46)
+        mixed._sweep_lane((5, config))
+        assert loops and loops == [k for k in rounds if k]
 
     def test_lane_builds_no_dense_problem(self, monkeypatch):
         # a lane reads its costs from the label templates' bands alone

@@ -325,6 +325,24 @@ class TestCertificate:
         assert bound == [1 * 0.5 + (1 + 3 + 5) * 2.0]
 
 
+class TestRankOneSeed:
+    def test_n1_pure_seed(self):
+        # the full sector m = 0 holds v = (1, sqrt 3), the optimum 1/sqrt(3); its
+        # dual, lifted by 1e-12 scale, is certified by positive pivots
+        p = n1_pure_problem()
+        seed, best = sdp.rank_one_seed(p)
+        assert p.keys[best] == ((1, 1), 0)
+        assert seed.objective == pytest.approx(1 / math.sqrt(3), abs=1e-15)
+        np.testing.assert_allclose(seed.blocks[(1, 1), 0],
+                                   np.outer([1, math.sqrt(3)], [1, math.sqrt(3)]), rtol=1e-15)
+        assert not seed.blocks[(1, 1), 2].any() and not seed.blocks[(1, 1), -2].any()
+        assert seed.iterations == 0 and seed.constraint_residual() <= 1e-15
+        assert seed.gap == pytest.approx(1e-12 * p.scale * 4, rel=1e-3)
+        y = np.array([seed.multipliers[c] for c in p.channels])
+        assert (sdp.slack_pivots(p, y) > 0.0).all()
+        assert seed.bound == pytest.approx(solve(p, tol=1e-10).objective, abs=1e-10)
+
+
 class TestSeed:
     def test_feasibility_and_verification(self):
         seed = solve(n1_pure_problem(), tol=1e-8)
