@@ -17,9 +17,10 @@ The seed problem never couples two block labels, so each label is its own
 solver problem; a label and its mirror (jC, jA) share one solve, and a label
 with jA = jC or jA = 0 costs a non-negative multiple of one r-independent
 matrix, solved once per call and scaled for every purity of that call.  A
-cost is a Jz_A + c (m 1 - Jz_A) with Jz_A tridiagonal, so each label's
-bands come from one formula over its (j, m) grid (``_label_template``) and
-r enters through p_xi, kappa_A and kappa_C alone.  Every problem is an
+cost is a Jz_A + c (m 1 - Jz_A) with Jz_A tridiagonal, so ``_label_bands``
+computes a label's Jz_A bands once over its (j, m) grid and gives its
+bands for every (weight, kA, kC) asked of it in the same pass; r enters
+through p_xi, kappa_A and kappa_C alone.  Every problem is an
 ``sdp.Bands``; no dense cost is formed for the solver.
 
 Every dual slack S_m(y) is an unreduced tridiagonal, so every optimal X_m
@@ -68,11 +69,11 @@ def _kappa(tj: int, r: float) -> float:
 
 
 def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
-    """[kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) for given side coefficients, from the template."""
-    t = _label_template(label.jA.twice_value, label.jC.twice_value)
-    dense, D = sdp._dense(*t.costs(kA, kC)), len(t.slot)
+    """[kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) for given side coefficients: weight 1/2 bands."""
+    (bands,) = _label_bands(label.jA.twice_value, label.jC.twice_value, [(0.5, kA, kC)])
+    dense, D = sdp._dense(bands.diag, bands.off), len(bands.slot)
     sectors, index = {}, {}
-    for k, (_, tm) in enumerate(t.keys):
+    for k, (_, tm) in enumerate(bands.keys):
         index[tm] = blk.coupled_sector_index(label, tm)
         sectors[tm] = dense[k, D - len(index[tm]):, D - len(index[tm]):].copy()
     return BlockOperator(label=label, basis=blk.BASIS_AC_COUPLED, sectors=sectors, index=index)
@@ -144,73 +145,49 @@ def mixed_programmable_risk(n: int, r: float,
 # Learning-machine risk through the block semidefinite problem
 
 
-@dataclass(frozen=True, eq=False)
-class _LabelTemplate:
-    """The r-independent part of one label's costs, as bands.
+def _label_bands(ta: int, tc: int, coeffs: list[tuple[float, float, float]]) -> list[sdp.Bands]:
+    """Bands of 2 w [kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) on label (ta, tc), per (w, kA, kC).
 
-    One column per sector, m ascending, front-padded with zero rows; row i
-    is the channel 2j = |2jA - 2jC| + 2i in every sector.
+    The label's Jz_A bands are computed once, one column per sector, m
+    ascending, front-padded with zero rows; row i is the channel
+    2j = |2jA - 2jC| + 2i in every sector.  Each cost is summed as
+    0 + a Jz_A + c Jz_C is.
     """
-
-    xi: tuple[int, int]
-    keys: list             # (xi, 2m) of each sector, m ascending
-    channels: list         # (xi, 2j) of each row
-    slot: np.ndarray       # (D, sectors)
-    jz: np.ndarray         # diagonal of Jz_A, (D, sectors)
-    jz_c: np.ndarray       # m - diagonal of Jz_A: diagonal of Jz_C
-    off: np.ndarray        # off-diagonal of Jz_A, (D - 1, sectors)
-
-    def costs(self, kA: float, kC: float) -> tuple[np.ndarray, np.ndarray]:
-        """Bands of [kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}), summed as 0 + a Jz_A + c Jz_C is."""
-        scale = 2.0 * (self.xi[0] + 1) * (self.xi[1] + 1)
-        a, c = kA / scale, -kC / scale
-        return 0.0 + a * self.jz + c * self.jz_c, 0.0 + a * self.off + c * (-self.off)
-
-    def bands(self, weight: float, kA: float, kC: float) -> sdp.Bands:
-        return sdp.Bands(self.keys, self.channels, self.slot,
-                         *(2.0 * weight * a for a in self.costs(kA, kC)))
-
-
-def _label_template(ta: int, tc: int) -> _LabelTemplate:
     tms = np.arange(-(ta + tc), ta + tc + 1, 2)
     tjs = range(abs(ta - tc), ta + tc + 1, 2)
     jz, off = blk.jz_a_bands(ta, tc, tms)
     inside = np.array(tjs)[:, None] >= np.abs(tms)
-    return _LabelTemplate((ta, tc), [((ta, tc), tm) for tm in tms.tolist()],
-                          [((ta, tc), tj) for tj in tjs],
-                          np.where(inside, np.arange(len(tjs))[:, None], len(tjs)),
-                          jz, np.where(inside, tms / 2.0 - jz, 0.0), off)
-
-
-def _solved_labels(n: int) -> list[_LabelTemplate]:
-    """Templates of the labels with jA <= jC, in label order."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return [_label_template(ta, tc) for ta in range(n % 2, n + 1, 2) for tc in range(ta, n + 1, 2)]
+    jz_c = np.where(inside, tms / 2.0 - jz, 0.0)
+    keys, channels = [((ta, tc), tm) for tm in tms.tolist()], [((ta, tc), tj) for tj in tjs]
+    slot = np.where(inside, np.arange(len(tjs))[:, None], len(tjs))
+    scale, out = 2.0 * (ta + 1) * (tc + 1), []
+    for weight, kA, kC in coeffs:
+        a, c = kA / scale, -kC / scale
+        out.append(sdp.Bands(keys, channels, slot, 2.0 * weight * (0.0 + a * jz + c * jz_c),
+                             2.0 * weight * (0.0 + a * off + c * (-off))))
+    return out
 
 
 def build_lm_problem(n: int, r: float) -> sdp.Bands:
     """Seed-optimization problem: every block label, every magnetic sector.
 
-    Only labels with jA <= jC are built, from their templates.  The mirror
+    Only labels with jA <= jC are built (``_label_bands``).  The mirror
     (jC, jA) has the same weight, and its sector m has the cost bands of
     sector -m: its columns are its partner's, reversed.  Labels and their
     channels come in sorted order, and every sector is front-padded to
     n + 1 rows.
     """
-    return _whole_problem(n, r, _solved_labels(n))
-
-
-def _whole_problem(n: int, r: float, templates: list[_LabelTemplate]) -> sdp.Bands:
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     probs = block_probabilities(n, r)
-    built = {t.xi: t.bands(probs[t.xi], _kappa(t.xi[0], r), _kappa(t.xi[1], r))
-             for t in templates}
     labels = [(label.jA.twice_value, label.jC.twice_value) for label in block_labels(n)]
     D, count = n + 1, sum(ta + tc + 1 for ta, tc in labels)
-    keys, channels = [], []
+    keys, channels, built = [], [], {}
     diag, off, slot = np.zeros((D, count)), np.zeros((D - 1, count)), np.full((D, count), -1)
     first = 0
-    for ta, tc in labels:
+    for ta, tc in labels:  # a mirror (jC, jA) comes after its partner
+        if ta <= tc:
+            (built[ta, tc],) = _label_bands(ta, tc, [(probs[ta, tc], _kappa(ta, r), _kappa(tc, r))])
         bands = built[min(ta, tc), max(ta, tc)]
         cols = slice(None) if ta <= tc else slice(None, None, -1)
         (rows, width), nch = bands.slot.shape, len(bands.channels)
@@ -231,10 +208,9 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
     The one-purity case of ``_lm_seeds``, its label seeds assembled over
     the whole problem; above ``tol``, ``SolverError`` carries that seed.
     """
-    templates = _solved_labels(n)
-    (parts,) = _lm_seeds(templates, n, [r], tol, max_iter)
+    (parts,) = _lm_seeds(n, [r], tol, max_iter)
     totals = _totals(parts)
-    seed = _assemble_seed(_whole_problem(n, r, templates), parts, totals)
+    seed = _assemble_seed(build_lm_problem(n, r), parts, totals)
     error = _gap_error(totals, tol, len(parts), max_iter)
     if error is not None:
         raise sdp.SolverError(error, seed)
@@ -247,7 +223,7 @@ def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
 
     No whole problem is assembled, so ``SolverError`` carries no seed.
     """
-    (parts,) = _lm_seeds(_solved_labels(n), n, [r], tol, max_iter)
+    (parts,) = _lm_seeds(n, [r], tol, max_iter)
     totals = _totals(parts)
     error = _gap_error(totals, tol, len(parts), max_iter)
     if error is not None:
@@ -268,57 +244,74 @@ def _lm_report(n: int, r: float, totals: dict) -> machines.MachineReport:
     return machines.make_report("lm", n, error, r=r, method="sdp", solver_gap=totals["gap"])
 
 
-def _lm_seeds(templates: list[_LabelTemplate], n: int, rs: list[float], tol: float,
-              max_iter: int) -> list[list[tuple]]:
+def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[list[tuple]]:
     """(label, label seed, cost scale) of every solved label at every r.
 
-    ``templates`` are ``_solved_labels(n)``: only labels with jA <= jC are
-    solved, as the mirror (jC, jA) has the same cost with m negated.  Labels
-    with jA = jC or jA = 0 cost p_xi kappa_C times their unit cost (kA = kC
-    = 1, weight 1), solved once for all of ``rs``; one whose scale is 0 at
-    every r gets weight 0.  They and the other labels of every r go to
-    ``_label_seeds`` together.  Each label gets tol / (number of labels), so
-    the assembled certified gap, the sum of the labels' scaled gaps, stays
-    within ``tol``.
+    Only labels with jA <= jC are solved, as the mirror (jC, jA) has the
+    same cost with m negated.  One pass over them builds each label's
+    bands: a label with jA = jC or jA = 0 costs p_xi kappa_C times its unit
+    cost (kA = kC = 1, weight 1), one problem for all of ``rs``, built at
+    weight 0 if that scale is 0 at every r; any other label gives one
+    problem per r.  All go to ``_label_seeds`` together, and the same pass
+    reads the seeds back, row by row.  Each label gets tol / (number of
+    labels), so the assembled certified gap, the sum of the labels' scaled
+    gaps, stays within ``tol``; a unit label's closed form is judged at its
+    largest scale, which bounds every row's.
     """
     sdp.check_tol(tol)
-    unit = {t.xi for t in templates if t.xi[0] == t.xi[1] or t.xi[0] == 0}
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     grid = [(block_probabilities(n, r), {tj: _kappa(tj, r) for tj in range(n % 2, n + 1, 2)})
             for r in rs]
-    live = {xi for xi in unit if any(probs[xi] * kappa[xi[1]] for probs, kappa in grid)}
-    problems = [t.bands(float(t.xi in live), 1.0, 1.0) for t in templates if t.xi in unit]
-    for probs, kappa in grid:
-        problems += [t.bands(probs[t.xi], kappa[t.xi[0]], kappa[t.xi[1]])
-                     for t in templates if t.xi not in unit]
-    seeds = iter(_label_seeds(problems, tol / len(block_labels(n)), max_iter))
-    unit_seeds = {t.xi: next(seeds) for t in templates if t.xi in unit}
-    return [[(t.xi, unit_seeds[t.xi], probs[t.xi] * kappa[t.xi[1]])
-             if t.xi in unit else (t.xi, next(seeds), 1.0) for t in templates]
-            for probs, kappa in grid]
+    labels = [(ta, tc) for ta in range(n % 2, n + 1, 2) for tc in range(ta, n + 1, 2)]
+    problems, reach = [], []
+    for ta, tc in labels:
+        if ta in (0, tc):
+            top = max(probs[ta, tc] * kappa[tc] for probs, kappa in grid)
+            problems += _label_bands(ta, tc, [(float(top > 0.0), 1.0, 1.0)])
+            reach.append(top or 1.0)
+        else:
+            problems += _label_bands(ta, tc, [(probs[ta, tc], kappa[ta], kappa[tc])
+                                              for probs, kappa in grid])
+            reach += [1.0] * len(rs)
+    seeds = iter(_label_seeds(problems, reach, tol / len(block_labels(n)), max_iter))
+    rows = [[] for _ in rs]
+    for ta, tc in labels:
+        if ta in (0, tc):
+            seed = next(seeds)
+            for row, (probs, kappa) in zip(rows, grid):
+                row.append(((ta, tc), seed, probs[ta, tc] * kappa[tc]))
+        else:
+            for row in rows:
+                row.append(((ta, tc), next(seeds), 1.0))
+    return rows
 
 
-def _label_seeds(problems: list[sdp.Bands], share: float, max_iter: int) -> list[sdp.Seed]:
+def _label_seeds(problems: list[sdp.Bands], reach: list[float], share: float,
+                 max_iter: int) -> list[sdp.Seed]:
     """Certified seed of every label problem: its closed form, or the barrier on active sectors.
 
     ``sdp.rank_one_seed`` is accepted when every pivot of S_m(y) is
-    positive in every sector and its gap is within ``share``.  Otherwise the
-    label's active set is that closed form's sector plus the sectors it
-    violates, and the barrier solves the label restricted to it; every
-    other sector is checked by the pivots of S_m(y) at the barrier's
-    multipliers, violators join, and the round repeats until none is
-    violated, at worst on the whole label.  The restricted primal, 0
-    outside the active set, is feasible for the whole label, and a y
-    feasible in every sector bounds its optimum, so the gap keeps its
-    meaning.  Every round sends all open labels to one ``solve_many`` call.
-    A round that misses ``share`` ends its label, its violated sectors
-    lifted by their Gershgorin deficits so that the bound still holds.
+    positive in every sector and its gap, times the problem's ``reach``
+    (the largest factor its seed is scaled by in a row), is within
+    ``share``.  Otherwise the label's active set is that closed form's
+    sector plus the sectors it violates, and the barrier solves the label
+    restricted to it; every other sector is checked by the pivots of
+    S_m(y) at the barrier's multipliers, violators join, and the round
+    repeats until none is violated, at worst on the whole label.  The
+    restricted primal, 0 outside the active set, is feasible for the whole
+    label, and a y feasible in every sector bounds its optimum, so the gap
+    keeps its meaning.  Every round sends all open labels to one
+    ``solve_many`` call.  A round that misses ``share`` ends its label, its
+    violated sectors lifted by their Gershgorin deficits
+    (``sdp.gershgorin_lift``) so that the bound still holds.
     """
     seeds, active, spent = [], {}, {}
     for i, p in enumerate(problems):
         seed, best = sdp.rank_one_seed(p)
         y = np.array([seed.multipliers[c] for c in p.channels])
         violated = ~(sdp.slack_pivots(p, y) > 0.0).all(axis=0)
-        if seed.gap <= share and not violated.any():
+        if seed.gap * reach[i] <= share and not violated.any():
             seeds.append(seed)
             continue
         violated[best] = True
@@ -337,7 +330,8 @@ def _label_seeds(problems: list[sdp.Bands], share: float, max_iter: int) -> list
                 continue
             bound = part.bound
             if violated.any():
-                y = _lift_violated(p, y, violated)
+                y = y + sdp.gershgorin_lift(np.append(y, 1.0), p.slot, p.diag, p.off,
+                                            violated)[:-1]
                 bound = float(np.array([tj + 1.0 for _, tj in p.channels]) @ y)
             seeds[i] = sdp.sparse_seed(p, part.blocks, part.objective, bound, iterations, y, trace)
     return seeds
@@ -347,16 +341,6 @@ def _restrict(p: sdp.Bands, on: np.ndarray) -> sdp.Bands:
     """The label problem ``p`` on the sectors ``on`` alone."""
     return sdp.Bands([key for key, keep in zip(p.keys, on) if keep], p.channels,
                      p.slot[:, on], p.diag[:, on], p.off[:, on])
-
-
-def _lift_violated(p: sdp.Bands, y: np.ndarray, violated: np.ndarray) -> np.ndarray:
-    """y with the channels of each violated sector lifted by that sector's Gershgorin deficit."""
-    nch = len(p.channels)
-    floor = sdp.gershgorin_floor(np.append(y, 1.0)[p.slot] - p.diag, p.off)
-    deficit = np.where(violated, np.maximum(-floor, 0.0), 0.0)
-    lift = np.zeros(nch + 1)
-    np.maximum.at(lift, p.slot.ravel(), np.broadcast_to(deficit, p.slot.shape).ravel())
-    return y + lift[:nch]
 
 
 def _totals(parts: list) -> dict:
@@ -551,7 +535,7 @@ def _sweep_lane(args) -> list[SweepRow]:
     n, config = args
     rs = [float(r) for r in config.r_grid()]
     rows = []
-    for r, parts in zip(rs, _lm_seeds(_solved_labels(n), n, rs, config.tol, config.max_iter)):
+    for r, parts in zip(rs, _lm_seeds(n, rs, config.tol, config.max_iter)):
         opt = mixed_programmable_risk(n, r).excess_risk
         totals = _totals(parts)
         error = _gap_error(totals, config.tol, len(parts), config.max_iter)

@@ -49,9 +49,9 @@ v'Cv, lifted by ``_LIFT`` times the problem's scale; ``slack_pivots``
 certifies it, sector by sector, in O(D) per sector, and ``sparse_seed``
 fills the sectors it leaves at 0.  No Newton step runs for such a seed.
 A problem is a ``Bands``, the one problem form: the keys, channels and two
-bands per sector that the engine reads.  ``mixed`` builds them from its
-label templates and passes in one block label per problem; the engine is
-blind to the block symmetries that ``mixed`` uses.  Dense sector costs
+bands per sector that the engine reads.  ``mixed`` builds them from each
+label's Jz_A bands and passes in one block label per problem; the engine
+is blind to the block symmetries that ``mixed`` uses.  Dense sector costs
 become ``Bands``, with every input check, through
 ``oracle.dense_seed_problem``, which only the cross-checks use.
 """
@@ -242,6 +242,22 @@ def gershgorin_floor(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     radius[:-1] += a
     radius[1:] += a
     return (diag - radius).min(axis=0)
+
+
+def gershgorin_lift(y: np.ndarray, slot: np.ndarray, diag: np.ndarray, off: np.ndarray,
+                    violated: np.ndarray) -> np.ndarray:
+    """Lift of the flat multipliers ``y`` that makes every ``violated`` sector PSD.
+
+    Sector k of S(y) has the bands y[slot[:, k]] - diag[:, k] and off[:, k].
+    Each channel of a violated sector rises by that sector's Gershgorin
+    deficit max(-floor, 0), which is at least its -lambda_min; a channel in
+    several violated sectors rises by the largest.
+    """
+    floor = gershgorin_floor(y[slot] - diag, off)
+    deficit = np.where(violated, np.maximum(-floor, 0.0), 0.0)
+    lift = np.zeros_like(y)
+    np.maximum.at(lift, slot, np.broadcast_to(deficit, slot.shape))
+    return lift
 
 
 def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -489,12 +505,8 @@ class _Batch:
         y_cert = y.copy()
         lifted = ~(piv[:, cols] > 0.0).all(axis=0)
         if lifted.any():
-            where = self.gslot[:, cols]
-            floor = gershgorin_floor(y.ravel()[where] - self.cd[:, cols], self.co[:, cols])
-            deficits = np.where(lifted, np.maximum(-floor, 0.0), 0.0)
-            lift = np.zeros(K * (nch + 1))
-            np.maximum.at(lift, where, np.broadcast_to(deficits, where.shape))
-            y_cert += lift.reshape(K, nch + 1)
+            y_cert += gershgorin_lift(y.ravel(), self.gslot[:, cols], self.cd[:, cols],
+                                      self.co[:, cols], lifted).reshape(K, nch + 1)
             y_cert[:, nch] = 1.0
         return X, objective.tolist(), self.row_sums(self.b * y_cert).tolist(), y_cert
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ class TestLabelByLabelSolve:
     @pytest.mark.parametrize("r", [0.3, 1.0])
     def test_bands_match_dense_builder(self, r):
         # the checked oracle builder, fed every label's dense block operator, gives
-        # the problem the templates give: same keys, channels and slots, same costs
+        # the problem the label bands give: same keys, channels and slots, same costs
         for n in range(1, 7):
             probs = mixed.block_probabilities(n, r)
             sectors = []
@@ -347,7 +348,7 @@ class TestLabelByLabelSolve:
 
     def test_failure_carries_assembled_seed(self):
         with pytest.raises(sdp.SolverError) as exc:
-            mixed.solve_lm(2, 0.6, tol=1e-12, max_iter=3)
+            mixed.solve_lm(5, 0.1, tol=1e-12, max_iter=3)
         seed = exc.value.seed
         assert seed.gap > 1e-12
         assert set(seed.blocks) == set(seed.problem.keys)
@@ -356,10 +357,14 @@ class TestLabelByLabelSolve:
 
 def label_problems(n, r):
     """(label, problem) of every solved label, as a lane builds them; unit labels at unit cost."""
-    probs = mixed.block_probabilities(n, r)
-    return [(t.xi, t.bands(1.0, 1.0, 1.0) if t.xi[0] in (0, t.xi[1])
-             else t.bands(probs[t.xi], mixed._kappa(t.xi[0], r), mixed._kappa(t.xi[1], r)))
-            for t in mixed._solved_labels(n)]
+    probs, out = mixed.block_probabilities(n, r), []
+    for ta in range(n % 2, n + 1, 2):
+        for tc in range(ta, n + 1, 2):
+            coeffs = (1.0, 1.0, 1.0) if ta in (0, tc) else (probs[ta, tc], mixed._kappa(ta, r),
+                                                             mixed._kappa(tc, r))
+            (p,) = mixed._label_bands(ta, tc, [coeffs])
+            out.append(((ta, tc), p))
+    return out
 
 
 def least_slack_eigenvalues(problem, multipliers):
@@ -379,7 +384,7 @@ class TestClosedFormSeeds:
         for n in range(1, 7):
             share = sdp.DEFAULT_TOL / len(mixed.block_labels(n))
             for xi, p in label_problems(n, r):
-                (seed,) = mixed._label_seeds([p], share, sdp.DEFAULT_MAX_ITER)
+                (seed,) = mixed._label_seeds([p], [1.0], share, sdp.DEFAULT_MAX_ITER)
                 if p.scale == 0.0 or seed.iterations:
                     continue
                 closed += 1
@@ -433,7 +438,7 @@ class TestClosedFormSeeds:
         closed, _ = sdp.rank_one_seed(p)
         y = np.array([closed.multipliers[c] for c in p.channels])
         assert not (sdp.slack_pivots(p, y) > 0.0).all()
-        (active,) = mixed._label_seeds([p], share, sdp.DEFAULT_MAX_ITER)
+        (active,) = mixed._label_seeds([p], [1.0], share, sdp.DEFAULT_MAX_ITER)
         (whole,) = sdp.solve_many([p], share)
         assert active.iterations > 0 and active.gap <= share and whole.gap <= share
         assert abs(active.objective - whole.objective) <= active.gap + whole.gap
@@ -449,11 +454,53 @@ class TestClosedFormSeeds:
         closed, _ = sdp.rank_one_seed(p)
         y = np.array([closed.multipliers[c] for c in p.channels])
         violated = ~(sdp.slack_pivots(p, y) > 0.0).all(axis=0)
-        lifted = mixed._lift_violated(p, y, violated)
+        lifted = y + sdp.gershgorin_lift(np.append(y, 1.0), p.slot, p.diag, p.off,
+                                         violated)[:-1]
         touched = np.unique(np.concatenate([p.sector_slots(k) for k in np.flatnonzero(violated)]))
         assert (lifted[touched] > y[touched]).all()
         assert np.delete(lifted, touched).tolist() == np.delete(y, touched).tolist()
         assert min(least_slack_eigenvalues(p, dict(zip(p.channels, lifted)))) >= 0.0
+
+    def test_unit_labels_judged_at_their_weight(self, monkeypatch):
+        # a unit label's seed enters every row scaled by p_xi kappa_C <= 1, so its
+        # closed form is judged at the largest such scale: at (44, 0.3) no unit label
+        # whose closed form every pivot certifies goes to the barrier
+        certified, sent = set(), []
+        real_closed, real_many = sdp.rank_one_seed, sdp.solve_many
+
+        def closed(problem):
+            seed, best = real_closed(problem)
+            y = np.array([seed.multipliers[c] for c in problem.channels])
+            if (sdp.slack_pivots(problem, y) > 0.0).all():
+                certified.add(problem.keys[0][0])
+            return seed, best
+
+        def many(problems, *args, **kwargs):
+            sent.extend(problem.keys[0][0] for problem in problems)
+            return real_many(problems, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "rank_one_seed", closed)
+        monkeypatch.setattr(sdp, "solve_many", many)
+        rep = mixed.lm_risk(44, 0.3)
+        unit = {xi for xi in sent if xi[0] in (0, xi[1])}
+        assert sent and certified and not unit & certified
+        assert rep.solver_gap <= sdp.DEFAULT_TOL
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_label_bands_built_in_the_solving_pass(self):
+        # each label's Jz_A bands live only while its problems are built: the peak is
+        # 6.1 MiB, and 7.8 MiB with a per-label cache of them kept through the call
+        assert _peak_mib(lambda: mixed.lm_risk(32, 0.8)) <= 7
 
 
 class TestUnbalancedAsymptotic:
@@ -552,7 +599,7 @@ class TestSweep:
         assert loops and loops == [k for k in rounds if k]
 
     def test_lane_builds_no_dense_problem(self, monkeypatch):
-        # a lane reads its costs from the label templates' bands alone
+        # a lane reads its costs from the labels' bands alone
         config = mixed.SweepConfig(n_values=(3, 4), r_min=0.3, r_max=1.0, steps=4)
         want = mixed.run_sweep(config).to_csv()
 

@@ -178,7 +178,8 @@ def random_tridiagonal(rng, d, scale=1.0):
 def label_problem(n, r, xi):
     """The bands of label xi (jA <= jC) alone, as the solver gets them from a sweep lane."""
     weight = mixed.block_probabilities(n, r)[xi]
-    return mixed._label_template(*xi).bands(weight, mixed._kappa(xi[0], r), mixed._kappa(xi[1], r))
+    (bands,) = mixed._label_bands(*xi, [(weight, mixed._kappa(xi[0], r), mixed._kappa(xi[1], r))])
+    return bands
 
 
 def assert_same_seed(a, b):
