@@ -122,10 +122,12 @@ def jz_expectation(j: HalfIntLike, r: float) -> float:
         raise ValueError(f"j must be non-negative, got {tj}/2")
     if not 0.0 < r <= 1.0:
         raise ValueError(f"purity must lie in (0, 1], got {r}")
-    if tj == 0:
-        return 0.0
-    ms = np.arange(-tj, tj + 1, 2) / 2.0
-    return float(ms @ _block_spectrum(tj, r)[0])
+    return mean_m(tj, _block_spectrum(tj, r)[0])
+
+
+def mean_m(tj: int, a: np.ndarray) -> float:
+    """<Jz>_j = sum_m m a_m from spin-j weights ``a``, ascending m, as ``block_weights`` has them."""
+    return float((np.arange(-tj, tj + 1, 2) / 2.0) @ a)
 
 
 def _alpha(tj: int, r: float) -> float:

@@ -95,18 +95,6 @@ def programmable_error_pure(n: int) -> float:
     return 0.5 - acc / (d * d * (d + 1))
 
 
-def programmable_error_asymptotic(n: int) -> float:
-    """Leading order of the large-n optimal error: 1/6 + 1/(3n).
-
-    The next term is +sqrt2 |zeta(-1/2)| n^(-3/2) (from the square-root edge of
-    the sum in ``programmable_error_pure``), a relative correction to the
-    excess risk of about 0.88/sqrt(n): 2.6% at n = 10^3.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return 1.0 / 6.0 + 1.0 / (3.0 * n)
-
-
 def programmable_error_unbalanced(nA: int, nC: int) -> float:
     """Optimal joint-measurement error for nA + nC + 1 pure qubits.
 

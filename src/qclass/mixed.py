@@ -6,10 +6,12 @@ operator of every block, computes the absolute error floor from the block
 trace norms, optimizes the learning-machine seed block by block with the
 semidefinite solver, and drives the (n, r) sweep grid.
 
-Block trace norms take one route: each total-momentum sector of a block
-difference holds at most two rank-one projectors, whose principal cosine
-has a closed form, so no dense eigendecomposition is needed at any n; the
-sum over total momenta is one numpy expression.  The dense per-sector
+A sweep lane (one n, all its purities) reads its block spectrum once, from
+one ``blocks.block_weights`` call per r; its floor is one pass over every
+kept label at every r.  Block trace norms take one route: each
+total-momentum sector of a block difference holds at most two rank-one
+projectors, whose principal cosine has a closed form, so no dense
+eigendecomposition is needed at any n.  The dense per-sector
 eigendecomposition of ``oracle.average_state_diff_mixed`` remains the
 cross-check in the tests and in ``qclass verify``.
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,6 +50,8 @@ from . import blocks as blk
 from . import machines, sdp
 from .blocks import BlockLabel, BlockOperator, SpectrumParams
 from .su2 import HalfInteger
+
+WEIGHT_CUTOFF = 1e-15  # the floor leaves out every block of weight p_xi at or below it
 
 
 def gamma_up_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
@@ -61,11 +65,8 @@ def gamma_up_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
 
 
 def _kappa(tj: int, r: float) -> float:
-    """kS = r <Jz>_{jS} / (jS (jS+1)) of one side; 0 for jS = 0."""
-    if tj == 0:
-        return 0.0
-    j = tj / 2.0
-    return r * blk.jz_expectation(HalfInteger(tj), r) / (j * (j + 1.0))
+    """kS = r <Jz>_{jS} / (jS (jS+1)) of one side, the top side of the spectrum at n = 2 jS."""
+    return 0.0 if tj == 0 else _lane_spectrum(tj, [r]).kappa[0, -1].item()
 
 
 def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
@@ -81,6 +82,26 @@ def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
 
 # ---------------------------------------------------------------------------
 # Block trace norms
+
+
+class _Spectrum(NamedTuple):
+    """A lane's block spectrum: row i at purity rs[i], column 2j // 2 for the side j."""
+
+    n: int
+    rs: list[float]
+    p: np.ndarray        # p_j
+    alpha: np.ndarray    # r <Jz>_j / j, 0 at j = 0
+    kappa: np.ndarray    # r <Jz>_j / (j (j+1)), 0 at j = 0
+
+
+def _lane_spectrum(n: int, rs: list[float]) -> _Spectrum:
+    """p_j, alpha_j and kappa_j of every side at every r, from one ``block_weights`` call per r."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    rows = np.array([[(w.p, r * blk.mean_m(w.j.twice_value, w.a))
+                      for w in blk.block_weights(SpectrumParams(n, r))] for r in rs])
+    j = np.maximum(np.arange(n % 2, n + 1, 2), 1) / 2.0  # r <Jz> is 0 at j = 0
+    return _Spectrum(n, rs, rows[..., 0], rows[..., 1] / j, rows[..., 1] / (j * (j + 1.0)))
 
 
 def block_trace_norm(label: BlockLabel, params: SpectrumParams) -> float:
@@ -105,40 +126,33 @@ def block_labels(n: int) -> list[BlockLabel]:
 
 def block_probabilities(n: int, r: float) -> dict[tuple[int, int], float]:
     """p_xi = p_jA p_jC over all block labels, keyed by doubled momenta."""
-    weights = {w.j.twice_value: w.p for w in blk.block_weights(SpectrumParams(n, r))}
-    return {
-        (ta, tc): weights[ta] * weights[tc]
-        for ta in sorted(weights) for tc in sorted(weights)
-    }
+    p, sides = _lane_spectrum(n, [r]).p[0].tolist(), range(n % 2, n + 1, 2)
+    return {(ta, tc): p[ta // 2] * p[tc // 2] for ta in sides for tc in sides}
 
 
 def mixed_programmable_risk(n: int, r: float,
-                            weight_cutoff: float = 1e-15) -> machines.MachineReport:
-    """Absolute error floor at (n, r) from the weighted block trace norms.
+                            weight_cutoff: float = WEIGHT_CUTOFF) -> machines.MachineReport:
+    """Absolute error floor at (n, r) from the weighted block trace norms: ``_floors`` at one r."""
+    return _floors(_lane_spectrum(n, [r]), weight_cutoff)[0]
 
-    error = 1/2 - (1/4) sum_xi p_xi || sigma0_xi - sigma1_xi ||_1.
-    Blocks with p_xi below ``weight_cutoff`` are skipped (each can shift the
-    bias by at most 2 p_xi); the label pair (jA, jC) and its mirror share one
-    trace norm.  A side whose weight times the largest weight is already at
-    the cutoff is dropped before any product is formed, and each remaining
-    side's coupling fraction is computed once.
+
+def _floors(spectrum: _Spectrum, weight_cutoff: float) -> list[machines.MachineReport]:
+    """Error floor 1/2 - (1/4) sum_xi p_xi ||sigma0_xi - sigma1_xi||_1 at every r of a lane.
+
+    Blocks with p_xi <= ``weight_cutoff`` are skipped (each can shift the
+    bias by at most 2 p_xi); a label and its mirror share one trace norm.
+    Each row's bias is summed in label order, a skipped label adding an exact 0.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    weights = {w.j.twice_value: w.p for w in blk.block_weights(SpectrumParams(n, r))}
-    top = max(weights.values())
-    sides = [tj for tj in sorted(weights) if weights[tj] * top > weight_cutoff]
-    alpha = {tj: blk._alpha(tj, r) for tj in sides}
-    bias = 0.0
-    for i, ta in enumerate(sides):
-        for tc in sides[i:]:
-            p = weights[ta] * weights[tc]
-            if p <= weight_cutoff:
-                continue
-            norm = _trace_norm_from_alphas(ta, tc, alpha[ta], alpha[tc])
-            bias += p * norm if ta == tc else (p + weights[tc] * weights[ta]) * norm
-    error = 0.5 - bias / 4.0
-    return machines.make_report("opt", n, error, r=r, method="closed_form")
+    ka, kc = np.triu_indices(spectrum.n // 2 + 1)
+    p = spectrum.p[:, ka] * spectrum.p[:, kc]
+    rows, cols = np.nonzero(p > weight_cutoff)
+    a, c, kept, odd = ka[cols], kc[cols], p[rows, cols], spectrum.n % 2
+    norms = _trace_norms(2 * a + odd, 2 * c + odd, spectrum.alpha[rows, a], spectrum.alpha[rows, c])
+    terms = np.zeros_like(p)
+    terms[rows, cols] = np.where(a == c, kept, kept + kept) * norms
+    bias = np.cumsum(terms, axis=1)[:, -1].tolist()
+    return [machines.make_report("opt", spectrum.n, 0.5 - b / 4.0, r=r, method="closed_form")
+            for r, b in zip(spectrum.rs, bias)]
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +191,8 @@ def build_lm_problem(n: int, r: float) -> sdp.Bands:
     channels come in sorted order, and every sector is front-padded to
     n + 1 rows.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    probs = block_probabilities(n, r)
+    spectrum = _lane_spectrum(n, [r])
+    p, kappa = spectrum.p[0].tolist(), spectrum.kappa[0].tolist()
     labels = [(label.jA.twice_value, label.jC.twice_value) for label in block_labels(n)]
     D, count = n + 1, sum(ta + tc + 1 for ta, tc in labels)
     keys, channels, built = [], [], {}
@@ -187,7 +200,8 @@ def build_lm_problem(n: int, r: float) -> sdp.Bands:
     first = 0
     for ta, tc in labels:  # a mirror (jC, jA) comes after its partner
         if ta <= tc:
-            (built[ta, tc],) = _label_bands(ta, tc, [(probs[ta, tc], _kappa(ta, r), _kappa(tc, r))])
+            (built[ta, tc],) = _label_bands(ta, tc, [(p[ta // 2] * p[tc // 2], kappa[ta // 2],
+                                                      kappa[tc // 2])])
         bands = built[min(ta, tc), max(ta, tc)]
         cols = slice(None) if ta <= tc else slice(None, None, -1)
         (rows, width), nch = bands.slot.shape, len(bands.channels)
@@ -208,7 +222,7 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
     The one-purity case of ``_lm_seeds``, its label seeds assembled over
     the whole problem; above ``tol``, ``SolverError`` carries that seed.
     """
-    (parts,) = _lm_seeds(n, [r], tol, max_iter)
+    (parts,) = _lm_seeds(_lane_spectrum(n, [r]), tol, max_iter)
     totals = _totals(parts)
     seed = _assemble_seed(build_lm_problem(n, r), parts, totals)
     error = _gap_error(totals, tol, len(parts), max_iter)
@@ -223,7 +237,7 @@ def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
 
     No whole problem is assembled, so ``SolverError`` carries no seed.
     """
-    (parts,) = _lm_seeds(n, [r], tol, max_iter)
+    (parts,) = _lm_seeds(_lane_spectrum(n, [r]), tol, max_iter)
     totals = _totals(parts)
     error = _gap_error(totals, tol, len(parts), max_iter)
     if error is not None:
@@ -244,8 +258,8 @@ def _lm_report(n: int, r: float, totals: dict) -> machines.MachineReport:
     return machines.make_report("lm", n, error, r=r, method="sdp", solver_gap=totals["gap"])
 
 
-def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[list[tuple]]:
-    """(label, label seed, cost scale) of every solved label at every r.
+def _lm_seeds(spectrum: _Spectrum, tol: float, max_iter: int) -> list[list[tuple]]:
+    """(label, label seed, cost scale) of every solved label at every r of ``spectrum``.
 
     Only labels with jA <= jC are solved, as the mirror (jC, jA) has the
     same cost with m negated.  One pass over them builds each label's
@@ -259,31 +273,29 @@ def _lm_seeds(n: int, rs: list[float], tol: float, max_iter: int) -> list[list[t
     largest scale, which bounds every row's.
     """
     sdp.check_tol(tol)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    grid = [(block_probabilities(n, r), {tj: _kappa(tj, r) for tj in range(n % 2, n + 1, 2)})
-            for r in rs]
+    n, p, kappa = spectrum.n, spectrum.p.tolist(), spectrum.kappa.tolist()
     labels = [(ta, tc) for ta in range(n % 2, n + 1, 2) for tc in range(ta, n + 1, 2)]
+    coeffs = [[(w[ta // 2] * w[tc // 2], k[ta // 2], k[tc // 2]) for w, k in zip(p, kappa)]
+              for ta, tc in labels]
     problems, reach = [], []
-    for ta, tc in labels:
+    for (ta, tc), row in zip(labels, coeffs):
         if ta in (0, tc):
-            top = max(probs[ta, tc] * kappa[tc] for probs, kappa in grid)
+            top = max(w * kC for w, _, kC in row)
             problems += _label_bands(ta, tc, [(float(top > 0.0), 1.0, 1.0)])
             reach.append(top or 1.0)
         else:
-            problems += _label_bands(ta, tc, [(probs[ta, tc], kappa[ta], kappa[tc])
-                                              for probs, kappa in grid])
-            reach += [1.0] * len(rs)
+            problems += _label_bands(ta, tc, row)
+            reach += [1.0] * len(row)
     seeds = iter(_label_seeds(problems, reach, tol / len(block_labels(n)), max_iter))
-    rows = [[] for _ in rs]
-    for ta, tc in labels:
+    rows = [[] for _ in spectrum.rs]
+    for (ta, tc), row in zip(labels, coeffs):
         if ta in (0, tc):
             seed = next(seeds)
-            for row, (probs, kappa) in zip(rows, grid):
-                row.append(((ta, tc), seed, probs[ta, tc] * kappa[tc]))
+            for out, (w, _, kC) in zip(rows, row):
+                out.append(((ta, tc), seed, w * kC))
         else:
-            for row in rows:
-                row.append(((ta, tc), next(seeds), 1.0))
+            for out in rows:
+                out.append(((ta, tc), next(seeds), 1.0))
     return rows
 
 
@@ -435,25 +447,41 @@ def unbalanced_block_diff_asymptotic(n: int, r: float, delta: float = 0.0) -> Un
 
 
 def _trace_norm_from_alphas(ta: int, tc: int, aA: float, aC: float) -> float:
-    """Spectral block trace norm directly from the two coupling fractions.
+    """Spectral block trace norm of one label from its two coupling fractions."""
+    return _trace_norms(*(np.array([v]) for v in (ta, tc, aA, aC)))[0].item()
 
-    Summed over the total momenta J of (jA +- 1/2) x jC at once: where one of
-    jA +- 1/2 couples to J the sector holds one projector, where both do it
-    holds two, at the principal cosine of ``_recoupling_cos2``.
+
+def _trace_norms(ta: np.ndarray, tc: np.ndarray, aA: np.ndarray, aC: np.ndarray) -> np.ndarray:
+    """Spectral block trace norms of labels (ta, tc) at coupling fractions (aA, aC), elementwise.
+
+    Summed over the total momenta J of (jA +- 1/2) x jC: one projector where
+    one of jA +- 1/2 couples to J, two where both do (``_recoupling_cos2``).
+    Labels of one J-grid length are summed together, each at its length, and
+    those under 8 terms, which numpy sums in order, zero-padded in one group;
+    (a - b)^2 is Python's float power, which numpy's square can miss by 1 ulp.
     """
-    a = aA / ((ta + 2) * (tc + 1))
-    b = aC / ((ta + 1) * (tc + 2))
-    c = (aC - aA) / (2.0 * (ta + 1) * (tc + 1))
-    tJ = np.arange(min(abs(ta + 1 - tc), abs(ta - 1 - tc)), ta + tc + 2, 2)
-    u_ok = tJ >= abs(ta + 1 - tc)
-    u2_ok = (ta >= 1) & (tJ >= abs(ta - 1 - tc)) & (tJ <= ta + tc - 1)
-    v_ok = tJ >= abs(ta - tc - 1)
-    mult = tJ + 1
-    single = mult * np.abs(a * u_ok - b * v_ok + c)
-    t2 = _recoupling_cos2(ta, tc, tJ)
-    disc = np.sqrt(np.maximum((a - b) ** 2 + 4.0 * a * b * (1.0 - t2), 0.0))
-    double = mult * (np.abs(c + 0.5 * ((a - b) + disc)) + np.abs(c + 0.5 * ((a - b) - disc)))
-    return float(np.where(u_ok & u2_ok, double, single).sum())
+    lo = np.minimum(np.abs(ta + 1 - tc), np.abs(ta - 1 - tc))
+    size = (ta + tc + 3 - lo) // 2
+    group = np.where(size < 8, 0, size)
+    out = np.empty(len(ta))
+    for key in set(group.tolist()):
+        at = np.flatnonzero(group == key)
+        tA, tC, xA, xC = (v[at, None] for v in (ta, tc, aA, aC))
+        a = xA / ((tA + 2) * (tC + 1))
+        b = xC / ((tA + 1) * (tC + 2))
+        c = (xC - xA) / (2.0 * (tA + 1) * (tC + 1))
+        tJ = lo[at, None] + 2 * np.arange(key or size[at].max())
+        u_ok = tJ >= np.abs(tA + 1 - tC)
+        u2_ok = (tJ >= np.abs(tA - 1 - tC)) & (tJ <= tA + tC - 1)  # none at jA = 0
+        v_ok = tJ >= np.abs(tA - tC - 1)
+        mult = (tJ + 1) * (tJ <= tA + tC + 1)  # 0 past the label's last J
+        single = mult * np.abs(a * u_ok - b * v_ok + c)
+        t2 = _recoupling_cos2(tA, tC, tJ)
+        square = np.array([[d ** 2] for d in (a - b)[:, 0].tolist()])
+        disc = np.sqrt(np.maximum(square + 4.0 * a * b * (1.0 - t2), 0.0))
+        double = mult * (np.abs(c + 0.5 * ((a - b) + disc)) + np.abs(c + 0.5 * ((a - b) - disc)))
+        out[at] = np.where(u_ok & u2_ok, double, single).sum(axis=1)
+    return out
 
 
 def _recoupling_cos2(ta: int, tc: int, tJ: int | np.ndarray) -> float | np.ndarray:
@@ -533,10 +561,11 @@ def _sweep_lane(args) -> list[SweepRow]:
     the result it would give it alone, and a row sums what ``solve_lm`` sums.
     """
     n, config = args
-    rs = [float(r) for r in config.r_grid()]
+    spectrum = _lane_spectrum(n, [float(r) for r in config.r_grid()])
     rows = []
-    for r, parts in zip(rs, _lm_seeds(n, rs, config.tol, config.max_iter)):
-        opt = mixed_programmable_risk(n, r).excess_risk
+    for r, floor, parts in zip(spectrum.rs, _floors(spectrum, WEIGHT_CUTOFF),
+                               _lm_seeds(spectrum, config.tol, config.max_iter)):
+        opt = floor.excess_risk
         totals = _totals(parts)
         error = _gap_error(totals, config.tol, len(parts), config.max_iter)
         if error is None:

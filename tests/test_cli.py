@@ -240,6 +240,21 @@ class TestSweepCommand:
         rows = [line.split(",") for line in lines[1:]]
         assert all(float(r[4]) >= -1e-7 for r in rows)
 
+    def test_cold_run_never_imports_numpy_ma(self, tmp_path):
+        # np.unique, np.union1d and np.isin import numpy.ma on first use, which
+        # costs a fresh process more than the whole fig1 sweep at n <= 4 computes
+        code = "\n".join([
+            "import sys",
+            "from qclass import cli",
+            "assert cli.main(['sweep', 'fig1', '--n-max', '4', '--r-min', '0.12', '--r-max',"
+            f" '1.0', '--steps', '23', '--threads', '1', '--out', {str(tmp_path / 'f.csv')!r}]) == 0",
+            f"assert cli.main(['verify', '--suite', 'mixed', '--out', {str(tmp_path / 'v.json')!r}]) == 0",
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "f.csv").read_text().splitlines()) == 93
+
     def test_manifest_records_parsed_command(self, tmp_path):
         # an in-process call records its own argv, not the host process's
         argv = ["sweep", "fig1", "--n-max", "1", "--steps", "2", "--out", str(tmp_path / "t.csv")]

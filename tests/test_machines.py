@@ -7,13 +7,22 @@ from qclass import blocks as blk
 from qclass.machines import (
     MachineReport, SeedVector, baseline_error, ed_error_continuous,
     ed_error_n1_optimal, ed_shrink_factor, gamma_up_pure, lm_error, lm_seed,
-    make_report, memory_bound_bits, programmable_error_asymptotic,
-    programmable_error_pure, programmable_error_unbalanced, reversed_lm_error,
-    verify_seed,
+    make_report, memory_bound_bits, programmable_error_pure, programmable_error_unbalanced,
+    reversed_lm_error, verify_seed,
 )
 from qclass.su2 import HalfInteger
 
 S2, S3 = math.sqrt(2.0), math.sqrt(3.0)
+
+
+def programmable_error_asymptotic(n: int) -> float:
+    """Leading order of the large-n optimal error: 1/6 + 1/(3n).
+
+    The next term is +sqrt2 |zeta(-1/2)| n^(-3/2) (from the square-root edge of
+    the sum in ``programmable_error_pure``), a relative correction to the
+    excess risk of about 0.88/sqrt(n): 2.6% at n = 10^3.
+    """
+    return 1.0 / 6.0 + 1.0 / (3.0 * n)
 
 
 def lm_bias_from_seed(n: int) -> float:

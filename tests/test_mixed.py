@@ -144,19 +144,31 @@ class TestMixedProgrammable:
     @pytest.mark.parametrize("n,r", [(1, 0.5), (6, 0.12), (7, 1.0), (40, 0.3), (300, 0.8),
                                      (1200, 0.95)])
     def test_pruned_floor_bit_identical(self, n, r, monkeypatch):
-        # one alpha per kept side, no more than n/2 + 1 of them
+        # the block spectrum is read once, from one block_weights call
         calls = []
-        real = blk._alpha
+        real = blk.block_weights
 
-        def counting(tj, r):
-            calls.append(tj)
-            return real(tj, r)
+        def counting(params):
+            calls.append((params.n, params.r))
+            return real(params)
 
-        monkeypatch.setattr(blk, "_alpha", counting)
+        monkeypatch.setattr(blk, "block_weights", counting)
         error = mixed.mixed_programmable_risk(n, r).error_probability
-        assert len(calls) == len(set(calls)) <= n // 2 + 1
-        monkeypatch.setattr(blk, "_alpha", real)
+        assert calls == [(n, r)]
+        monkeypatch.setattr(blk, "block_weights", real)
         assert error == floor_label_loop(n, r)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 40, 160, 300])
+    def test_lane_floor_matches_one_purity(self, n):
+        # a lane's floors, all purities in one pass, are the one-purity floors
+        # bit for bit, r = 1 included
+        rs = [float(r) for r in mixed.SweepConfig(r_min=0.12, r_max=1.0, steps=23).r_grid()]
+        assert rs[-1] == 1.0
+        lane = mixed._floors(mixed._lane_spectrum(n, rs), mixed.WEIGHT_CUTOFF)
+        for r, floor in zip(rs, lane):
+            alone = mixed.mixed_programmable_risk(n, r)
+            assert (floor.r, floor.error_probability, floor.excess_risk) \
+                == (r, alone.error_probability, alone.excess_risk)
 
     def test_pure_limit(self):
         for n in (1, 2, 3, 4, 5):
@@ -597,6 +609,22 @@ class TestSweep:
         config = mixed.SweepConfig(n_values=(5,), r_min=0.1, r_max=1.0, steps=46)
         mixed._sweep_lane((5, config))
         assert loops and loops == [k for k in rounds if k]
+
+    def test_lane_spectrum_built_once(self, monkeypatch):
+        # the floor and the seed problems of a lane read one block spectrum:
+        # one block_weights call per (n, r) of the benchmark's fig1 grid
+        calls = []
+        real = blk.block_weights
+
+        def counting(params):
+            calls.append((params.n, params.r))
+            return real(params)
+
+        monkeypatch.setattr(blk, "block_weights", counting)
+        config = mixed.SweepConfig(n_values=(1, 2, 3, 4), r_min=0.12, r_max=1.0, steps=23)
+        rows = mixed.run_sweep(config).rows
+        assert len(calls) == len(set(calls)) == 92
+        assert sorted(calls) == sorted((row.n, row.r) for row in rows)
 
     def test_lane_builds_no_dense_problem(self, monkeypatch):
         # a lane reads its costs from the labels' bands alone
