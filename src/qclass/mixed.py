@@ -30,12 +30,13 @@ has rank at most one, and most labels are solved by the rank-one seed of
 one full sector (``sdp.rank_one_seed``), certified by the LDL' pivots of
 S_m(y) in every sector.  The other labels run the barrier on an active set
 of sectors that grows until no sector is violated (``_label_seeds``).  A
-sweep lane sends every label of every purity through that route at once
-and sums each row from the label seeds; ``lm_risk`` is the one-purity
-case, and ``solve_lm`` also assembles the label seeds over
-``build_lm_problem``, the whole problem's bands, whose joint barrier solve
-is the cross-check in the tests.  Each sweep row depends only on its own
-(n, r), and no solver state outlives a call.
+label seed holds only the sectors it solved.  A sweep lane sends every
+label of every purity through that route at once and sums each row from
+the label seeds (``_lm_row``); ``lm_risk`` is the one-purity case, and
+``solve_lm`` also assembles the label seeds over ``build_lm_problem``, the
+whole problem's bands, every other sector a read-only zero view; their
+joint barrier solve is the cross-check in the tests.  Each sweep row
+depends only on its own (n, r), and no solver state outlives a call.
 """
 from __future__ import annotations
 
@@ -65,8 +66,9 @@ def gamma_up_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
 
 
 def _kappa(tj: int, r: float) -> float:
-    """kS = r <Jz>_{jS} / (jS (jS+1)) of one side, the top side of the spectrum at n = 2 jS."""
-    return 0.0 if tj == 0 else _lane_spectrum(tj, [r]).kappa[0, -1].item()
+    """kS = r <Jz>_{jS} / (jS (jS+1)) of one side, as ``_lane_spectrum`` forms it."""
+    j = tj / 2
+    return 0.0 if tj == 0 else r * blk.jz_expectation(HalfInteger(tj), r) / (j * (j + 1.0))
 
 
 def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
@@ -223,12 +225,11 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
     the whole problem; above ``tol``, ``SolverError`` carries that seed.
     """
     (parts,) = _lm_seeds(_lane_spectrum(n, [r]), tol, max_iter)
-    totals = _totals(parts)
+    report, totals, error = _lm_row(n, r, parts, tol, max_iter)
     seed = _assemble_seed(build_lm_problem(n, r), parts, totals)
-    error = _gap_error(totals, tol, len(parts), max_iter)
     if error is not None:
         raise sdp.SolverError(error, seed)
-    return _lm_report(n, r, totals), seed
+    return report, seed
 
 
 def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
@@ -238,24 +239,32 @@ def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
     No whole problem is assembled, so ``SolverError`` carries no seed.
     """
     (parts,) = _lm_seeds(_lane_spectrum(n, [r]), tol, max_iter)
-    totals = _totals(parts)
-    error = _gap_error(totals, tol, len(parts), max_iter)
+    report, _, error = _lm_row(n, r, parts, tol, max_iter)
     if error is not None:
         raise sdp.SolverError(error, None)
-    return _lm_report(n, r, totals)
+    return report
 
 
-def _gap_error(totals: dict, tol: float, labels: int, max_iter: int) -> Optional[str]:
-    """Why ``labels`` label solves of at most ``max_iter`` steps miss ``tol``; None if met."""
-    if totals["gap"] <= tol:
-        return None
-    return (f"gap {totals['gap']:.3e} above tolerance {tol:.3e} after {totals['iterations']} "
-            f"Newton steps summed over {labels} solved labels, at most {max_iter} each")
+def _lm_row(n: int, r: float, parts: list, tol: float,
+            max_iter: int) -> tuple[machines.MachineReport, dict, Optional[str]]:
+    """Report, totals and gap error of one row from its (label, label seed, cost scale) parts.
 
-
-def _lm_report(n: int, r: float, totals: dict) -> machines.MachineReport:
-    error = 0.5 * (1.0 - totals["objective"] / 2.0)
-    return machines.make_report("lm", n, error, r=r, method="sdp", solver_gap=totals["gap"])
+    A mirrored label counts twice; the error is None where the summed gap meets ``tol``.
+    """
+    objective = bound = gap = 0.0
+    iterations = 0
+    for (ta, tc), seed, scale in parts:
+        weight = (1 if ta == tc else 2) * scale
+        objective += weight * seed.objective
+        bound += weight * seed.bound
+        gap += weight * seed.gap
+        iterations += seed.iterations
+    report = machines.make_report("lm", n, 0.5 * (1.0 - objective / 2.0), r=r, method="sdp",
+                                  solver_gap=gap)
+    error = None if gap <= tol else (
+        f"gap {gap:.3e} above tolerance {tol:.3e} after {iterations} Newton steps summed "
+        f"over {len(parts)} solved labels, at most {max_iter} each")
+    return report, dict(objective=objective, bound=bound, gap=gap, iterations=iterations), error
 
 
 def _lm_seeds(spectrum: _Spectrum, tol: float, max_iter: int) -> list[list[tuple]]:
@@ -310,13 +319,14 @@ def _label_seeds(problems: list[sdp.Bands], reach: list[float], share: float,
     sector plus the sectors it violates, and the barrier solves the label
     restricted to it; every other sector is checked by the pivots of
     S_m(y) at the barrier's multipliers, violators join, and the round
-    repeats until none is violated, at worst on the whole label.  The
-    restricted primal, 0 outside the active set, is feasible for the whole
-    label, and a y feasible in every sector bounds its optimum, so the gap
-    keeps its meaning.  Every round sends all open labels to one
-    ``solve_many`` call.  A round that misses ``share`` ends its label, its
-    violated sectors lifted by their Gershgorin deficits
-    (``sdp.gershgorin_lift``) so that the bound still holds.
+    repeats until none is violated, at worst on the whole label.  A seed
+    holds only the sectors it solved, the others being 0; so extended, the
+    restricted primal is feasible for the whole label, and a y feasible in
+    every sector bounds its optimum, so the gap keeps its meaning.  Every
+    round sends all open labels to one ``solve_many`` call.  A round that
+    misses ``share`` ends its label, its violated sectors lifted by their
+    Gershgorin deficits (``sdp.gershgorin_lift``) so that the bound still
+    holds.
     """
     seeds, active, spent = [], {}, {}
     for i, p in enumerate(problems):
@@ -345,7 +355,8 @@ def _label_seeds(problems: list[sdp.Bands], reach: list[float], share: float,
                 y = y + sdp.gershgorin_lift(np.append(y, 1.0), p.slot, p.diag, p.off,
                                             violated)[:-1]
                 bound = float(np.array([tj + 1.0 for _, tj in p.channels]) @ y)
-            seeds[i] = sdp.sparse_seed(p, part.blocks, part.objective, bound, iterations, y, trace)
+            seeds[i] = sdp.Seed(part.blocks, part.objective, bound, bound - part.objective,
+                                iterations, dict(zip(p.channels, y)), trace, problem=p)
     return seeds
 
 
@@ -355,24 +366,12 @@ def _restrict(p: sdp.Bands, on: np.ndarray) -> sdp.Bands:
                      p.slot[:, on], p.diag[:, on], p.off[:, on])
 
 
-def _totals(parts: list) -> dict:
-    """Objective, bound, gap and Newton steps from label parts; a mirrored label counts twice."""
-    objective = bound = gap = 0.0
-    iterations = 0
-    for (ta, tc), seed, scale in parts:
-        weight = (1 if ta == tc else 2) * scale
-        objective += weight * seed.objective
-        bound += weight * seed.bound
-        gap += weight * seed.gap
-        iterations += seed.iterations
-    return dict(objective=objective, bound=bound, gap=gap, iterations=iterations)
-
-
 def _assemble_seed(problem: sdp.Bands, parts: list, totals: dict) -> sdp.Seed:
     """The whole problem's seed from (label, label seed, cost scale) triples, mirrors filled in.
 
-    The objective trace sums the labels' scaled traces, each held at its
-    last value once it ends.
+    It holds every sector: one that no label seed holds is a read-only zero
+    view.  The objective trace sums the labels' scaled traces, each held at
+    its last value once it ends.
     """
     blocks, multipliers, traces = {}, {}, []
     for (ta, tc), seed, scale in parts:
@@ -386,8 +385,10 @@ def _assemble_seed(problem: sdp.Bands, parts: list, totals: dict) -> sdp.Seed:
                 multipliers[xi, tj] = scale * y
     steps = max(len(t) for t in traces)
     trace = [sum(t[min(k, len(t) - 1)] for t in traces) for k in range(steps)]
+    sizes = sdp.sector_sizes(problem).tolist()
+    zero = {d: np.broadcast_to(0.0, (d, d)) for d in set(sizes)}
     return sdp.Seed(
-        blocks={key: blocks[key] for key in problem.keys},
+        blocks={key: blocks.get(key, zero[d]) for key, d in zip(problem.keys, sizes)},
         multipliers={c: multipliers[c] for c in sorted(multipliers)},
         objective_trace=trace, problem=problem, **totals,
     )
@@ -425,8 +426,8 @@ def unbalanced_block_diff_asymptotic(n: int, r: float, delta: float = 0.0) -> Un
 
     shift = int(round(delta * math.sqrt(n)))
     nA, nC = n + shift, n - shift
-    if nC < 1:
-        raise ValueError(f"delta={delta} empties side C at n={n}")
+    if min(nA, nC) < 1:  # nA + nC = 2n, so at most one side is empty
+        raise ValueError(f"delta={delta} empties side {'A' if nA < 1 else 'C'} at n={n}")
 
     def near_block(side_n: int) -> int:
         want = r * side_n  # doubled momentum 2 j = r nA
@@ -566,10 +567,9 @@ def _sweep_lane(args) -> list[SweepRow]:
     for r, floor, parts in zip(spectrum.rs, _floors(spectrum, WEIGHT_CUTOFF),
                                _lm_seeds(spectrum, config.tol, config.max_iter)):
         opt = floor.excess_risk
-        totals = _totals(parts)
-        error = _gap_error(totals, config.tol, len(parts), config.max_iter)
+        report, totals, error = _lm_row(n, r, parts, config.tol, config.max_iter)
         if error is None:
-            lm = _lm_report(n, r, totals).excess_risk
+            lm = report.excess_risk
             rel_gap = (lm - opt) / opt if opt else 0.0
         else:
             lm = rel_gap = math.nan

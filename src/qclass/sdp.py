@@ -46,8 +46,9 @@ are simple, so an optimal X_b has rank at most one (Alizadeh, Haeberly and
 Overton, Math. Program. 77, 1997).  ``rank_one_seed`` takes the rank-one
 point of one full sector, whose dual y_j = (C v)_j / v_j attains b'y =
 v'Cv, lifted by ``_LIFT`` times the problem's scale; ``slack_pivots``
-certifies it, sector by sector, in O(D) per sector, and ``sparse_seed``
-fills the sectors it leaves at 0.  No Newton step runs for such a seed.
+certifies it, sector by sector, in O(D) per sector.  Its ``Seed`` holds
+that one sector; a sector missing from a seed is 0.  No Newton step runs
+for such a seed.
 A problem is a ``Bands``, the one problem form: the keys, channels and two
 bands per sector that the engine reads.  ``mixed`` builds them from each
 label's Jz_A bands and passes in one block label per problem; the engine
@@ -124,7 +125,10 @@ class Bands:
 
 @dataclass
 class Seed:
-    """A feasible (near-optimal) collection of sector matrices."""
+    """A feasible (near-optimal) collection of sector matrices.
+
+    A sector of ``problem`` missing from ``blocks`` is the zero matrix.
+    """
 
     blocks: dict[tuple, np.ndarray]
     objective: float
@@ -138,22 +142,28 @@ class Seed:
     def constraint_residual(self) -> float:
         """Largest deviation of a channel's diagonal sum, taken in sector order, from its target."""
         p = self.problem
-        slots = np.concatenate([p.sector_slots(k) for k in range(len(p.keys))])
-        diag = np.concatenate([np.diagonal(self.blocks[key]).real for key in p.keys])
+        held = [k for k, key in enumerate(p.keys) if key in self.blocks]
+        slots = np.concatenate([p.sector_slots(k) for k in held])
+        diag = np.concatenate([np.diagonal(self.blocks[p.keys[k]]).real for k in held])
         sums = np.bincount(slots, weights=diag, minlength=len(p.channels))
         return float(np.abs(sums - [tj + 1 for _, tj in p.channels]).max())
 
     def min_eigenvalue(self) -> float:
-        return min(float(np.linalg.eigvalsh((X + X.conj().T) / 2).min())
-                   for X in self.blocks.values())
+        """Least eigenvalue over the sectors; 0 counts where a sector is missing."""
+        least = [float(np.linalg.eigvalsh((X + X.conj().T) / 2).min())
+                 for X in self.blocks.values()]
+        if len(self.blocks) < len(self.problem.keys):
+            least.append(0.0)
+        return min(least)
 
     def to_json_dict(self) -> dict:
         p, items = self.problem, []
         for k, (xi, tm) in enumerate(p.keys):
-            X = self.blocks[xi, tm]
+            channels = [p.channels[c][1] for c in p.sector_slots(k)]
+            X = self.blocks[xi, tm] if (xi, tm) in self.blocks else np.zeros((len(channels),) * 2)
             items.append({
                 "xi": list(xi), "twice_m": tm,
-                "channels": [p.channels[c][1] for c in p.sector_slots(k)],
+                "channels": channels,
                 "matrix": np.asarray(X).real.tolist(),
                 "eigenvalues": np.linalg.eigvalsh((X + X.conj().T) / 2).tolist(),
             })
@@ -315,17 +325,6 @@ def slack_pivots(problem: Bands, y: np.ndarray) -> np.ndarray:
                           problem.off * problem.off)
 
 
-def sparse_seed(problem: Bands, blocks: dict, objective: float, bound: float, iterations: int,
-                y: np.ndarray, trace: list) -> Seed:
-    """A Seed of ``problem`` holding ``blocks``, every other sector a read-only zero view."""
-    sizes = sector_sizes(problem).tolist()
-    return Seed(blocks={key: blocks[key] if key in blocks else np.broadcast_to(0.0, (d, d))
-                        for key, d in zip(problem.keys, sizes)},
-                objective=objective, bound=bound, gap=bound - objective, iterations=iterations,
-                multipliers=dict(zip(problem.channels, y)), objective_trace=trace,
-                problem=problem)
-
-
 def rank_one_seed(problem: Bands) -> tuple[Seed, int]:
     """The best rank-one point on a full sector with its dual, lifted by ``_LIFT`` scale.
 
@@ -356,9 +355,9 @@ def rank_one_seed(problem: Bands) -> tuple[Seed, int]:
     v = v * np.cumprod(np.r_[1.0, np.where(off[:, best] < 0.0, -1.0, 1.0)])
     y_channels = np.empty(nch)
     y_channels[problem.slot[rows, full[best]]] = y
-    objective = float(values[best])
-    return sparse_seed(problem, {problem.keys[full[best]]: np.outer(v, v)}, objective,
-                       float(targets @ y_channels), 0, y_channels, [objective]), int(full[best])
+    objective, bound = float(values[best]), float(targets @ y_channels)
+    return Seed({problem.keys[full[best]]: np.outer(v, v)}, objective, bound, bound - objective,
+                0, dict(zip(problem.channels, y_channels)), [objective], problem), int(full[best])
 
 
 class _Batch:

@@ -80,6 +80,22 @@ class TestGammaUpMixed:
                                    oracle.coupled_dense(mixed.gamma_up_mixed(label, params)),
                                    atol=1e-10)
 
+    def test_kappa_reads_one_side(self, monkeypatch):
+        # kappa_j of one side is the lane spectrum's kappa_j bit for bit, read from
+        # that side's spectrum alone: building Gamma takes no block_weights call
+        rs = [1e-12, 1e-9] + np.linspace(0.025, 1.0, 39).tolist()
+        for n in (199, 200):
+            spectrum = mixed._lane_spectrum(n, rs)
+            for tj in range(n % 2, n + 1, 2):
+                assert [mixed._kappa(tj, r) for r in rs] == spectrum.kappa[:, tj // 2].tolist()
+
+        def not_reached(params):
+            raise AssertionError("block_weights called")
+
+        monkeypatch.setattr(blk, "block_weights", not_reached)
+        for ta, tc in ((1, 1), (0, 2), (3, 5), (6, 2)):
+            mixed.gamma_up_mixed(label_of(ta, tc), SpectrumParams(max(ta, tc) + 2, 0.7))
+
 
 class TestBlockTraceNorms:
     @pytest.mark.parametrize("r", [0.2, 0.55, 0.9, 1.0])
@@ -498,6 +514,26 @@ class TestClosedFormSeeds:
         assert sent and certified and not unit & certified
         assert rep.solver_gap <= sdp.DEFAULT_TOL
 
+    def test_label_seeds_hold_only_solved_sectors(self):
+        # a closed-form label seed holds its one full sector and an active-set seed
+        # the sectors its barrier solved, the others being 0; only the assembled
+        # whole seed holds every sector of its problem
+        (parts,) = mixed._lm_seeds(mixed._lane_spectrum(4, [0.5]), sdp.DEFAULT_TOL,
+                                   sdp.DEFAULT_MAX_ITER)
+        closed = [seed for _, seed, _ in parts if seed.problem.scale and not seed.iterations]
+        for seed in closed:
+            _, best = sdp.rank_one_seed(seed.problem)
+            assert set(seed.blocks) == {seed.problem.keys[best]}
+        assert len(closed) == 5
+        n, r = 5, 0.1
+        share = sdp.DEFAULT_TOL / len(mixed.block_labels(n))
+        p = dict(label_problems(n, r))[1, 5]
+        (active,) = mixed._label_seeds([p], [1.0], share, sdp.DEFAULT_MAX_ITER)
+        assert active.iterations > 0 and set(active.blocks) < set(p.keys)
+        assert active.constraint_residual() <= 1e-12
+        _, seed = mixed.solve_lm(n, r)
+        assert set(seed.blocks) == set(seed.problem.keys)
+
 
 def _peak_mib(fn):
     tracemalloc.start()
@@ -538,6 +574,11 @@ class TestUnbalancedAsymptotic:
     def test_expansion_flag(self):
         assert not mixed.unbalanced_block_diff_asymptotic(8, 0.3).expansion_valid
         assert mixed.unbalanced_block_diff_asymptotic(50, 0.8).expansion_valid
+
+    @pytest.mark.parametrize("n,delta,side", [(4, -2.0, "A"), (1, -3.0, "A"), (4, 2.0, "C")])
+    def test_emptied_side_refused(self, n, delta, side):
+        with pytest.raises(ValueError, match=f"delta={delta} empties side {side} at n={n}$"):
+            mixed.unbalanced_block_diff_asymptotic(n, 0.5, delta)
 
 
 class TestSweep:
