@@ -26,22 +26,23 @@ through p_xi, kappa_A and kappa_C alone.  Every problem is an
 ``sdp.Bands``; no dense cost is formed for the solver.
 
 Every dual slack S_m(y) is an unreduced tridiagonal, so every optimal X_m
-has rank at most one, and most labels are solved by the rank-one seed of
-one full sector (``sdp.rank_one_seed``), certified by the LDL' pivots of
-S_m(y) in every sector.  The other labels run the barrier on an active set
-of sectors that grows until no sector is violated (``_label_seeds``).  A
-label seed holds only the sectors it solved.  A sweep lane sends every
-label of every purity through that route at once and sums each row from
-the label seeds (``_lm_row``); ``lm_risk`` is the one-purity case, and
-``solve_lm`` also assembles the label seeds over ``build_lm_problem``, the
-whole problem's bands, every other sector a read-only zero view; their
-joint barrier solve is the cross-check in the tests.  Each sweep row
-depends only on its own (n, r), and no solver state outlives a call.
+has rank at most one.  Labels are closed in chunks (``_label_chunks``): one
+``sdp.rank_one`` pass per jA gives every problem its rank-one point on one
+full sector, most certified by the LDL' pivots of S_m(y) in every sector;
+the others run the barrier on a growing active set of sectors.  A label's
+result is its totals and how it closed, and a chunk is freed once they are
+read.  A sweep lane sums each row from them (``_lm_row``); ``lm_risk`` is
+the one-purity case, and only ``solve_lm`` assembles blocks, over
+``build_lm_problem``, the whole problem's bands, every other sector a
+read-only zero view; their joint barrier solve is the cross-check in the
+tests.  Each sweep row depends only on its own (n, r), and no solver state
+outlives a call.
 """
 from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -53,6 +54,7 @@ from .blocks import BlockLabel, BlockOperator, SpectrumParams
 from .su2 import HalfInteger
 
 WEIGHT_CUTOFF = 1e-15  # the floor leaves out every block of weight p_xi at or below it
+_CHUNK_ENTRIES = 1 << 21  # band entries of the label problems closed at once
 
 
 def gamma_up_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
@@ -167,7 +169,7 @@ def _label_bands(ta: int, tc: int, coeffs: list[tuple[float, float, float]]) -> 
     The label's Jz_A bands are computed once, one column per sector, m
     ascending, front-padded with zero rows; row i is the channel
     2j = |2jA - 2jC| + 2i in every sector.  Each cost is summed as
-    0 + a Jz_A + c Jz_C is.
+    0 + a Jz_A + c Jz_C is, every (w, kA, kC) in one array.
     """
     tms = np.arange(-(ta + tc), ta + tc + 1, 2)
     tjs = range(abs(ta - tc), ta + tc + 1, 2)
@@ -176,12 +178,12 @@ def _label_bands(ta: int, tc: int, coeffs: list[tuple[float, float, float]]) -> 
     jz_c = np.where(inside, tms / 2.0 - jz, 0.0)
     keys, channels = [((ta, tc), tm) for tm in tms.tolist()], [((ta, tc), tj) for tj in tjs]
     slot = np.where(inside, np.arange(len(tjs))[:, None], len(tjs))
-    scale, out = 2.0 * (ta + 1) * (tc + 1), []
-    for weight, kA, kC in coeffs:
-        a, c = kA / scale, -kC / scale
-        out.append(sdp.Bands(keys, channels, slot, 2.0 * weight * (0.0 + a * jz + c * jz_c),
-                             2.0 * weight * (0.0 + a * off + c * (-off))))
-    return out
+    weight, kA, kC = np.array(coeffs, float).T[:, :, None]
+    scale = 2.0 * (ta + 1) * (tc + 1)
+    a, c, w2 = kA / scale, -kC / scale, 2.0 * weight
+    diag = w2 * (0.0 + a * jz[:, None] + c * jz_c[:, None])
+    off = w2 * (0.0 + a * off[:, None] + c * (-off[:, None]))
+    return [sdp.Bands(keys, channels, slot, diag[:, k], off[:, k]) for k in range(len(coeffs))]
 
 
 def build_lm_problem(n: int, r: float) -> sdp.Bands:
@@ -221,12 +223,15 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
              max_iter: int = sdp.DEFAULT_MAX_ITER) -> tuple[machines.MachineReport, sdp.Seed]:
     """Optimal learning-machine risk at (n, r); returns (report, solved seed).
 
-    The one-purity case of ``_lm_seeds``, its label seeds assembled over
+    The one-purity case of ``_label_chunks``, its label seeds assembled over
     the whole problem; above ``tol``, ``SolverError`` carries that seed.
     """
-    (parts,) = _lm_seeds(_lane_spectrum(n, [r]), tol, max_iter)
+    parts, seeds = [], []
+    for chunk in _label_chunks(_lane_spectrum(n, [r]), tol, max_iter):  # one problem per label
+        parts += chunk.parts[0]
+        seeds += [(xi, chunk.seed(k), scale) for k, (xi, _, scale) in enumerate(chunk.parts[0])]
     report, totals, error = _lm_row(n, r, parts, tol, max_iter)
-    seed = _assemble_seed(build_lm_problem(n, r), parts, totals)
+    seed = _assemble_seed(build_lm_problem(n, r), seeds, totals)
     if error is not None:
         raise sdp.SolverError(error, seed)
     return report, seed
@@ -238,7 +243,7 @@ def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
 
     No whole problem is assembled, so ``SolverError`` carries no seed.
     """
-    (parts,) = _lm_seeds(_lane_spectrum(n, [r]), tol, max_iter)
+    (parts,) = _lm_parts(_lane_spectrum(n, [r]), tol, max_iter)
     report, _, error = _lm_row(n, r, parts, tol, max_iter)
     if error is not None:
         raise sdp.SolverError(error, None)
@@ -247,18 +252,18 @@ def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
 
 def _lm_row(n: int, r: float, parts: list, tol: float,
             max_iter: int) -> tuple[machines.MachineReport, dict, Optional[str]]:
-    """Report, totals and gap error of one row from its (label, label seed, cost scale) parts.
+    """Report, totals and gap error of one row from its (label, closure, cost scale) parts.
 
     A mirrored label counts twice; the error is None where the summed gap meets ``tol``.
     """
     objective = bound = gap = 0.0
     iterations = 0
-    for (ta, tc), seed, scale in parts:
+    for (ta, tc), closure, scale in parts:
         weight = (1 if ta == tc else 2) * scale
-        objective += weight * seed.objective
-        bound += weight * seed.bound
-        gap += weight * seed.gap
-        iterations += seed.iterations
+        objective += weight * closure.objective
+        bound += weight * closure.bound
+        gap += weight * closure.gap
+        iterations += closure.iterations
     report = machines.make_report("lm", n, 0.5 * (1.0 - objective / 2.0), r=r, method="sdp",
                                   solver_gap=gap)
     error = None if gap <= tol else (
@@ -267,97 +272,122 @@ def _lm_row(n: int, r: float, parts: list, tol: float,
     return report, dict(objective=objective, bound=bound, gap=gap, iterations=iterations), error
 
 
-def _lm_seeds(spectrum: _Spectrum, tol: float, max_iter: int) -> list[list[tuple]]:
-    """(label, label seed, cost scale) of every solved label at every r of ``spectrum``.
-
-    Only labels with jA <= jC are solved, as the mirror (jC, jA) has the
-    same cost with m negated.  One pass over them builds each label's
-    bands: a label with jA = jC or jA = 0 costs p_xi kappa_C times its unit
-    cost (kA = kC = 1, weight 1), one problem for all of ``rs``, built at
-    weight 0 if that scale is 0 at every r; any other label gives one
-    problem per r.  All go to ``_label_seeds`` together, and the same pass
-    reads the seeds back, row by row.  Each label gets tol / (number of
-    labels), so the assembled certified gap, the sum of the labels' scaled
-    gaps, stays within ``tol``; a unit label's closed form is judged at its
-    largest scale, which bounds every row's.
-    """
-    sdp.check_tol(tol)
-    n, p, kappa = spectrum.n, spectrum.p.tolist(), spectrum.kappa.tolist()
-    labels = [(ta, tc) for ta in range(n % 2, n + 1, 2) for tc in range(ta, n + 1, 2)]
-    coeffs = [[(w[ta // 2] * w[tc // 2], k[ta // 2], k[tc // 2]) for w, k in zip(p, kappa)]
-              for ta, tc in labels]
-    problems, reach = [], []
-    for (ta, tc), row in zip(labels, coeffs):
-        if ta in (0, tc):
-            top = max(w * kC for w, _, kC in row)
-            problems += _label_bands(ta, tc, [(float(top > 0.0), 1.0, 1.0)])
-            reach.append(top or 1.0)
-        else:
-            problems += _label_bands(ta, tc, row)
-            reach += [1.0] * len(row)
-    seeds = iter(_label_seeds(problems, reach, tol / len(block_labels(n)), max_iter))
+def _lm_parts(spectrum: _Spectrum, tol: float, max_iter: int) -> list[list[tuple]]:
+    """(label, closure, cost scale) of every solved label at every r of ``spectrum``."""
     rows = [[] for _ in spectrum.rs]
-    for (ta, tc), row in zip(labels, coeffs):
-        if ta in (0, tc):
-            seed = next(seeds)
-            for out, (w, _, kC) in zip(rows, row):
-                out.append(((ta, tc), seed, w * kC))
-        else:
-            for out in rows:
-                out.append(((ta, tc), next(seeds), 1.0))
+    for chunk in _label_chunks(spectrum, tol, max_iter):
+        for out, parts in zip(rows, chunk.parts):
+            out += parts
+        del chunk  # before the next chunk is built
     return rows
 
 
-def _label_seeds(problems: list[sdp.Bands], reach: list[float], share: float,
-                 max_iter: int) -> list[sdp.Seed]:
-    """Certified seed of every label problem: its closed form, or the barrier on active sectors.
+def _label_chunks(spectrum: _Spectrum, tol: float, max_iter: int):
+    """Every solved label at every r of ``spectrum``, closed chunk by chunk in label order.
 
-    ``sdp.rank_one_seed`` is accepted when every pivot of S_m(y) is
-    positive in every sector and its gap, times the problem's ``reach``
-    (the largest factor its seed is scaled by in a row), is within
-    ``share``.  Otherwise the label's active set is that closed form's
-    sector plus the sectors it violates, and the barrier solves the label
-    restricted to it; every other sector is checked by the pivots of
-    S_m(y) at the barrier's multipliers, violators join, and the round
-    repeats until none is violated, at worst on the whole label.  A seed
-    holds only the sectors it solved, the others being 0; so extended, the
-    restricted primal is feasible for the whole label, and a y feasible in
-    every sector bounds its optimum, so the gap keeps its meaning.  Every
-    round sends all open labels to one ``solve_many`` call.  A round that
-    misses ``share`` ends its label, its violated sectors lifted by their
-    Gershgorin deficits (``sdp.gershgorin_lift``) so that the bound still
-    holds.
+    Only labels with jA <= jC are solved: the mirror (jC, jA) has the same
+    cost with m negated.  A label with jA = jC or jA = 0 costs p_xi kappa_C
+    times its unit cost (kA = kC = 1, weight 1), one problem for all of
+    ``rs``, at weight 0 if that scale is 0 at every r; any other label gives
+    one problem per r.  A chunk takes the labels of one jA after another
+    until their band entries would pass ``_CHUNK_ENTRIES``.  Each label gets
+    tol / (number of labels), so the summed certified gap stays within
+    ``tol``; a unit label's closed form is judged at its largest scale,
+    which bounds every row's.
     """
-    seeds, active, spent = [], {}, {}
-    for i, p in enumerate(problems):
-        seed, best = sdp.rank_one_seed(p)
-        y = np.array([seed.multipliers[c] for c in p.channels])
-        violated = ~(sdp.slack_pivots(p, y) > 0.0).all(axis=0)
-        if seed.gap * reach[i] <= share and not violated.any():
-            seeds.append(seed)
-            continue
-        violated[best] = True
-        seeds.append(None)
-        active[i], spent[i] = violated, (0, [])
-    while active:
-        order = sorted(active)
-        parts = sdp.solve_many([_restrict(problems[i], active[i]) for i in order], share, max_iter)
-        for i, part in zip(order, parts):
-            p, on = problems[i], active.pop(i)
-            iterations, trace = spent[i][0] + part.iterations, spent[i][1] + part.objective_trace
-            y = np.array([part.multipliers[c] for c in p.channels])
-            violated = ~(sdp.slack_pivots(p, y) > 0.0).all(axis=0) & ~on
-            if violated.any() and part.gap <= share:
-                active[i], spent[i] = on | violated, (iterations, trace)
-                continue
-            bound = part.bound
-            if violated.any():
-                y = y + sdp.gershgorin_lift(np.append(y, 1.0), p.slot, p.diag, p.off,
-                                            violated)[:-1]
-                bound = float(np.array([tj + 1.0 for _, tj in p.channels]) @ y)
-            seeds[i] = sdp.Seed(part.blocks, part.objective, bound, bound - part.objective,
-                                iterations, dict(zip(p.channels, y)), trace, problem=p)
-    return seeds
+    sdp.check_tol(tol)
+    n, p, kappa = spectrum.n, spectrum.p.tolist(), spectrum.kappa.tolist()
+    share, todo, size = tol / (n // 2 + 1) ** 2, [], 0
+    for ta in range(n % 2, n + 1, 2):
+        labels = []
+        for tc in range(ta, n + 1, 2):
+            row = [(w[ta // 2] * w[tc // 2], k[ta // 2], k[tc // 2]) for w, k in zip(p, kappa)]
+            unit = ta in (0, tc)  # (problem, cost scale) of each r
+            at = [(0, w * kC) if unit else (i, 1.0) for i, (w, _, kC) in enumerate(row)]
+            coeffs = [(float(max(s for _, s in at) > 0.0), 1.0, 1.0)] if unit else row
+            labels.append(((ta, tc), coeffs, at))
+        entries = (ta + 1) * sum(len(c) * (sum(xi) + 1) for xi, c, _ in labels)  # 2 jA + 1 rows
+        if todo and size + entries > _CHUNK_ENTRIES:
+            yield _Chunk(todo, share, max_iter)
+            todo, size = [], 0
+        todo, size = todo + [labels], size + entries
+    yield _Chunk(todo, share, max_iter)
+
+
+# how: "closed_form", "zero_cost" or "barrier"; rounds: active-set rounds; iterations: Newton steps
+_Closure = namedtuple("_Closure", "how rounds iterations objective bound gap")
+
+
+class _Chunk:
+    """Label problems closed together; ``parts`` holds each row's (label, closure, cost scale).
+
+    Each jA's problems get their closed forms from one ``sdp.rank_one`` pass,
+    accepted where every pivot of S_m(y) is positive and the gap, times the
+    problem's reach, is within ``share``; a problem of scale 0 closes at 0.
+    Only the others keep their bands: each runs the barrier on its active
+    set, the closed form's sector plus the violated ones, and the sectors
+    its multipliers violate join, one ``solve_many`` call per round, until
+    none is.  A barrier seed holds only the sectors it solved, the others
+    being 0; so extended, the restricted primal is feasible for the whole
+    label, and a y feasible in every sector bounds its optimum, so the gap
+    keeps its meaning.  A round that misses ``share`` ends its problem, its
+    violated sectors lifted by their Gershgorin deficits so that the bound
+    still holds.
+    """
+
+    def __init__(self, groups: list, share: float, max_iter: int):
+        labels = [label for group in groups for label in group]
+        self.specs = [(xi, c) for xi, coeffs, _ in labels for c in coeffs]
+        reach = [far for _, coeffs, at in labels  # the largest factor a problem is scaled by
+                 for far in [max(s for _, s in at) or 1.0] * len(coeffs)]
+        self.closures, self.barrier, problems, active, spent = [], {}, {}, {}, {}
+        for group in groups:  # the labels of one jA share a shape
+            bands = [p for xi, coeffs, _ in group for p in _label_bands(*xi, coeffs)]
+            for p, (best, _, _, objective, bound, violated) in zip(bands, sdp.rank_one(bands)):
+                k = len(self.closures)
+                if p.scale == 0.0:
+                    self.closures.append(_Closure("zero_cost", 0, 0, 0.0, 0.0, 0.0))
+                elif (bound - objective) * reach[k] <= share and not violated.any():
+                    self.closures.append(_Closure("closed_form", 0, 0, objective, bound,
+                                                  bound - objective))
+                else:
+                    self.closures.append(None)
+                    problems[k], active[k], spent[k] = p, violated.copy(), (0, 0, [])
+                    active[k][best] = True
+        while active:
+            order = sorted(active)
+            parts = sdp.solve_many([_restrict(problems[k], active[k]) for k in order], share,
+                                   max_iter)
+            for k, part in zip(order, parts):
+                p, on, (rounds, steps, trace) = problems[k], active.pop(k), spent[k]
+                spent[k] = done = rounds + 1, steps + part.iterations, trace + part.objective_trace
+                y = np.array([part.multipliers[c] for c in p.channels])
+                violated = ~(sdp.slack_pivots(p, y) > 0.0).all(axis=0) & ~on
+                if violated.any() and part.gap <= share:
+                    active[k] = on | violated
+                    continue
+                bound = part.bound
+                if violated.any():
+                    y = y + sdp.gershgorin_lift(np.append(y, 1.0), p.slot, p.diag, p.off,
+                                                violated)[:-1]
+                    bound = float(np.array([tj + 1.0 for _, tj in p.channels]) @ y)
+                self.closures[k] = _Closure("barrier", *done[:2], part.objective, bound,
+                                            bound - part.objective)
+                self.barrier[k] = sdp.Seed(part.blocks, *self.closures[k][3:], done[1],
+                                           dict(zip(p.channels, y)), done[2])
+        self.parts, first = [[] for _ in labels[0][2]], 0
+        for xi, coeffs, at in labels:
+            for out, (i, scale) in zip(self.parts, at):
+                out.append((xi, self.closures[first + i], scale))
+            first += len(coeffs)
+
+    def seed(self, k: int) -> sdp.Seed:
+        """Problem ``k``'s seed, holding only the sectors it solved, for ``solve_lm``."""
+        if self.closures[k].how == "barrier":
+            return self.barrier[k]
+        xi, coeffs = self.specs[k]
+        (p,) = _label_bands(*xi, [coeffs])
+        return sdp._zero_seed(p) if self.closures[k].how == "zero_cost" else sdp.rank_one_seed(p)[0]
 
 
 def _restrict(p: sdp.Bands, on: np.ndarray) -> sdp.Bands:
@@ -565,7 +595,7 @@ def _sweep_lane(args) -> list[SweepRow]:
     spectrum = _lane_spectrum(n, [float(r) for r in config.r_grid()])
     rows = []
     for r, floor, parts in zip(spectrum.rs, _floors(spectrum, WEIGHT_CUTOFF),
-                               _lm_seeds(spectrum, config.tol, config.max_iter)):
+                               _lm_parts(spectrum, config.tol, config.max_iter)):
         opt = floor.excess_risk
         report, totals, error = _lm_row(n, r, parts, config.tol, config.max_iter)
         if error is None:
@@ -582,11 +612,12 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepTable:
     """Risk table over the (n, r) grid; deterministic for a given config.
 
     Lanes (fixed n) are independent and may run in parallel, at most one
-    worker per core; every row depends only on its own (n, r), so results
+    worker per core this process may run on; every row depends only on its own (n, r), so results
     do not depend on ``threads``.
     """
     lanes = [(n, config) for n in config.n_values]
-    workers = min(threads, len(lanes), os.cpu_count() or 1)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(lanes), cores or 1)
     if workers > 1:
         import multiprocessing as mp
         with mp.get_context("fork").Pool(workers) as pool:

@@ -43,12 +43,13 @@ sums run in a fixed order, and LAPACK solves its Newton system at its own
 channel count; no eigensolver runs in the loop.
 Seed costs make every S_b(y) an unreduced tridiagonal, whose eigenvalues
 are simple, so an optimal X_b has rank at most one (Alizadeh, Haeberly and
-Overton, Math. Program. 77, 1997).  ``rank_one_seed`` takes the rank-one
-point of one full sector, whose dual y_j = (C v)_j / v_j attains b'y =
-v'Cv, lifted by ``_LIFT`` times the problem's scale; ``slack_pivots``
-certifies it, sector by sector, in O(D) per sector.  Its ``Seed`` holds
-that one sector; a sector missing from a seed is 0.  No Newton step runs
-for such a seed.
+Overton, Math. Program. 77, 1997).  ``rank_one`` takes, for many problems
+in one pass, the rank-one point of one full sector, whose dual
+y_j = (C v)_j / v_j attains b'y = v'Cv, lifted by ``_LIFT`` times the
+problem's scale, and certifies it by the LDL' pivots of S_b(y), O(D) per
+sector; ``rank_one_seed`` is its one-problem case, a ``Seed`` holding that
+one sector, and ``slack_pivots`` certifies any dual.  A sector missing
+from a seed is 0.  No Newton step runs for such a point.
 A problem is a ``Bands``, the one problem form: the keys, channels and two
 bands per sector that the engine reads.  ``mixed`` builds them from each
 label's Jz_A bands and passes in one block label per problem; the engine
@@ -325,6 +326,44 @@ def slack_pivots(problem: Bands, y: np.ndarray) -> np.ndarray:
                           problem.off * problem.off)
 
 
+def rank_one(problems: list[Bands]) -> list[tuple]:
+    """(sector, signed v, dual y, v'Cv, b'y, violated sectors) of ``rank_one_seed``, per problem.
+
+    The problems share one shape (rows, channels) and run joined along the
+    sector axis; each one's sums run over its own full sectors, and its
+    bound is one dot product, so each gets the numbers it gets alone.  A
+    sector is violated where ``slack_pivots`` of the dual are not all positive.
+    """
+    (D, _), c = problems[0].slot.shape, len(problems[0].channels)
+    counts = [p.slot.shape[1] for p in problems]
+    first, owner = np.cumsum([0] + counts), np.repeat(np.arange(len(problems)), counts)
+    slot, diag, off = (np.concatenate([getattr(p, f) for p in problems], axis=1)
+                       for f in ("slot", "diag", "off"))
+    table = np.array([[tj + 1.0 for _, tj in p.channels] + [0.0] for p in problems])
+    base, rows = owner * (c + 1), slice(D - c, None)  # base: flat index of channel 0
+    at = np.flatnonzero(np.count_nonzero(slot < c, axis=0) == c)  # the full sectors
+    who, flat = owner[at], base[at] + slot[rows, at]
+    root = np.sqrt(table.ravel()[flat])
+    d, o = diag[rows, at], off[D - c:, at]
+    values = (d * root * root).sum(axis=0) + 2.0 * (np.abs(o) * root[:-1] * root[1:]).sum(axis=0)
+    starts = np.searchsorted(who, np.arange(len(problems)))  # each problem's first full sector
+    hits = np.flatnonzero(values == np.maximum.reduceat(values, starts)[who])
+    pick = hits[np.searchsorted(hits, starts)]  # its first largest value, as np.argmax takes it
+    a, u = np.abs(o[:, pick]), root[:, pick]
+    yk = d[:, pick] + _LIFT * np.array([p.scale for p in problems])
+    yk[1:] += a * u[:-1] / u[1:]
+    yk[:-1] += a * u[1:] / u[:-1]
+    y = np.ones(len(problems) * (c + 1))
+    y[flat[:, pick]] = yk
+    u = u * np.cumprod(np.vstack([np.ones(len(problems)), np.where(o[:, pick] < 0.0, -1.0, 1.0)]),
+                       axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        violated = ~(ldl_pivots(y[base + slot] - diag, off * off) > 0.0).all(axis=0)
+    ys = [y[g * (c + 1):g * (c + 1) + c] for g in range(len(problems))]  # contiguous, as alone
+    return [(int(at[i] - first[g]), u[:, g], yg, float(values[i]), float(table[g, :c] @ yg),
+             violated[first[g]:first[g + 1]]) for g, (i, yg) in enumerate(zip(pick, ys))]
+
+
 def rank_one_seed(problem: Bands) -> tuple[Seed, int]:
     """The best rank-one point on a full sector with its dual, lifted by ``_LIFT`` scale.
 
@@ -337,27 +376,12 @@ def rank_one_seed(problem: Bands) -> tuple[Seed, int]:
     sectors the one with the largest v'Cv is taken, and returned with the
     seed.  The lift makes the gap ``_LIFT`` scale sum_j (2j + 1) up to
     rounding; the seed is certified where ``slack_pivots`` of its
-    multipliers are all positive.  A problem needs a full sector.
+    multipliers are all positive.  A problem needs a full sector.  This is
+    the one-problem case of ``rank_one``.
     """
-    nch, D = len(problem.channels), len(problem.slot)
-    full = np.flatnonzero(sector_sizes(problem) == nch)
-    rows = slice(D - nch, None)
-    targets = np.array([tj + 1.0 for _, tj in problem.channels])
-    root = np.sqrt(targets[problem.slot[rows, full]])
-    diag, off = problem.diag[rows, full], problem.off[D - nch:, full]
-    link = np.abs(off) * root[:-1] * root[1:]
-    values = (diag * root * root).sum(axis=0) + 2.0 * link.sum(axis=0)
-    best = int(np.argmax(values))
-    a, v = np.abs(off[:, best]), root[:, best]
-    y = diag[:, best] + _LIFT * problem.scale
-    y[1:] += a * v[:-1] / v[1:]
-    y[:-1] += a * v[1:] / v[:-1]
-    v = v * np.cumprod(np.r_[1.0, np.where(off[:, best] < 0.0, -1.0, 1.0)])
-    y_channels = np.empty(nch)
-    y_channels[problem.slot[rows, full[best]]] = y
-    objective, bound = float(values[best]), float(targets @ y_channels)
-    return Seed({problem.keys[full[best]]: np.outer(v, v)}, objective, bound, bound - objective,
-                0, dict(zip(problem.channels, y_channels)), [objective], problem), int(full[best])
+    ((best, v, y, objective, bound, _),) = rank_one([problem])
+    return Seed({problem.keys[best]: np.outer(v, v)}, objective, bound, bound - objective, 0,
+                dict(zip(problem.channels, y)), [objective], problem), best
 
 
 class _Batch:

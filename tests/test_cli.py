@@ -173,7 +173,7 @@ def test_bad_tolerance_rejected_before_solving(monkeypatch, capsys, cmd, tol):
         raise AssertionError("the solver ran with an unusable tolerance")
 
     monkeypatch.setattr(mixed, "build_lm_problem", not_reached)
-    monkeypatch.setattr(sdp, "rank_one_seed", not_reached)
+    monkeypatch.setattr(sdp, "rank_one", not_reached)
     monkeypatch.setattr(sdp, "solve_many", not_reached)
     monkeypatch.setattr(verify, "run_suites", not_reached)
     assert cli.main([*cmd, f"--tol={tol}"]) == cli.EXIT_DOMAIN

@@ -329,17 +329,17 @@ class TestLabelByLabelSolve:
         # once per purity.  At n = 5, r = 0.1 label (1, 5) needs the barrier, and no
         # unit label enters an active-set round twice
         calls, rounds = [], []
-        real_closed, real_many = sdp.rank_one_seed, sdp.solve_many
+        real_closed, real_many = sdp.rank_one, sdp.solve_many
 
-        def closed(problem):
-            calls.append(problem.keys[0][0])
-            return real_closed(problem)
+        def closed(problems):
+            calls.extend(problem.keys[0][0] for problem in problems)
+            return real_closed(problems)
 
         def many(problems, *args, **kwargs):
             rounds.append([problem.keys[0][0] for problem in problems])
             return real_many(problems, *args, **kwargs)
 
-        monkeypatch.setattr(sdp, "rank_one_seed", closed)
+        monkeypatch.setattr(sdp, "rank_one", closed)
         monkeypatch.setattr(sdp, "solve_many", many)
         config = mixed.SweepConfig(n_values=(4,), r_min=0.5, r_max=0.7, steps=2)
         mixed.run_sweep(config)
@@ -383,16 +383,28 @@ class TestLabelByLabelSolve:
         assert seed.constraint_residual() <= 1e-8
 
 
-def label_problems(n, r):
-    """(label, problem) of every solved label, as a lane builds them; unit labels at unit cost."""
+def label_coeffs(n, r):
+    """(label, (w, kA, kC)) of every solved label as a lane builds it; unit labels at unit cost."""
     probs, out = mixed.block_probabilities(n, r), []
     for ta in range(n % 2, n + 1, 2):
         for tc in range(ta, n + 1, 2):
             coeffs = (1.0, 1.0, 1.0) if ta in (0, tc) else (probs[ta, tc], mixed._kappa(ta, r),
                                                              mixed._kappa(tc, r))
-            (p,) = mixed._label_bands(ta, tc, [coeffs])
-            out.append(((ta, tc), p))
+            out.append(((ta, tc), coeffs))
     return out
+
+
+def label_problems(n, r):
+    """(label, problem) of every solved label, as a lane builds them; unit labels at unit cost."""
+    return [(xi, mixed._label_bands(*xi, [coeffs])[0]) for xi, coeffs in label_coeffs(n, r)]
+
+
+def close_label(xi, coeffs, share):
+    """Closure and seed of one label problem, closed in a chunk of its own, with its problem."""
+    chunk = mixed._Chunk([[(xi, [coeffs], [(0, 1.0)])]], share, sdp.DEFAULT_MAX_ITER)
+    seed = chunk.seed(0)
+    (seed.problem,) = mixed._label_bands(*xi, [coeffs])
+    return chunk.closures[0], seed
 
 
 def least_slack_eigenvalues(problem, multipliers):
@@ -411,10 +423,11 @@ class TestClosedFormSeeds:
         closed = 0
         for n in range(1, 7):
             share = sdp.DEFAULT_TOL / len(mixed.block_labels(n))
-            for xi, p in label_problems(n, r):
-                (seed,) = mixed._label_seeds([p], [1.0], share, sdp.DEFAULT_MAX_ITER)
-                if p.scale == 0.0 or seed.iterations:
+            for xi, coeffs in label_coeffs(n, r):
+                closure, seed = close_label(xi, coeffs, share)
+                if closure.how != "closed_form":
                     continue
+                p = seed.problem
                 closed += 1
                 assert min(least_slack_eigenvalues(p, seed.multipliers)) >= -1e-12 * p.scale
                 assert seed.constraint_residual() <= 1e-12
@@ -466,7 +479,7 @@ class TestClosedFormSeeds:
         closed, _ = sdp.rank_one_seed(p)
         y = np.array([closed.multipliers[c] for c in p.channels])
         assert not (sdp.slack_pivots(p, y) > 0.0).all()
-        (active,) = mixed._label_seeds([p], [1.0], share, sdp.DEFAULT_MAX_ITER)
+        _, active = close_label((1, 5), dict(label_coeffs(n, r))[1, 5], share)
         (whole,) = sdp.solve_many([p], share)
         assert active.iterations > 0 and active.gap <= share and whole.gap <= share
         assert abs(active.objective - whole.objective) <= active.gap + whole.gap
@@ -494,20 +507,19 @@ class TestClosedFormSeeds:
         # closed form is judged at the largest such scale: at (44, 0.3) no unit label
         # whose closed form every pivot certifies goes to the barrier
         certified, sent = set(), []
-        real_closed, real_many = sdp.rank_one_seed, sdp.solve_many
+        real_closed, real_many = sdp.rank_one, sdp.solve_many
 
-        def closed(problem):
-            seed, best = real_closed(problem)
-            y = np.array([seed.multipliers[c] for c in problem.channels])
-            if (sdp.slack_pivots(problem, y) > 0.0).all():
-                certified.add(problem.keys[0][0])
-            return seed, best
+        def closed(problems):
+            points = real_closed(problems)
+            certified.update(problem.keys[0][0] for problem, (*_, violated)
+                             in zip(problems, points) if not violated.any())
+            return points
 
         def many(problems, *args, **kwargs):
             sent.extend(problem.keys[0][0] for problem in problems)
             return real_many(problems, *args, **kwargs)
 
-        monkeypatch.setattr(sdp, "rank_one_seed", closed)
+        monkeypatch.setattr(sdp, "rank_one", closed)
         monkeypatch.setattr(sdp, "solve_many", many)
         rep = mixed.lm_risk(44, 0.3)
         unit = {xi for xi in sent if xi[0] in (0, xi[1])}
@@ -518,21 +530,73 @@ class TestClosedFormSeeds:
         # a closed-form label seed holds its one full sector and an active-set seed
         # the sectors its barrier solved, the others being 0; only the assembled
         # whole seed holds every sector of its problem
-        (parts,) = mixed._lm_seeds(mixed._lane_spectrum(4, [0.5]), sdp.DEFAULT_TOL,
-                                   sdp.DEFAULT_MAX_ITER)
-        closed = [seed for _, seed, _ in parts if seed.problem.scale and not seed.iterations]
-        for seed in closed:
-            _, best = sdp.rank_one_seed(seed.problem)
-            assert set(seed.blocks) == {seed.problem.keys[best]}
+        (chunk,) = mixed._label_chunks(mixed._lane_spectrum(4, [0.5]), sdp.DEFAULT_TOL,
+                                       sdp.DEFAULT_MAX_ITER)
+        closed = [k for k, c in enumerate(chunk.closures) if c.how == "closed_form"]
+        for k in closed:
+            xi, coeffs = chunk.specs[k]
+            (p,), seed = mixed._label_bands(*xi, [coeffs]), chunk.seed(k)
+            _, best = sdp.rank_one_seed(p)
+            assert set(seed.blocks) == {p.keys[best]}
         assert len(closed) == 5
         n, r = 5, 0.1
         share = sdp.DEFAULT_TOL / len(mixed.block_labels(n))
         p = dict(label_problems(n, r))[1, 5]
-        (active,) = mixed._label_seeds([p], [1.0], share, sdp.DEFAULT_MAX_ITER)
+        _, active = close_label((1, 5), dict(label_coeffs(n, r))[1, 5], share)
         assert active.iterations > 0 and set(active.blocks) < set(p.keys)
         assert active.constraint_residual() <= 1e-12
         _, seed = mixed.solve_lm(n, r)
         assert set(seed.blocks) == set(seed.problem.keys)
+
+
+FIG1 = mixed.SweepConfig(n_values=(1, 2, 3, 4), r_min=0.12, r_max=1.0, steps=23)
+
+
+class TestChunks:
+    def test_fig1_labels_close_without_newton(self):
+        # every (label, r) of the benchmark's fig1 grid reports its closed form or a
+        # zero cost, with no active-set round and no Newton step
+        kinds = set()
+        for n in FIG1.n_values:
+            spectrum = mixed._lane_spectrum(n, [float(r) for r in FIG1.r_grid()])
+            for chunk in mixed._label_chunks(spectrum, FIG1.tol, FIG1.max_iter):
+                for _, closure, _ in (part for parts in chunk.parts for part in parts):
+                    kinds.add(closure.how)
+                    assert closure.rounds == closure.iterations == 0
+        assert kinds == {"closed_form", "zero_cost"}
+
+    def test_barrier_label_reports_its_rounds(self):
+        # label (1, 5) at (5, 0.1) is closed by the barrier on its active sectors
+        (chunk,) = mixed._label_chunks(mixed._lane_spectrum(5, [0.1]), sdp.DEFAULT_TOL,
+                                       sdp.DEFAULT_MAX_ITER)
+        closure = {xi: c for xi, c, _ in chunk.parts[0]}[1, 5]
+        assert closure.how == "barrier" and closure.rounds >= 1 and closure.iterations > 0
+
+    @pytest.mark.parametrize("n,r", [(5, 0.1), (8, 0.3), (24, 0.8)])
+    def test_smallest_chunks_change_no_bit(self, n, r, monkeypatch):
+        # every solved label in one chunk, then the labels of each jA in a chunk of
+        # their own, the smallest chunk: the report keeps every bit
+        chunks = []
+        real = mixed._Chunk
+
+        def counting(groups, *args):
+            chunks.append(len(groups))
+            return real(groups, *args)
+
+        monkeypatch.setattr(mixed, "_Chunk", counting)
+        want = mixed.lm_risk(n, r)
+        monkeypatch.setattr(mixed, "_CHUNK_ENTRIES", 1)
+        got = mixed.lm_risk(n, r)
+        groups = n // 2 + 1  # one per jA, the smallest chunk
+        assert chunks == [groups] + [1] * groups
+        assert got == want
+
+    def test_smallest_chunks_keep_sweep_rows(self, monkeypatch):
+        # the n = 5 lane runs the barrier at small r; its rows keep every bit too
+        config = mixed.SweepConfig(n_values=(4, 5), r_min=0.1, r_max=1.0, steps=10)
+        want = mixed.run_sweep(config).to_csv()
+        monkeypatch.setattr(mixed, "_CHUNK_ENTRIES", 1)
+        assert mixed.run_sweep(config).to_csv() == want
 
 
 def _peak_mib(fn):
@@ -547,8 +611,14 @@ def _peak_mib(fn):
 class TestMemory:
     def test_label_bands_built_in_the_solving_pass(self):
         # each label's Jz_A bands live only while its problems are built: the peak is
-        # 6.1 MiB, and 7.8 MiB with a per-label cache of them kept through the call
+        # 3.4 MiB, and it was 7.8 MiB with a per-label cache of them kept through the call
         assert _peak_mib(lambda: mixed.lm_risk(32, 0.8)) <= 7
+
+    def test_chunks_bound_the_peak(self):
+        # only the barrier's problems keep their bands past the closed form, and no
+        # chunk outlives its totals: the peak is 16.5 MiB, where holding every
+        # label's bands and seeds to the end took 22.3 MiB
+        assert _peak_mib(lambda: mixed.lm_risk(48, 0.8)) <= 19
 
 
 class TestUnbalancedAsymptotic:
@@ -651,6 +721,20 @@ class TestSweep:
         mixed._sweep_lane((5, config))
         assert loops and loops == [k for k in rounds if k]
 
+    def test_fig1_sweep_sends_nothing_to_the_barrier(self, monkeypatch):
+        # every label of the benchmark's grid closes in closed form or at zero
+        # cost, so not even a zero cost reaches solve_many
+        calls = []
+        real = sdp.solve_many
+
+        def many(problems, *args, **kwargs):
+            calls.append(len(problems))
+            return real(problems, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve_many", many)
+        mixed.run_sweep(FIG1)
+        assert calls == []
+
     def test_lane_spectrum_built_once(self, monkeypatch):
         # the floor and the seed problems of a lane read one block spectrum:
         # one block_weights call per (n, r) of the benchmark's fig1 grid
@@ -706,11 +790,19 @@ class TestSweep:
         config = mixed.SweepConfig(n_values=(1, 2, 3), r_min=0.5, r_max=1.0, steps=2)
         serial = mixed.run_sweep(config, threads=1).to_csv()
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+        # the cores this process may use, not the host's: one allowed core of eight
+        monkeypatch.setattr(mixed.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(mixed.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert mixed.run_sweep(config, threads=1000).to_csv() == serial
+        monkeypatch.setattr(mixed.os, "sched_getaffinity", lambda pid: {0, 5})
+        assert mixed.run_sweep(config, threads=1000).to_csv() == serial
+        # where the platform has no affinity, the host's count
+        monkeypatch.delattr(mixed.os, "sched_getaffinity")
         monkeypatch.setattr(mixed.os, "cpu_count", lambda: 2)
         assert mixed.run_sweep(config, threads=1000).to_csv() == serial
         monkeypatch.setattr(mixed.os, "cpu_count", lambda: 1)
         assert mixed.run_sweep(config, threads=1000).to_csv() == serial
-        assert sizes == [2]
+        assert sizes == [2, 2]
 
     def test_csv_format(self):
         table = mixed.run_sweep(self.small_config())
