@@ -224,6 +224,8 @@ def cmd_su2(args) -> int:
 
 def cmd_dump(args) -> int:
     sdp.check_tol(args.tol)
+    if args.what == "seed" and (args.jA is not None or args.jC is not None):
+        raise ValueError("--jA and --jC pick the label of dump gamma only")
     _check_writable(args.out)
     if args.what == "gamma":
         ta = args.n if args.jA is None else su2.as_half(args.jA).twice_value

@@ -32,11 +32,11 @@ full sector, most certified by the LDL' pivots of S_m(y) in every sector;
 the others run the barrier on a growing active set of sectors.  A label's
 result is its totals and how it closed, and a chunk is freed once they are
 read.  A sweep lane sums each row from them (``_lm_row``); ``lm_risk`` is
-the one-purity case, and only ``solve_lm`` assembles blocks, over
-``build_lm_problem``, the whole problem's bands, every other sector a
-read-only zero view; their joint barrier solve is the cross-check in the
-tests.  Each sweep row depends only on its own (n, r), and no solver state
-outlives a call.
+the one-purity case, and only ``solve_lm`` assembles blocks, on a layout
+read from the block labels.  The whole problem's bands
+(``build_lm_problem``) and their joint barrier solve are the cross-check
+in the tests.  Each sweep row depends only on its own (n, r), and no
+solver state outlives a call.
 """
 from __future__ import annotations
 
@@ -76,11 +76,9 @@ def _kappa(tj: int, r: float) -> float:
 def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
     """[kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) for given side coefficients: weight 1/2 bands."""
     (bands,) = _label_bands(label.jA.twice_value, label.jC.twice_value, [(0.5, kA, kC)])
-    dense, D = sdp._dense(bands.diag, bands.off), len(bands.slot)
-    sectors, index = {}, {}
-    for k, (_, tm) in enumerate(bands.keys):
-        index[tm] = blk.coupled_sector_index(label, tm)
-        sectors[tm] = dense[k, D - len(index[tm]):, D - len(index[tm]):].copy()
+    dense = sdp._dense(bands.diag, bands.off)
+    index = {tm: tjs for (_, tm), tjs in bands.layout().items()}
+    sectors = {tm: dense[k, -len(t):, -len(t):].copy() for k, (tm, t) in enumerate(index.items())}
     return BlockOperator(label=label, basis=blk.BASIS_AC_COUPLED, sectors=sectors, index=index)
 
 
@@ -223,15 +221,15 @@ def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
              max_iter: int = sdp.DEFAULT_MAX_ITER) -> tuple[machines.MachineReport, sdp.Seed]:
     """Optimal learning-machine risk at (n, r); returns (report, solved seed).
 
-    The one-purity case of ``_label_chunks``, its label seeds assembled over
-    the whole problem; above ``tol``, ``SolverError`` carries that seed.
+    The one-purity case of ``_label_chunks``, its label seeds assembled on
+    the block labels' layout; above ``tol``, ``SolverError`` carries that seed.
     """
     parts, seeds = [], []
     for chunk in _label_chunks(_lane_spectrum(n, [r]), tol, max_iter):  # one problem per label
         parts += chunk.parts[0]
         seeds += [(xi, chunk.seed(k), scale) for k, (xi, _, scale) in enumerate(chunk.parts[0])]
     report, totals, error = _lm_row(n, r, parts, tol, max_iter)
-    seed = _assemble_seed(build_lm_problem(n, r), seeds, totals)
+    seed = _assemble_seed(n, seeds, totals)
     if error is not None:
         raise sdp.SolverError(error, seed)
     return report, seed
@@ -241,7 +239,7 @@ def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
             max_iter: int = sdp.DEFAULT_MAX_ITER) -> machines.MachineReport:
     """The report of ``solve_lm`` from the label totals alone, as a sweep row takes it.
 
-    No whole problem is assembled, so ``SolverError`` carries no seed.
+    No blocks are assembled, so ``SolverError`` carries no seed.
     """
     (parts,) = _lm_parts(_lane_spectrum(n, [r]), tol, max_iter)
     report, _, error = _lm_row(n, r, parts, tol, max_iter)
@@ -374,7 +372,7 @@ class _Chunk:
                 self.closures[k] = _Closure("barrier", *done[:2], part.objective, bound,
                                             bound - part.objective)
                 self.barrier[k] = sdp.Seed(part.blocks, *self.closures[k][3:], done[1],
-                                           dict(zip(p.channels, y)), done[2])
+                                           dict(zip(p.channels, y)), done[2], part.sectors)
         self.parts, first = [[] for _ in labels[0][2]], 0
         for xi, coeffs, at in labels:
             for out, (i, scale) in zip(self.parts, at):
@@ -396,12 +394,13 @@ def _restrict(p: sdp.Bands, on: np.ndarray) -> sdp.Bands:
                      p.slot[:, on], p.diag[:, on], p.off[:, on])
 
 
-def _assemble_seed(problem: sdp.Bands, parts: list, totals: dict) -> sdp.Seed:
-    """The whole problem's seed from (label, label seed, cost scale) triples, mirrors filled in.
+def _assemble_seed(n: int, parts: list, totals: dict) -> sdp.Seed:
+    """The seed of n from (label, label seed, cost scale) triples, mirrors filled in.
 
-    It holds every sector: one that no label seed holds is a read-only zero
-    view.  The objective trace sums the labels' scaled traces, each held at
-    its last value once it ends.
+    It is laid out on every sector of every block label, in the order of
+    ``build_lm_problem``; a sector no label seed holds is 0.
+    The objective trace sums the labels' scaled traces, each held at its
+    last value once it ends.
     """
     blocks, multipliers, traces = {}, {}, []
     for (ta, tc), seed, scale in parts:
@@ -415,13 +414,10 @@ def _assemble_seed(problem: sdp.Bands, parts: list, totals: dict) -> sdp.Seed:
                 multipliers[xi, tj] = scale * y
     steps = max(len(t) for t in traces)
     trace = [sum(t[min(k, len(t) - 1)] for t in traces) for k in range(steps)]
-    sizes = sdp.sector_sizes(problem).tolist()
-    zero = {d: np.broadcast_to(0.0, (d, d)) for d in set(sizes)}
-    return sdp.Seed(
-        blocks={key: blocks.get(key, zero[d]) for key, d in zip(problem.keys, sizes)},
-        multipliers={c: multipliers[c] for c in sorted(multipliers)},
-        objective_trace=trace, problem=problem, **totals,
-    )
+    sectors = {((lb.jA.twice_value, lb.jC.twice_value), tm): blk.coupled_sector_index(lb, tm)
+               for lb in block_labels(n) for tm in blk.sector_range(lb)}
+    return sdp.Seed(blocks=blocks, multipliers={c: multipliers[c] for c in sorted(multipliers)},
+                    objective_trace=trace, sectors=sectors, **totals)
 
 
 # ---------------------------------------------------------------------------

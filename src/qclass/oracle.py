@@ -468,12 +468,9 @@ def dense_seed_problem(sectors: Sequence[tuple]) -> sdp.Bands:
 
 def dense_seed_sectors(problem: sdp.Bands) -> list[tuple]:
     """(key, channels, 2 w C) of every sector of a problem, each cost a dense matrix."""
-    dense, D, out = sdp._dense(problem.diag, problem.off), len(problem.slot), []
-    for k, key in enumerate(problem.keys):
-        slots = problem.sector_slots(k)
-        out.append((key, tuple(problem.channels[c][1] for c in slots),
-                    dense[k, D - len(slots):, D - len(slots):]))
-    return out
+    dense, D = sdp._dense(problem.diag, problem.off), len(problem.slot)
+    return [(key, tjs, dense[k, D - len(tjs):, D - len(tjs):])
+            for k, (key, tjs) in enumerate(problem.layout().items())]
 
 
 # ---------------------------------------------------------------------------

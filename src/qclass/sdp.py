@@ -48,14 +48,16 @@ in one pass, the rank-one point of one full sector, whose dual
 y_j = (C v)_j / v_j attains b'y = v'Cv, lifted by ``_LIFT`` times the
 problem's scale, and certifies it by the LDL' pivots of S_b(y), O(D) per
 sector; ``rank_one_seed`` is its one-problem case, a ``Seed`` holding that
-one sector, and ``slack_pivots`` certifies any dual.  A sector missing
-from a seed is 0.  No Newton step runs for such a point.
+one sector, and ``slack_pivots`` certifies any dual.  No Newton step runs
+for such a point.
 A problem is a ``Bands``, the one problem form: the keys, channels and two
-bands per sector that the engine reads.  ``mixed`` builds them from each
-label's Jz_A bands and passes in one block label per problem; the engine
-is blind to the block symmetries that ``mixed`` uses.  Dense sector costs
-become ``Bands``, with every input check, through
-``oracle.dense_seed_problem``, which only the cross-checks use.
+bands per sector that the engine reads.  ``mixed`` builds one per block
+label from its Jz_A bands; the engine is blind to the block symmetries
+that ``mixed`` uses.  Dense sector costs become ``Bands``, with every
+input check, through ``oracle.dense_seed_problem``, which only the
+cross-checks use.  A ``Seed`` keeps its problem's layout alone
+(``Bands.layout``: each sector's key and the 2j of its rows); a sector
+missing from a seed is 0.
 """
 from __future__ import annotations
 
@@ -123,12 +125,19 @@ class Bands:
         column = self.slot[:, k]
         return column[column < len(self.channels)]
 
+    def layout(self) -> dict:
+        """Every sector key, in order, mapped to the doubled momenta 2j of its rows."""
+        tjs = np.array([tj for _, tj in self.channels], int)
+        return {key: tuple(tjs[self.sector_slots(k)].tolist()) for k, key in enumerate(self.keys)}
+
 
 @dataclass
 class Seed:
-    """A feasible (near-optimal) collection of sector matrices.
+    """A feasible (near-optimal) collection of sector matrices on the layout ``sectors``.
 
-    A sector of ``problem`` missing from ``blocks`` is the zero matrix.
+    The layout maps every sector key (xi, 2m) of the problem, in its order,
+    to the doubled momenta 2j of the sector's rows, channels (xi, 2j).  A
+    sector missing from ``blocks`` is the zero matrix.
     """
 
     blocks: dict[tuple, np.ndarray]
@@ -138,33 +147,33 @@ class Seed:
     iterations: int
     multipliers: dict[tuple, float]
     objective_trace: list = field(default_factory=list, repr=False)
-    problem: Bands = field(default=None, repr=False)
+    sectors: dict[tuple, tuple] = field(default_factory=dict, repr=False)
 
     def constraint_residual(self) -> float:
         """Largest deviation of a channel's diagonal sum, taken in sector order, from its target."""
-        p = self.problem
-        held = [k for k, key in enumerate(p.keys) if key in self.blocks]
-        slots = np.concatenate([p.sector_slots(k) for k in held])
-        diag = np.concatenate([np.diagonal(self.blocks[p.keys[k]]).real for k in held])
-        sums = np.bincount(slots, weights=diag, minlength=len(p.channels))
-        return float(np.abs(sums - [tj + 1 for _, tj in p.channels]).max())
+        channels = dict.fromkeys((xi, tj) for (xi, _), tjs in self.sectors.items() for tj in tjs)
+        index = {c: i for i, c in enumerate(channels)}
+        held = [key for key in self.sectors if key in self.blocks]
+        slots = [index[key[0], tj] for key in held for tj in self.sectors[key]]
+        diag = np.concatenate([np.diagonal(self.blocks[key]).real for key in held])
+        sums = np.bincount(slots, weights=diag, minlength=len(index))
+        return float(np.abs(sums - [tj + 1 for _, tj in index]).max())
 
     def min_eigenvalue(self) -> float:
         """Least eigenvalue over the sectors; 0 counts where a sector is missing."""
         least = [float(np.linalg.eigvalsh((X + X.conj().T) / 2).min())
                  for X in self.blocks.values()]
-        if len(self.blocks) < len(self.problem.keys):
+        if len(self.blocks) < len(self.sectors):
             least.append(0.0)
         return min(least)
 
     def to_json_dict(self) -> dict:
-        p, items = self.problem, []
-        for k, (xi, tm) in enumerate(p.keys):
-            channels = [p.channels[c][1] for c in p.sector_slots(k)]
-            X = self.blocks[xi, tm] if (xi, tm) in self.blocks else np.zeros((len(channels),) * 2)
+        items = []
+        for (xi, tm), tjs in self.sectors.items():
+            X = self.blocks[xi, tm] if (xi, tm) in self.blocks else np.zeros((len(tjs),) * 2)
             items.append({
                 "xi": list(xi), "twice_m": tm,
-                "channels": channels,
+                "channels": list(tjs),
                 "matrix": np.asarray(X).real.tolist(),
                 "eigenvalues": np.linalg.eigvalsh((X + X.conj().T) / 2).tolist(),
             })
@@ -287,12 +296,12 @@ def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 def _seed(part: Bands, X, objective, bound, gap, iterations, y, trace) -> Seed:
     """A Seed in the problem's units from a (D, D, sectors) primal of its bands, front-padded."""
-    nch, s = len(part.channels), part.scale
-    lo = (len(X) - sector_sizes(part)).tolist()
-    blocks = {key: np.ascontiguousarray(X[lo[k]:, lo[k]:, k]) for k, key in enumerate(part.keys)}
+    nch, s, sectors = len(part.channels), part.scale, part.layout()
+    blocks = {key: np.ascontiguousarray(X[-len(tjs):, -len(tjs):, k])
+              for k, (key, tjs) in enumerate(sectors.items())}
     return Seed(blocks=blocks, objective=objective * s, bound=bound * s, gap=gap * s,
                 iterations=iterations, multipliers=dict(zip(part.channels, y[:nch] * s)),
-                objective_trace=[v * s for v in trace], problem=part)
+                objective_trace=[v * s for v in trace], sectors=sectors)
 
 
 def _zero_seed(part: Bands) -> Seed:
@@ -308,11 +317,6 @@ def _zero_seed(part: Bands) -> Seed:
 
 # ---------------------------------------------------------------------------
 # Closed-form rank-one seeds and their pivot certificate
-
-
-def sector_sizes(problem: Bands) -> np.ndarray:
-    """Rows of each sector, its padding cut off."""
-    return np.count_nonzero(problem.slot < len(problem.channels), axis=0)
 
 
 def slack_pivots(problem: Bands, y: np.ndarray) -> np.ndarray:
@@ -381,7 +385,7 @@ def rank_one_seed(problem: Bands) -> tuple[Seed, int]:
     """
     ((best, v, y, objective, bound, _),) = rank_one([problem])
     return Seed({problem.keys[best]: np.outer(v, v)}, objective, bound, bound - objective, 0,
-                dict(zip(problem.channels, y)), [objective], problem), best
+                dict(zip(problem.channels, y)), [objective], problem.layout()), best
 
 
 class _Batch:

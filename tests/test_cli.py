@@ -149,6 +149,16 @@ class TestDumpCommand:
                                  "--jA", f"{ta}/2", "--jC", f"{tc}/2"]) == cli.EXIT_OK
         assert cli.main(["dump", "gamma", "--n", "0"]) == cli.EXIT_DOMAIN
 
+    @pytest.mark.parametrize("label", [["--jA", "5"], ["--jC", "1/2"], ["--jA", "1", "--jC", "1"]],
+                             ids=["jA", "jC", "both"])
+    def test_seed_rejects_label_flags(self, label, monkeypatch, capsys):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("dump seed solved although it takes no label")
+
+        monkeypatch.setattr(mixed, "solve_lm", not_reached)
+        assert cli.main(["dump", "seed", "--n", "1", "--r", "0.6", *label]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_seed(self, tmp_path):
         out = tmp_path / "seed.json"
         proc = run_cli("dump", "seed", "--n", "1", "--r", "0.6", "--out", str(out))

@@ -311,16 +311,20 @@ class TestLabelByLabelSolve:
         # round to a little below zero are counted as zero, plus 1e-12 rounding
         for r in (0.12, 0.5, 0.9, 1.0):
             _, seed = mixed.solve_lm(n, r)
-            joint = sdp.solve(mixed.build_lm_problem(n, r))
+            problem = mixed.build_lm_problem(n, r)
+            joint = sdp.solve(problem)
             slack = max(seed.gap, 0.0) + max(joint.gap, 0.0) + 1e-12
             assert abs(seed.objective - joint.objective) <= slack
-            # the assembled sectors, mirrors included, attain the assembled objective
+            # the assembled sectors, mirrors included, attain the assembled objective;
+            # a sector the seed does not hold is 0
             attained = sum(float(np.vdot(cost, seed.blocks[key]))
-                           for key, _, cost in oracle.dense_seed_sectors(seed.problem))
+                           for key, _, cost in oracle.dense_seed_sectors(problem)
+                           if key in seed.blocks)
             assert attained == pytest.approx(seed.objective, abs=1e-12)
             assert seed.gap <= sdp.DEFAULT_TOL
-            assert set(seed.blocks) == set(seed.problem.keys)
-            assert set(seed.multipliers) == set(seed.problem.channels)
+            assert list(seed.sectors) == problem.keys
+            assert set(seed.blocks) <= set(seed.sectors)
+            assert set(seed.multipliers) == set(problem.channels)
             assert machines.verify_seed(seed)
 
     def test_r_independent_labels_solved_once(self, monkeypatch):
@@ -368,7 +372,8 @@ class TestLabelByLabelSolve:
         for n in (2, 4):
             _, seed = mixed.solve_lm(n, 1.0)
             top = {k: X for k, X in seed.blocks.items() if k[0] == (n, n)}
-            cost = {key: c for key, _, c in oracle.dense_seed_sectors(seed.problem)}
+            problem = mixed.build_lm_problem(n, 1.0)
+            cost = {key: c for key, _, c in oracle.dense_seed_sectors(problem)}
             alone = sum(float(np.vdot(cost[k], X)) for k, X in top.items())
             assert seed.objective == pytest.approx(alone, abs=1e-12)
             assert 0.5 * (1 - seed.objective / 2) == pytest.approx(machines.lm_error(n), abs=1e-8)
@@ -379,8 +384,38 @@ class TestLabelByLabelSolve:
             mixed.solve_lm(5, 0.1, tol=1e-12, max_iter=3)
         seed = exc.value.seed
         assert seed.gap > 1e-12
-        assert set(seed.blocks) == set(seed.problem.keys)
+        assert list(seed.sectors) == mixed.build_lm_problem(5, 0.1).keys
+        assert set(seed.blocks) <= set(seed.sectors)
         assert seed.constraint_residual() <= 1e-8
+
+    @pytest.mark.parametrize("n, r, failing", [(1, 0.6, False), (3, 0.55, False),
+                                               (4, 1.0, False), (5, 0.1, True)])
+    def test_seed_laid_out_from_labels(self, monkeypatch, n, r, failing):
+        # solve_lm takes its seed's layout from the block labels and never builds the
+        # whole problem; the dump lists that problem's keys and channels in order,
+        # and the residual is the sum over the problem, held sectors in its order
+        def not_reached(*args, **kwargs):
+            raise AssertionError("solve_lm built the whole problem")
+
+        monkeypatch.setattr(mixed, "build_lm_problem", not_reached)
+        if failing:
+            with pytest.raises(sdp.SolverError) as exc:
+                mixed.solve_lm(n, r, tol=1e-12, max_iter=3)
+            seed = exc.value.seed
+        else:
+            _, seed = mixed.solve_lm(n, r)
+        monkeypatch.undo()
+        p = mixed.build_lm_problem(n, r)
+        dumped = seed.to_json_dict()["blocks"]
+        assert [(tuple(b["xi"]), b["twice_m"]) for b in dumped] == p.keys
+        for k, b in enumerate(dumped):
+            assert b["channels"] == [p.channels[c][1] for c in p.sector_slots(k)]
+        held = [k for k, key in enumerate(p.keys) if key in seed.blocks]
+        slots = np.concatenate([p.sector_slots(k) for k in held])
+        diag = np.concatenate([np.diagonal(seed.blocks[p.keys[k]]).real for k in held])
+        sums = np.bincount(slots, weights=diag, minlength=len(p.channels))
+        residual = float(np.abs(sums - [tj + 1 for _, tj in p.channels]).max())
+        assert seed.constraint_residual() == residual
 
 
 def label_coeffs(n, r):
@@ -400,11 +435,9 @@ def label_problems(n, r):
 
 
 def close_label(xi, coeffs, share):
-    """Closure and seed of one label problem, closed in a chunk of its own, with its problem."""
+    """Closure and seed of one label problem, closed in a chunk of its own."""
     chunk = mixed._Chunk([[(xi, [coeffs], [(0, 1.0)])]], share, sdp.DEFAULT_MAX_ITER)
-    seed = chunk.seed(0)
-    (seed.problem,) = mixed._label_bands(*xi, [coeffs])
-    return chunk.closures[0], seed
+    return chunk.closures[0], chunk.seed(0)
 
 
 def least_slack_eigenvalues(problem, multipliers):
@@ -427,7 +460,7 @@ class TestClosedFormSeeds:
                 closure, seed = close_label(xi, coeffs, share)
                 if closure.how != "closed_form":
                     continue
-                p = seed.problem
+                (p,) = mixed._label_bands(*xi, [coeffs])
                 closed += 1
                 assert min(least_slack_eigenvalues(p, seed.multipliers)) >= -1e-12 * p.scale
                 assert seed.constraint_residual() <= 1e-12
@@ -446,8 +479,9 @@ class TestClosedFormSeeds:
         for n in (1, 2, 5, 10, 20):
             rep = mixed.lm_risk(n, 1.0)
             assert rep.error_probability == pytest.approx(machines.lm_error(n), abs=1e-12)
-            seed, best = sdp.rank_one_seed(dict(label_problems(n, 1.0))[n, n])
-            assert seed.problem.keys[best] == ((n, n), 0)
+            p = dict(label_problems(n, 1.0))[n, n]
+            seed, best = sdp.rank_one_seed(p)
+            assert p.keys[best] == ((n, n), 0)
             np.testing.assert_allclose(np.abs(seed.blocks[(n, n), 0]),
                                        np.outer(*[machines.lm_seed(n).coefficients] * 2),
                                        rtol=1e-15)
@@ -528,8 +562,8 @@ class TestClosedFormSeeds:
 
     def test_label_seeds_hold_only_solved_sectors(self):
         # a closed-form label seed holds its one full sector and an active-set seed
-        # the sectors its barrier solved, the others being 0; only the assembled
-        # whole seed holds every sector of its problem
+        # the sectors its barrier solved, the others being 0; the assembled whole
+        # seed lays out every sector of its problem and holds some of them
         (chunk,) = mixed._label_chunks(mixed._lane_spectrum(4, [0.5]), sdp.DEFAULT_TOL,
                                        sdp.DEFAULT_MAX_ITER)
         closed = [k for k, c in enumerate(chunk.closures) if c.how == "closed_form"]
@@ -546,7 +580,8 @@ class TestClosedFormSeeds:
         assert active.iterations > 0 and set(active.blocks) < set(p.keys)
         assert active.constraint_residual() <= 1e-12
         _, seed = mixed.solve_lm(n, r)
-        assert set(seed.blocks) == set(seed.problem.keys)
+        assert list(seed.sectors) == mixed.build_lm_problem(n, r).keys
+        assert set(seed.blocks) <= set(seed.sectors)
 
 
 FIG1 = mixed.SweepConfig(n_values=(1, 2, 3, 4), r_min=0.12, r_max=1.0, steps=23)

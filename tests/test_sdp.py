@@ -34,7 +34,8 @@ def project_feasible(problem, blocks, tol=1e-13, max_sweeps=2000):
     The final half-step is affine, so constraints hold exactly.
     """
     targets, slots = constraint_targets(problem), channel_slots(problem)
-    x = {k: np.real(X).copy() for k, X in blocks.items()}
+    x = {key: np.real(blocks[key]).copy() if key in blocks else np.zeros_like(cost)
+         for key, _, cost in oracle.dense_seed_sectors(problem)}  # a missing sector is 0
     p = {k: np.zeros_like(X) for k, X in x.items()}
     for _ in range(max_sweeps):
         y = {}
@@ -63,7 +64,7 @@ def fit_multipliers(problem, blocks):
     pos = {c: i for i, c in enumerate(chans)}
     rows, rhs = [], []
     for key, channels, cost in oracle.dense_seed_sectors(problem):
-        X = np.real(blocks[key])
+        X = np.real(blocks[key]) if key in blocks else np.zeros_like(cost)
         CX = cost @ X
         for i, tj in enumerate(channels):
             row = np.zeros((len(channels), len(chans)))
@@ -87,7 +88,7 @@ def repaired_bound(problem, y):
 
 def objective(problem, blocks):
     return sum(float(np.vdot(cost, blocks[key]))
-               for key, _, cost in oracle.dense_seed_sectors(problem))
+               for key, _, cost in oracle.dense_seed_sectors(problem) if key in blocks)
 
 
 def n1_pure_problem():
@@ -270,7 +271,7 @@ class TestBandKernels:
         assert any(True in r and False in r for r in rounds)
         for a, b in zip(together, alone):
             assert_same_seed(a, b)
-        assert together[0].problem is problems[0]
+        assert together[0].sectors == problems[0].layout()
 
 
 class TestCertificate:
@@ -280,9 +281,10 @@ class TestCertificate:
         # lifted from multipliers fitted to it lies within the reported gap
         for r in (0.12, 0.5, 0.9, 1.0):
             _, seed = mixed.solve_lm(n, r)
-            feas = project_feasible(seed.problem, seed.blocks)
-            assert objective(seed.problem, feas) == pytest.approx(seed.objective, abs=1e-12)
-            bound = repaired_bound(seed.problem, fit_multipliers(seed.problem, feas))
+            problem = mixed.build_lm_problem(n, r)
+            feas = project_feasible(problem, seed.blocks)
+            assert objective(problem, feas) == pytest.approx(seed.objective, abs=1e-12)
+            bound = repaired_bound(problem, fit_multipliers(problem, feas))
             assert seed.objective - 1e-12 <= bound <= seed.objective + seed.gap
 
     def test_congruence_repaired_primal_is_feasible(self):
