@@ -140,7 +140,7 @@ def cmd_machine(args) -> int:
             report = machines.make_report("lm", args.n, machines.lm_error(args.n))
         else:
             report = mixed.lm_risk(args.n, args.r, tol=tol)
-    elif args.machine in ("ed", "ed-n1", "reversed"):
+    else:  # ed, ed-n1 or reversed
         if args.r != 1.0:
             raise ValueError(f"the {args.machine} machine is implemented for pure sources only")
         if args.machine == "ed":
@@ -153,8 +153,6 @@ def cmd_machine(args) -> int:
         else:
             report = machines.make_report("reversed", args.n,
                                           machines.reversed_lm_error(args.n))
-    else:
-        raise ValueError(f"unknown machine {args.machine!r}")
 
     payload = report.to_json_dict()
     if args.json:
@@ -167,8 +165,6 @@ def cmd_machine(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.preset != "fig1":
-        raise ValueError(f"unknown sweep preset {args.preset!r}")
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     _check_writable(args.out)
@@ -193,6 +189,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(verify_mod.SUITES) if args.suite == "all" else [args.suite]
+    if args.seed < 0:  # the oracle suite's generator takes non-negative seeds only
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.tol is not None:
         sdp.check_tol(args.tol)
     _check_writable(args.out)

@@ -139,20 +139,21 @@ def lm_seed(n: int) -> SeedVector:
     return SeedVector(n=n, coefficients=np.sqrt(2.0 * np.arange(n + 1) + 1.0))
 
 
-def verify_seed(seed, tol: float = 1e-10) -> bool:
+def verify_seed(seed) -> bool:
     """Check the completeness condition sum_m <j,m|Omega_m|j,m> = 2j+1 for every j.
 
     Accepts a ``SeedVector`` (rank-one, m = 0, so the condition reads
-    coefficient_j^2 = 2j+1) or any object with per-block matrices and a
-    ``constraint_residual`` method (a solved seed).
+    coefficient_j^2 = 2j+1, to 1e-10) or any object with per-block matrices
+    and a ``constraint_residual`` method (a solved seed, to 1e-8 and positive
+    semidefinite to 1e-9).
     """
     if isinstance(seed, SeedVector):
         want = 2.0 * np.arange(seed.n + 1) + 1.0
-        return bool(np.abs(seed.coefficients ** 2 - want).max() <= tol)
+        return bool(np.abs(seed.coefficients ** 2 - want).max() <= 1e-10)
     residual = getattr(seed, "constraint_residual", None)
     if residual is None:
         raise ValueError(f"cannot verify object of type {type(seed).__name__}")
-    return residual() <= max(tol, 1e-8) and seed.min_eigenvalue() >= -1e-9
+    return residual() <= 1e-8 and seed.min_eigenvalue() >= -1e-9
 
 
 def gamma_up_pure(n: int) -> BlockOperator:

@@ -217,39 +217,38 @@ def build_lm_problem(n: int, r: float) -> sdp.Bands:
     return sdp.Bands(keys, channels, slot, diag, off)
 
 
-def solve_lm(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
-             max_iter: int = sdp.DEFAULT_MAX_ITER) -> tuple[machines.MachineReport, sdp.Seed]:
+def solve_lm(n: int, r: float,
+             tol: float = sdp.DEFAULT_TOL) -> tuple[machines.MachineReport, sdp.Seed]:
     """Optimal learning-machine risk at (n, r); returns (report, solved seed).
 
     The one-purity case of ``_label_chunks``, its label seeds assembled on
     the block labels' layout; above ``tol``, ``SolverError`` carries that seed.
     """
     parts, seeds = [], []
-    for chunk in _label_chunks(_lane_spectrum(n, [r]), tol, max_iter):  # one problem per label
+    for chunk in _label_chunks(_lane_spectrum(n, [r]), tol):  # one problem per label
         parts += chunk.parts[0]
         seeds += [(xi, chunk.seed(k), scale) for k, (xi, _, scale) in enumerate(chunk.parts[0])]
-    report, totals, error = _lm_row(n, r, parts, tol, max_iter)
+    report, totals, error = _lm_row(n, r, parts, tol)
     seed = _assemble_seed(n, seeds, totals)
     if error is not None:
         raise sdp.SolverError(error, seed)
     return report, seed
 
 
-def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL,
-            max_iter: int = sdp.DEFAULT_MAX_ITER) -> machines.MachineReport:
+def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL) -> machines.MachineReport:
     """The report of ``solve_lm`` from the label totals alone, as a sweep row takes it.
 
     No blocks are assembled, so ``SolverError`` carries no seed.
     """
-    (parts,) = _lm_parts(_lane_spectrum(n, [r]), tol, max_iter)
-    report, _, error = _lm_row(n, r, parts, tol, max_iter)
+    (parts,) = _lm_parts(_lane_spectrum(n, [r]), tol)
+    report, _, error = _lm_row(n, r, parts, tol)
     if error is not None:
         raise sdp.SolverError(error, None)
     return report
 
 
-def _lm_row(n: int, r: float, parts: list, tol: float,
-            max_iter: int) -> tuple[machines.MachineReport, dict, Optional[str]]:
+def _lm_row(n: int, r: float, parts: list,
+            tol: float) -> tuple[machines.MachineReport, dict, Optional[str]]:
     """Report, totals and gap error of one row from its (label, closure, cost scale) parts.
 
     A mirrored label counts twice; the error is None where the summed gap meets ``tol``.
@@ -266,21 +265,21 @@ def _lm_row(n: int, r: float, parts: list, tol: float,
                                   solver_gap=gap)
     error = None if gap <= tol else (
         f"gap {gap:.3e} above tolerance {tol:.3e} after {iterations} Newton steps summed "
-        f"over {len(parts)} solved labels, at most {max_iter} each")
+        f"over {len(parts)} solved labels, at most {sdp.MAX_ITER} each")
     return report, dict(objective=objective, bound=bound, gap=gap, iterations=iterations), error
 
 
-def _lm_parts(spectrum: _Spectrum, tol: float, max_iter: int) -> list[list[tuple]]:
+def _lm_parts(spectrum: _Spectrum, tol: float) -> list[list[tuple]]:
     """(label, closure, cost scale) of every solved label at every r of ``spectrum``."""
     rows = [[] for _ in spectrum.rs]
-    for chunk in _label_chunks(spectrum, tol, max_iter):
+    for chunk in _label_chunks(spectrum, tol):
         for out, parts in zip(rows, chunk.parts):
             out += parts
         del chunk  # before the next chunk is built
     return rows
 
 
-def _label_chunks(spectrum: _Spectrum, tol: float, max_iter: int):
+def _label_chunks(spectrum: _Spectrum, tol: float):
     """Every solved label at every r of ``spectrum``, closed chunk by chunk in label order.
 
     Only labels with jA <= jC are solved: the mirror (jC, jA) has the same
@@ -306,10 +305,10 @@ def _label_chunks(spectrum: _Spectrum, tol: float, max_iter: int):
             labels.append(((ta, tc), coeffs, at))
         entries = (ta + 1) * sum(len(c) * (sum(xi) + 1) for xi, c, _ in labels)  # 2 jA + 1 rows
         if todo and size + entries > _CHUNK_ENTRIES:
-            yield _Chunk(todo, share, max_iter)
+            yield _Chunk(todo, share)
             todo, size = [], 0
         todo, size = todo + [labels], size + entries
-    yield _Chunk(todo, share, max_iter)
+    yield _Chunk(todo, share)
 
 
 # how: "closed_form", "zero_cost" or "barrier"; rounds: active-set rounds; iterations: Newton steps
@@ -333,7 +332,7 @@ class _Chunk:
     still holds.
     """
 
-    def __init__(self, groups: list, share: float, max_iter: int):
+    def __init__(self, groups: list, share: float):
         labels = [label for group in groups for label in group]
         self.specs = [(xi, c) for xi, coeffs, _ in labels for c in coeffs]
         reach = [far for _, coeffs, at in labels  # the largest factor a problem is scaled by
@@ -350,15 +349,14 @@ class _Chunk:
                                                   bound - objective))
                 else:
                     self.closures.append(None)
-                    problems[k], active[k], spent[k] = p, violated.copy(), (0, 0, [])
+                    problems[k], active[k], spent[k] = p, violated.copy(), (0, 0)
                     active[k][best] = True
         while active:
             order = sorted(active)
-            parts = sdp.solve_many([_restrict(problems[k], active[k]) for k in order], share,
-                                   max_iter)
+            parts = sdp.solve_many([_restrict(problems[k], active[k]) for k in order], share)
             for k, part in zip(order, parts):
-                p, on, (rounds, steps, trace) = problems[k], active.pop(k), spent[k]
-                spent[k] = done = rounds + 1, steps + part.iterations, trace + part.objective_trace
+                p, on, (rounds, steps) = problems[k], active.pop(k), spent[k]
+                spent[k] = done = rounds + 1, steps + part.iterations
                 y = np.array([part.multipliers[c] for c in p.channels])
                 violated = ~(sdp.slack_pivots(p, y) > 0.0).all(axis=0) & ~on
                 if violated.any() and part.gap <= share:
@@ -369,10 +367,10 @@ class _Chunk:
                     y = y + sdp.gershgorin_lift(np.append(y, 1.0), p.slot, p.diag, p.off,
                                                 violated)[:-1]
                     bound = float(np.array([tj + 1.0 for _, tj in p.channels]) @ y)
-                self.closures[k] = _Closure("barrier", *done[:2], part.objective, bound,
+                self.closures[k] = _Closure("barrier", *done, part.objective, bound,
                                             bound - part.objective)
                 self.barrier[k] = sdp.Seed(part.blocks, *self.closures[k][3:], done[1],
-                                           dict(zip(p.channels, y)), done[2], part.sectors)
+                                           dict(zip(p.channels, y)), sectors=part.sectors)
         self.parts, first = [[] for _ in labels[0][2]], 0
         for xi, coeffs, at in labels:
             for out, (i, scale) in zip(self.parts, at):
@@ -399,25 +397,20 @@ def _assemble_seed(n: int, parts: list, totals: dict) -> sdp.Seed:
 
     It is laid out on every sector of every block label, in the order of
     ``build_lm_problem``; a sector no label seed holds is 0.
-    The objective trace sums the labels' scaled traces, each held at its
-    last value once it ends.
     """
-    blocks, multipliers, traces = {}, {}, []
+    blocks, multipliers = {}, {}
     for (ta, tc), seed, scale in parts:
         mirrors = [(ta, tc)] if ta == tc else [(ta, tc), (tc, ta)]
-        traces.append([len(mirrors) * scale * v for v in seed.objective_trace])
         for (_, tm), X in seed.blocks.items():
             for k, xi in enumerate(mirrors):
                 blocks[xi, -tm if k else tm] = X
         for (_, tj), y in seed.multipliers.items():
             for xi in mirrors:
                 multipliers[xi, tj] = scale * y
-    steps = max(len(t) for t in traces)
-    trace = [sum(t[min(k, len(t) - 1)] for t in traces) for k in range(steps)]
     sectors = {((lb.jA.twice_value, lb.jC.twice_value), tm): blk.coupled_sector_index(lb, tm)
                for lb in block_labels(n) for tm in blk.sector_range(lb)}
     return sdp.Seed(blocks=blocks, multipliers={c: multipliers[c] for c in sorted(multipliers)},
-                    objective_trace=trace, sectors=sectors, **totals)
+                    sectors=sectors, **totals)
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +515,13 @@ def _recoupling_cos2(ta: int, tc: int, tJ: int | np.ndarray) -> float | np.ndarr
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid description for the risk sweep."""
+    """Grid description for the risk sweep; a solve stops at ``sdp.MAX_ITER`` Newton steps."""
 
     n_values: tuple[int, ...] = (1, 2, 3, 4, 5)
     r_min: float = 0.1
     r_max: float = 1.0
     steps: int = 46
     tol: float = sdp.DEFAULT_TOL
-    max_iter: int = sdp.DEFAULT_MAX_ITER
 
     def __post_init__(self):
         if self.steps < 1:
@@ -591,9 +583,9 @@ def _sweep_lane(args) -> list[SweepRow]:
     spectrum = _lane_spectrum(n, [float(r) for r in config.r_grid()])
     rows = []
     for r, floor, parts in zip(spectrum.rs, _floors(spectrum, WEIGHT_CUTOFF),
-                               _lm_parts(spectrum, config.tol, config.max_iter)):
+                               _lm_parts(spectrum, config.tol)):
         opt = floor.excess_risk
-        report, totals, error = _lm_row(n, r, parts, config.tol, config.max_iter)
+        report, totals, error = _lm_row(n, r, parts, config.tol)
         if error is None:
             lm = report.excess_risk
             rel_gap = (lm - opt) / opt if opt else 0.0

@@ -38,6 +38,7 @@ MAX_FULL_QUBITS = 12  # dense full-product-space construction guard
 # take minutes and k = 12 hours.
 MAX_TWIRL_QUBITS = 9
 _TWIRL_BYTES = 1 << 22  # size of each stack of rotated operators a twirl holds at once
+_GRID = (24, 24)  # (azimuthal, polar) nodes of the group averages built here
 
 # Pauli matrices in the (down, up) basis
 PAULI = {
@@ -142,7 +143,7 @@ def _su2_elements(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def twirl_product(k: int, single_qubit_diag: np.ndarray,
-                  n_azimuth: int = 24, n_polar: int = 24) -> np.ndarray:
+                  n_azimuth: int = _GRID[0], n_polar: int = _GRID[1]) -> np.ndarray:
     """Group average of U^(x k) D U^(x k)+ on the full 2^k space, D diagonal.
 
     Quadrature over (alpha, beta) only: a z-diagonal D makes the third Euler
@@ -171,26 +172,25 @@ def twirl_product(k: int, single_qubit_diag: np.ndarray,
     return out
 
 
-def _coherent_average(k: int, n_azimuth: int = 24, n_polar: int = 24) -> np.ndarray:
+def _coherent_average(k: int) -> np.ndarray:
     """Average of [psi^(x k)] over the sphere, on the symmetric subspace."""
-    alpha, beta, w = _sphere_grid(n_azimuth, n_polar)
+    alpha, beta, w = _sphere_grid(*_GRID)
     kets = _su2_elements(alpha, beta)[:, :, 1]  # rotated spin-up column
     amps = coherent_ket(k, kets)
     return np.einsum("q,qi,qj->ij", w, amps, amps.conj())
 
 
-def _coherent_pair_average(k: int, n_azimuth: int = 24, n_polar: int = 24) -> np.ndarray:
+def _coherent_pair_average(k: int) -> np.ndarray:
     """Average of [psi^(x k)] (x) [psi] over the sphere, on sym(k) x qubit."""
-    alpha, beta, w = _sphere_grid(n_azimuth, n_polar)
+    alpha, beta, w = _sphere_grid(*_GRID)
     kets = _su2_elements(alpha, beta)[:, :, 1]
     amps = coherent_ket(k, kets)
     joint = np.einsum("qi,qj->qij", amps, kets).reshape(len(w), -1)
     return np.einsum("q,qi,qj->ij", w, joint, joint.conj())
 
 
-def build_average_states(nA: int, nC: int, r: float = 1.0, nB: int = 1,
-                         n_azimuth: int = 24, n_polar: int = 24
-                         ) -> tuple[DenseOperator, DenseOperator]:
+def build_average_states(nA: int, nC: int, r: float = 1.0,
+                         nB: int = 1) -> tuple[DenseOperator, DenseOperator]:
     """The two averaged hypothesis states, built by explicit group quadrature.
 
     Pure sources (r = 1) live on sym(nA) x qubit x sym(nC); mixed sources are
@@ -205,11 +205,11 @@ def build_average_states(nA: int, nC: int, r: float = 1.0, nB: int = 1,
     if not 0.0 < r <= 1.0:
         raise ValueError(f"purity must lie in (0, 1], got {r}")
     if r == 1.0:
-        F0 = _coherent_pair_average(nA, n_azimuth, n_polar)      # on A x B
-        G0 = _coherent_average(nC, n_azimuth, n_polar)           # on C
-        F1 = _coherent_average(nA, n_azimuth, n_polar)
+        F0 = _coherent_pair_average(nA)      # on A x B
+        G0 = _coherent_average(nC)           # on C
+        F1 = _coherent_average(nA)
         # B left of C: average of [psi] (x) [psi^(x nC)]
-        alpha, beta, w = _sphere_grid(n_azimuth, n_polar)
+        alpha, beta, w = _sphere_grid(*_GRID)
         kets = _su2_elements(alpha, beta)[:, :, 1]
         ampsC = coherent_ket(nC, kets)
         joint = np.einsum("qi,qj->qij", kets, ampsC).reshape(len(w), -1)
@@ -226,10 +226,10 @@ def build_average_states(nA: int, nC: int, r: float = 1.0, nB: int = 1,
         raise ValueError(f"mixed-state construction twirls {max(nA, nC) + 1} qubits; "
                          f"cap is {MAX_TWIRL_QUBITS}")
     pz = np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
-    TA1 = twirl_product(nA + 1, pz, n_azimuth, n_polar)
-    TA0 = twirl_product(nA, pz, n_azimuth, n_polar) if nA else np.array([[1.0]], complex)
-    TC1 = twirl_product(nC + 1, pz, n_azimuth, n_polar)
-    TC0 = twirl_product(nC, pz, n_azimuth, n_polar) if nC else np.array([[1.0]], complex)
+    TA1 = twirl_product(nA + 1, pz)
+    TA0 = twirl_product(nA, pz) if nA else np.array([[1.0]], complex)
+    TC1 = twirl_product(nC + 1, pz)
+    TC0 = twirl_product(nC, pz) if nC else np.array([[1.0]], complex)
     dims = (2,) * total
     s0 = DenseOperator(np.kron(TA1, TC0), dims, "qubits:A,B,C", is_state=True)
     s1 = DenseOperator(np.kron(TA0, TC1), dims, "qubits:A,B,C", is_state=True)

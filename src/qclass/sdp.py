@@ -34,9 +34,10 @@ gap.  ``Seed.iterations`` counts Newton steps.
 
 ``solve_many`` runs one Newton loop over many independent problems of any
 shape, each with its own t, step length, centering test, certificate and
-step cap; ``solve`` is its one-problem case.  Backtracking evaluates three
-step lengths (s, s/2, s/4) per round and takes the first that decreases
-enough, which is the point one-at-a-time backtracking reaches.  A problem's
+count of Newton steps, at most ``MAX_ITER``; ``solve`` is its one-problem
+case.  Backtracking evaluates three step lengths (s, s/2, s/4) per round
+and takes the first that decreases enough, which is the point
+one-at-a-time backtracking reaches.  A problem's
 result does not depend on what else shares its loop: padding its sectors
 adds pivots of exactly 1 and zero inverse entries in a dummy channel, its
 sums run in a fixed order, and LAPACK solves its Newton system at its own
@@ -68,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 500  # Newton steps
+MAX_ITER = 500  # Newton steps per problem, read at each solve
 
 _MU = 20.0                  # growth of the barrier parameter t per centering
 _CENTERED = 1e-3            # centering ends once half the squared Newton decrement is below this
@@ -537,8 +538,8 @@ class _Batch:
             y_cert[:, nch] = 1.0
         return X, objective.tolist(), self.row_sums(self.b * y_cert).tolist(), y_cert
 
-    def run(self, tol: float, max_iter: int) -> list[Seed]:
-        K, nch = self.K, self.nch
+    def run(self, tol: float) -> list[Seed]:
+        K, nch, cap = self.K, self.nch, MAX_ITER
         y = np.ones((K, nch + 1))
         y[:, :nch] = self.start[:, None]
         piv, logdet = self.log_det(y[None], slice(None))
@@ -549,8 +550,8 @@ class _Batch:
         traces: list[list] = [[] for _ in range(K)]
         active = list(range(K))
         while active:
-            certify = [k for k in active if steps[k] >= max_iter]
-            go = [k for k in active if steps[k] < max_iter]
+            certify = [k for k in active if steps[k] >= cap]
+            go = [k for k in active if steps[k] < cap]
             stalled = []
             if go:
                 # b'(y + s dy) is tracked as b'y + s b'dy
@@ -612,7 +613,7 @@ class _Batch:
                         best[k] = (bound[k] - obj[k], X[:, :, first:first + self.counts[k]].copy(),
                                    obj[k], bound[k], y_cert[k].copy(), steps[k])
                     first += self.counts[k]
-                    if (best[k][0] * self.parts[k].scale <= tol or steps[k] >= max_iter
+                    if (best[k][0] * self.parts[k].scale <= tol or steps[k] >= cap
                             or k in stalled):
                         active.remove(k)
                     else:
@@ -622,8 +623,7 @@ class _Batch:
                 for part, (gap, X, obj, bound, yk, its), trace in zip(self.parts, best, traces)]
 
 
-def solve_many(problems: list[Bands], tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER) -> list[Seed]:
+def solve_many(problems: list[Bands], tol: float = DEFAULT_TOL) -> list[Seed]:
     """Best certified Seed of every problem, in order; the caller judges each gap.
 
     All share one Newton loop, taken in order of largest sector and cut
@@ -645,25 +645,25 @@ def solve_many(problems: list[Bands], tol: float = DEFAULT_TOL,
         sectors, top = sectors + count, D
     for chunk in filter(None, chunks):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            seeds = _Batch([problems[i] for i in chunk]).run(tol, max_iter)
+            seeds = _Batch([problems[i] for i in chunk]).run(tol)
         for i, seed in zip(chunk, seeds):
             out[i] = seed
     return out
 
 
-def solve(problem: Bands, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> Seed:
+def solve(problem: Bands, tol: float = DEFAULT_TOL) -> Seed:
     """Maximize the seed functional; returns a feasible Seed with certified gap.
 
-    Deterministic given (problem, tol, max_iter).  The gap is certified at
+    Deterministic given (problem, tol, MAX_ITER).  The gap is certified at
     the end of every centering; ``SolverError`` carries the best certified
-    point if it does not close within ``max_iter`` Newton steps (each
+    point if it does not close within ``MAX_ITER`` Newton steps (each
     Newton system solved counts, the one that finds a point centered too)
     or before rounding stalls the path.
     """
-    (seed,) = solve_many([problem], tol, max_iter)
+    (seed,) = solve_many([problem], tol)
     if not seed.gap <= tol:  # a nan gap certifies nothing
         raise SolverError(
             f"gap {seed.gap:.3e} above tolerance {tol:.3e}, best certificate at "
-            f"Newton step {seed.iterations} of at most {max_iter}", seed
+            f"Newton step {seed.iterations} of at most {MAX_ITER}", seed
         )
     return seed

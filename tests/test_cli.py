@@ -191,6 +191,20 @@ def test_bad_tolerance_rejected_before_solving(monkeypatch, capsys, cmd, tol):
     assert err.startswith("error:") and "tolerance" in err
 
 
+def test_negative_seed_rejected_before_verifying(monkeypatch, capsys):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a suite ran with a negative seed")
+
+    monkeypatch.setattr(verify, "run_suites", not_reached)
+    assert cli.main(["verify", "--suite", "su2", "--seed", "-1"]) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err
+    # the environment default is checked as the flag is
+    proc = run_cli("verify", "--suite", "su2", env={**os.environ, "QCLASS_SEED": "-1"})
+    assert proc.returncode == cli.EXIT_DOMAIN and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "--seed" in proc.stderr
+
+
 class TestVerifyCommand:
     def test_su2_suite_passes(self, tmp_path):
         out = tmp_path / "verify.json"

@@ -379,9 +379,10 @@ class TestLabelByLabelSolve:
             assert 0.5 * (1 - seed.objective / 2) == pytest.approx(machines.lm_error(n), abs=1e-8)
         assert loops == []
 
-    def test_failure_carries_assembled_seed(self):
+    def test_failure_carries_assembled_seed(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_ITER", 3)
         with pytest.raises(sdp.SolverError) as exc:
-            mixed.solve_lm(5, 0.1, tol=1e-12, max_iter=3)
+            mixed.solve_lm(5, 0.1, tol=1e-12)
         seed = exc.value.seed
         assert seed.gap > 1e-12
         assert list(seed.sectors) == mixed.build_lm_problem(5, 0.1).keys
@@ -399,8 +400,9 @@ class TestLabelByLabelSolve:
 
         monkeypatch.setattr(mixed, "build_lm_problem", not_reached)
         if failing:
+            monkeypatch.setattr(sdp, "MAX_ITER", 3)
             with pytest.raises(sdp.SolverError) as exc:
-                mixed.solve_lm(n, r, tol=1e-12, max_iter=3)
+                mixed.solve_lm(n, r, tol=1e-12)
             seed = exc.value.seed
         else:
             _, seed = mixed.solve_lm(n, r)
@@ -436,7 +438,7 @@ def label_problems(n, r):
 
 def close_label(xi, coeffs, share):
     """Closure and seed of one label problem, closed in a chunk of its own."""
-    chunk = mixed._Chunk([[(xi, [coeffs], [(0, 1.0)])]], share, sdp.DEFAULT_MAX_ITER)
+    chunk = mixed._Chunk([[(xi, [coeffs], [(0, 1.0)])]], share)
     return chunk.closures[0], chunk.seed(0)
 
 
@@ -564,8 +566,7 @@ class TestClosedFormSeeds:
         # a closed-form label seed holds its one full sector and an active-set seed
         # the sectors its barrier solved, the others being 0; the assembled whole
         # seed lays out every sector of its problem and holds some of them
-        (chunk,) = mixed._label_chunks(mixed._lane_spectrum(4, [0.5]), sdp.DEFAULT_TOL,
-                                       sdp.DEFAULT_MAX_ITER)
+        (chunk,) = mixed._label_chunks(mixed._lane_spectrum(4, [0.5]), sdp.DEFAULT_TOL)
         closed = [k for k, c in enumerate(chunk.closures) if c.how == "closed_form"]
         for k in closed:
             xi, coeffs = chunk.specs[k]
@@ -594,7 +595,7 @@ class TestChunks:
         kinds = set()
         for n in FIG1.n_values:
             spectrum = mixed._lane_spectrum(n, [float(r) for r in FIG1.r_grid()])
-            for chunk in mixed._label_chunks(spectrum, FIG1.tol, FIG1.max_iter):
+            for chunk in mixed._label_chunks(spectrum, FIG1.tol):
                 for _, closure, _ in (part for parts in chunk.parts for part in parts):
                     kinds.add(closure.how)
                     assert closure.rounds == closure.iterations == 0
@@ -602,8 +603,7 @@ class TestChunks:
 
     def test_barrier_label_reports_its_rounds(self):
         # label (1, 5) at (5, 0.1) is closed by the barrier on its active sectors
-        (chunk,) = mixed._label_chunks(mixed._lane_spectrum(5, [0.1]), sdp.DEFAULT_TOL,
-                                       sdp.DEFAULT_MAX_ITER)
+        (chunk,) = mixed._label_chunks(mixed._lane_spectrum(5, [0.1]), sdp.DEFAULT_TOL)
         closure = {xi: c for xi, c, _ in chunk.parts[0]}[1, 5]
         assert closure.how == "barrier" and closure.rounds >= 1 and closure.iterations > 0
 
@@ -849,9 +849,9 @@ class TestSweep:
         assert first[0] == "1"
         assert float(first[1]) == 0.2
 
-    def test_solver_failure_recorded_and_sweep_continues(self):
-        config = mixed.SweepConfig(n_values=(2,), r_min=0.3, r_max=0.7, steps=3,
-                                   tol=1e-13, max_iter=2)
+    def test_solver_failure_recorded_and_sweep_continues(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_ITER", 2)
+        config = mixed.SweepConfig(n_values=(2,), r_min=0.3, r_max=0.7, steps=3, tol=1e-13)
         table = mixed.run_sweep(config)
         assert len(table.rows) == 3
         assert len(table.failures()) == 3

@@ -159,10 +159,11 @@ class TestSolve:
         with pytest.raises(SolverError):
             solve(sdp.Bands(p.keys, p.channels, p.slot, p.diag, off))
 
-    def test_iteration_cap_carries_best_iterate(self):
+    def test_iteration_cap_carries_best_iterate(self, monkeypatch):
         hard = mixed.build_lm_problem(2, 0.6)
+        monkeypatch.setattr(sdp, "MAX_ITER", 3)
         with pytest.raises(SolverError) as exc:
-            solve(hard, tol=1e-12, max_iter=3)
+            solve(hard, tol=1e-12)
         seed = exc.value.seed
         assert isinstance(seed, Seed)
         assert seed.constraint_residual() <= 1e-8
@@ -287,13 +288,14 @@ class TestCertificate:
             bound = repaired_bound(problem, fit_multipliers(problem, feas))
             assert seed.objective - 1e-12 <= bound <= seed.objective + seed.gap
 
-    def test_congruence_repaired_primal_is_feasible(self):
+    def test_congruence_repaired_primal_is_feasible(self, monkeypatch):
         problems = [n1_pure_problem()] + [mixed.build_lm_problem(n, r)
                                           for n, r in ((2, 0.3), (3, 0.8), (4, 1.0))]
         for problem in problems:
-            for max_iter in (1, 3, 500):
+            for cap in (1, 3, 500):
+                monkeypatch.setattr(sdp, "MAX_ITER", cap)
                 try:
-                    seed = solve(problem, max_iter=max_iter)
+                    seed = solve(problem)
                 except SolverError as exc:
                     seed = exc.seed
                 assert seed.constraint_residual() <= 1e-12
