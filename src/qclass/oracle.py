@@ -555,6 +555,10 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
     -- then orients a Stern-Gerlach along the sampled direction and
     classifies.  ``pre_rotation`` applies a fixed rotation to both hidden
     states (covariance probe).
+
+    Trials run ``batch`` >= 1 at a time.  A batch holds each trial's hidden
+    kets once, as (down0, up0, down1, up1), with its data ket, label and
+    selected <up| u+, and for "mc" its accepted rotation and open draws.
     """
     if seed_vector.n != n:
         raise ValueError(f"seed is for n={seed_vector.n}, not {n}")
@@ -564,6 +568,8 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
         raise ValueError(f"unknown discretization {discretization!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if batch < 1:
+        raise ValueError(f"batch must be at least one trial, got {batch}")
     gen = rng.generator()
     coeffs = seed_vector.coefficients
     # seed overlap in the (mA, mC = -mA) product sector; coupled j runs 0..n
@@ -578,26 +584,26 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
     if discretization == "quadrature":
         alpha, beta, wq = _sphere_grid(2 * n + 3, n + 2)
         us_grid = _su2_elements(alpha, beta)
-        # psi @ rot_grid holds u+ psi at every grid point: the down parts, then the up parts
-        rot_grid = us_grid.conj().transpose(1, 2, 0).reshape(2, -1)
+        # psi @ rot_down and psi @ rot_up hold the parts of u+ psi at every grid point
+        rot_down, rot_up = us_grid.conj().transpose(2, 1, 0).copy()
         up_rows = us_grid[:, :, 1].conj()  # <up| u+ as a row vector
 
     errors = 0
     done = 0
     while done < trials:
         m = min(batch, trials - done)
-        s0 = _haar_bloch(gen, m)
-        s1 = _haar_bloch(gen, m)
-        k0, k1 = bloch_to_ket(s0), bloch_to_ket(s1)
+        k0 = bloch_to_ket(_haar_bloch(gen, m))
+        k1 = bloch_to_ket(_haar_bloch(gen, m))
         if pre_rotation is not None:
             k0 = k0 @ pre_rotation.T
             k1 = k1 @ pre_rotation.T
         labels = gen.integers(0, 2, size=m)
         kb = np.where(labels[:, None] == 0, k0, k1)
+        kets = np.concatenate([k0, k1], axis=1)  # down0, up0, down1, up1 of each trial
+        del k0, k1
 
         if discretization == "mc":
             todo = np.arange(m)
-            kets = np.concatenate([k0, k1], axis=1).T  # down0, up0, down1, up1 of todo's trials
             q_sel = np.empty((m, 4))
             while todo.size:
                 q = gen.standard_normal((todo.size, 4))
@@ -610,12 +616,12 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
                     a = q[sl, 0] + 1j * q[sl, 1]
                     b = q[sl, 2] + 1j * q[sl, 3]
                     ac, bc = a.conj(), b.conj()
-                    d0, u0, d1, u1 = kets[:, sl]
+                    d0, u0, d1, u1 = kets.take(todo[sl], axis=0).T
                     acc[sl] = bound[sl] < _outcome_density(
                         poly, (ac * d0 - b * u0, bc * d0 + a * u0),
                         (ac * d1 - b * u1, bc * d1 + a * u1))
                 q_sel[todo[acc]] = q[acc]
-                todo, kets = todo[~acc], kets[:, ~acc]
+                todo = todo[~acc]
             # <up| u+ = (b*, a) for each trial's sampled rotation
             up_sel = np.stack([q_sel[:, 2] - 1j * q_sel[:, 3], q_sel[:, 0] + 1j * q_sel[:, 1]],
                               axis=1)
@@ -624,7 +630,7 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
             up_sel = np.empty((m, 2), complex)
             for lo in range(0, m, _CHUNK):
                 sl = slice(lo, lo + _CHUNK)
-                rot0, rot1 = (np.hsplit(k[sl] @ rot_grid, 2) for k in (k0, k1))
+                rot0, rot1 = ((k @ rot_down, k @ rot_up) for k in (kets[sl, :2], kets[sl, 2:]))
                 p = wq * _outcome_density(poly, rot0, rot1)
                 psum = p.sum(axis=1)
                 # total outcome probability 1 certifies the discretized resolution
@@ -651,6 +657,7 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
 
 
 _ED_ROWS = 512  # outcomes of M whose separations from every outcome of M' are held at once
+_ED_TILE_BYTES = 1 << 18  # separations filled in one pass, sized to stay in a core's L2 cache
 
 
 @dataclass(frozen=True)
@@ -662,17 +669,19 @@ class EdResult:
 
 
 def coherent_povm(n: int, directions: np.ndarray,
-                  weights: Optional[np.ndarray] = None) -> list[np.ndarray]:
-    """Covariant-style elements c [psi_s^(x n)] for unit vectors s."""
+                  weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Covariant-style elements c [psi_s^(x n)] for unit vectors s, stacked (K, n + 1, n + 1)."""
     directions = np.atleast_2d(np.asarray(directions, float))
     K = len(directions)
     if weights is None:
         weights = np.full(K, (n + 1) / K)
+    elif np.shape(weights) != (K,):
+        raise ValueError(f"need one weight per direction, got {np.shape(weights)} for {K}")
     amps = coherent_ket(n, bloch_to_ket(directions))
-    return [w * np.outer(a, a.conj()) for w, a in zip(weights, amps)]
+    return np.asarray(weights)[:, None, None] * (amps[:, :, None] * amps[:, None, :].conj())
 
 
-def continuous_ed_povm(n: int, n_azimuth: int = 100, n_polar: int = 100) -> list[np.ndarray]:
+def continuous_ed_povm(n: int, n_azimuth: int = 100, n_polar: int = 100) -> np.ndarray:
     """Quadrature stand-in for the continuous optimal-estimation measurement."""
     alpha, beta, w = _sphere_grid(n_azimuth, n_polar)
     s = np.stack([np.sin(beta) * np.cos(alpha), np.sin(beta) * np.sin(alpha),
@@ -701,6 +710,8 @@ def ed_error_finite(povm_M: Sequence[np.ndarray], povm_Mprime: Sequence[np.ndarr
     qubit conditioned on a pair of outcomes is discriminated optimally; the
     machine bias is the outcome-averaged Bloch separation.
     """
+    if not (math.isfinite(completeness_tol) and completeness_tol >= 0):
+        raise ValueError(f"completeness_tol must be finite and >= 0, got {completeness_tol}")
     d = n + 1
     stacks = []
     for name, povm in (("M", povm_M), ("M'", povm_Mprime)):
@@ -714,14 +725,21 @@ def ed_error_finite(povm_M: Sequence[np.ndarray], povm_Mprime: Sequence[np.ndarr
         stacks.append(Ms)
     (p0, r0), (p1, r1) = (_conditioned_bloch(Ms, n) for Ms in stacks)
     bias = 0.0
+    sep = np.empty((min(len(p0), _ED_ROWS), len(p1)))
+    tile = max(1, _ED_TILE_BYTES // (sep.itemsize * max(len(p1), 1)))  # rows of one tile
+    dx = np.empty((tile, len(p1)))
     for lo in range(0, len(p0), _ED_ROWS):  # pairwise separations, a block of rows at a time
-        sep = np.subtract.outer(r0[lo:lo + _ED_ROWS, 0], r1[:, 0]) ** 2
-        for x in (1, 2):  # summed x, y, z in turn, as the Euclidean norm does
-            dx = np.subtract.outer(r0[lo:lo + _ED_ROWS, x], r1[:, x])
-            dx *= dx
-            sep += dx
-        np.sqrt(sep, out=sep)
-        bias += float(p0[lo:lo + _ED_ROWS] @ sep @ p1)
+        r, block = r0[lo:lo + _ED_ROWS], sep[:len(p0) - lo]
+        for i in range(0, len(block), tile):  # filled a tile of rows at a time
+            rows, out = r[i:i + tile], block[i:i + tile]
+            np.subtract.outer(rows[:, 0], r1[:, 0], out=out)
+            out *= out
+            for x in (1, 2):  # summed x, y, z in turn, as the Euclidean norm does
+                d = np.subtract.outer(rows[:, x], r1[:, x], out=dx[:len(out)])
+                d *= d
+                out += d
+            np.sqrt(out, out=out)
+        bias += float(p0[lo:lo + _ED_ROWS] @ block @ p1)
     error = 0.5 * (1.0 - bias / 2.0)
 
     coherent = True

@@ -309,6 +309,7 @@ def oracle_suite(seed: int = 7, tol: float = 1e-9) -> list[dict]:
     checks.append(_check("haar_pair_distance", "mean Bloch separation 4/3",
                          4 / 3, float(np.linalg.norm(s0 - s1, axis=1).mean()),
                          3 * math.sqrt(2 / 9 / 200_000)))
+    del s0, s1  # 9.6 MB the simulations below need not keep alive
     a = oracle.haar_qubit(oracle.RandomSource(seed))
     b = oracle.haar_qubit(oracle.RandomSource(seed))
     checks.append(_check("rng_determinism", "same seed, same stream",

@@ -276,6 +276,17 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_lm(2, machines.lm_seed(1), RandomSource(1), trials=10)
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_rejected_before_drawing(self, batch):
+        class NoDraws:
+            seed = 0
+
+            def generator(self):
+                raise AssertionError("drew from the stream")
+
+        with pytest.raises(ValueError, match="batch"):
+            simulate_lm(1, machines.lm_seed(1), NoDraws(), trials=10, batch=batch)
+
     def test_covariant_under_global_rotation(self):
         ang = np.array([0.9]), np.array([1.7])
         g = oracle._su2_elements(*ang)[0]
@@ -402,6 +413,50 @@ class TestEstimateAndDiscriminate:
             ed_error_finite([np.eye(2) / 2], [np.eye(2)], 1)
 
 
+    @pytest.mark.parametrize("tile_bytes", [None, 24_000])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_tiled_bias_matches_untiled_blocks(self, monkeypatch, tile_bytes, swap):
+        # 63 outcomes against 600: neither a multiple of a tile or of _ED_ROWS
+        small = oracle.continuous_ed_povm(2, n_azimuth=9, n_polar=7)
+        large = oracle.continuous_ed_povm(2, n_azimuth=30, n_polar=20)
+        M, Mp = (large, small) if swap else (small, large)
+        (p0, r0), (p1, r1) = (oracle._conditioned_bloch(P, 2) for P in (M, Mp))
+        want, rows = 0.0, oracle._ED_ROWS
+        for lo in range(0, len(p0), rows):
+            sep = np.subtract.outer(r0[lo:lo + rows, 0], r1[:, 0]) ** 2
+            for x in (1, 2):
+                dx = np.subtract.outer(r0[lo:lo + rows, x], r1[:, x])
+                dx *= dx
+                sep += dx
+            np.sqrt(sep, out=sep)
+            want += float(p0[lo:lo + rows] @ sep @ p1)
+        if tile_bytes is not None:  # 5 rows of 600 separations, 47 of 63
+            monkeypatch.setattr(oracle, "_ED_TILE_BYTES", tile_bytes)
+        assert ed_error_finite(M, Mp, 2, completeness_tol=1e-6).bias == want
+
+    @pytest.mark.parametrize("nan_or_negative", [math.nan, math.inf, -1e-8])
+    def test_completeness_tol_must_be_finite_and_non_negative(self, nan_or_negative):
+        with pytest.raises(ValueError, match="completeness_tol"):
+            ed_error_finite([0.3 * np.eye(2)], [np.eye(2)], 1, completeness_tol=nan_or_negative)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_coherent_povm_matches_outer_products(self, n):
+        gen = RandomSource(n).generator()
+        s = oracle._haar_bloch(gen, 40)
+        amps = coherent_ket(n, bloch_to_ket(s))
+        for weights in (None, gen.random(40)):
+            w = np.full(40, (n + 1) / 40) if weights is None else weights
+            want = np.stack([c * np.outer(a, a.conj()) for c, a in zip(w, amps)])
+            got = oracle.coherent_povm(n, s, weights=weights)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("weights", [[1.0, 1.0], [1.0] * 4, [[1.0]] * 3])
+    def test_coherent_povm_needs_one_weight_per_direction(self, weights):
+        directions = np.eye(3)
+        with pytest.raises(ValueError, match="one weight per direction"):
+            oracle.coherent_povm(1, directions, weights=np.array(weights))
+
+
 class TestPartialTranspose:
     def test_product_operator(self):
         A = np.array([[1.0, 0.3], [0.3, -0.5]])
@@ -443,3 +498,11 @@ class TestMemory:
     def test_ed_60_grid(self):
         grid = oracle.continuous_ed_povm(1, n_azimuth=60, n_polar=60)
         assert _peak_mib(lambda: ed_error_finite(grid, grid, 1, completeness_tol=1e-6)) <= 64
+
+    def test_simulation_mc_holds_each_trial_once(self):
+        assert _peak_mib(lambda: simulate_lm(1, machines.lm_seed(1), RandomSource(9),
+                                             trials=200_000)) <= 48
+
+    def test_ed_60_grid_tiles_the_separations(self):
+        grid = oracle.continuous_ed_povm(1, n_azimuth=60, n_polar=60)
+        assert _peak_mib(lambda: ed_error_finite(grid, grid, 1, completeness_tol=1e-6)) <= 24
