@@ -21,6 +21,7 @@ basis vector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -543,6 +544,15 @@ class SimulationResult:
     seed: int
 
 
+def _up_probability(row0: np.ndarray, row1: np.ndarray, kets: np.ndarray,
+                    labels: np.ndarray) -> np.ndarray:
+    """|<up| u+ |data>|^2 from the row <up| u+ = (row0, row1) of each trial, whose
+    data ket is the hidden ket its label names among (down0, up0, down1, up1)."""
+    data = np.where(labels[:, None], kets[:, 2:], kets[:, :2])
+    amp = row0 * data[:, 0] + row1 * data[:, 1]
+    return amp.real ** 2 + amp.imag ** 2
+
+
 def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
                 trials: int, discretization: str = "mc",
                 pre_rotation: Optional[np.ndarray] = None,
@@ -553,12 +563,15 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
     measurement -- exactly via rejection ("mc") or through a finite grid
     whose resolution of the identity is certified on the fly ("quadrature")
     -- then orients a Stern-Gerlach along the sampled direction and
-    classifies.  ``pre_rotation`` applies a fixed rotation to both hidden
-    states (covariance probe).
+    classifies.  ``pre_rotation``, a 2x2 unitary, applies a fixed rotation
+    to both hidden states (covariance probe).
 
-    Trials run ``batch`` >= 1 at a time.  A batch holds each trial's hidden
-    kets once, as (down0, up0, down1, up1), with its data ket, label and
-    selected <up| u+, and for "mc" its accepted rotation and open draws.
+    Trials run ``batch`` >= 1 at a time.  A batch holds only what a trial
+    keeps until its decision: its hidden kets, as (down0, up0, down1, up1),
+    its label and the probability p_up of the "up" outcome, set once its
+    rotation is chosen.  For "mc" it also holds one rejection round's draws.
+    The draws are made a chunk of trials at a time, in the order one
+    whole-batch draw would make them, and the rest lives for one chunk.
     """
     if seed_vector.n != n:
         raise ValueError(f"seed is for n={seed_vector.n}, not {n}")
@@ -566,10 +579,15 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
         raise ValueError("seed fails the completeness condition")
     if discretization not in ("mc", "quadrature"):
         raise ValueError(f"unknown discretization {discretization!r}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if batch < 1:
-        raise ValueError(f"batch must be at least one trial, got {batch}")
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not isinstance(batch, numbers.Integral) or batch < 1:
+        raise ValueError(f"batch must be an integer of at least one trial, got {batch!r}")
+    if pre_rotation is not None:
+        pre_rotation = np.asarray(pre_rotation)
+        if pre_rotation.shape != (2, 2) or np.abs(
+                pre_rotation @ pre_rotation.conj().T - np.eye(2)).max() > 1e-10:
+            raise ValueError("pre_rotation must be a 2x2 unitary, U U+ = 1 within 1e-10")
     gen = rng.generator()
     coeffs = seed_vector.coefficients
     # seed overlap in the (mA, mC = -mA) product sector; coupled j runs 0..n
@@ -592,45 +610,44 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
     done = 0
     while done < trials:
         m = min(batch, trials - done)
-        k0 = bloch_to_ket(_haar_bloch(gen, m))
-        k1 = bloch_to_ket(_haar_bloch(gen, m))
-        if pre_rotation is not None:
-            k0 = k0 @ pre_rotation.T
-            k1 = k1 @ pre_rotation.T
-        labels = gen.integers(0, 2, size=m)
-        kb = np.where(labels[:, None] == 0, k0, k1)
-        kets = np.concatenate([k0, k1], axis=1)  # down0, up0, down1, up1 of each trial
-        del k0, k1
+        chunks = [slice(lo, min(lo + _CHUNK, m)) for lo in range(0, m, _CHUNK)]
+        kets = np.empty((m, 4), complex)  # down0, up0, down1, up1 of each trial
+        for cols in (slice(0, 2), slice(2, 4)):
+            for sl in chunks:
+                k = bloch_to_ket(_haar_bloch(gen, sl.stop - sl.start))
+                kets[sl, cols] = k if pre_rotation is None else k @ pre_rotation.T
+        labels = np.empty(m, bool)  # True for label 1
+        for sl in chunks:
+            labels[sl] = gen.integers(0, 2, size=sl.stop - sl.start)
+        p_up = np.empty(m)
 
         if discretization == "mc":
             todo = np.arange(m)
-            q_sel = np.empty((m, 4))
             while todo.size:
                 q = gen.standard_normal((todo.size, 4))
-                q /= np.sqrt(np.einsum("ij,ij->i", q, q))[:, None]
                 bound = gen.random(todo.size) * envelope
                 acc = np.empty(todo.size, bool)
                 for lo in range(0, todo.size, _CHUNK):
                     sl = slice(lo, lo + _CHUNK)
+                    q[sl] /= np.sqrt(np.einsum("ij,ij->i", q[sl], q[sl]))[:, None]
                     # u = [[a, b], [-b*, a*]], so u+ psi = (a* down - b up, b* down + a up)
                     a = q[sl, 0] + 1j * q[sl, 1]
                     b = q[sl, 2] + 1j * q[sl, 3]
                     ac, bc = a.conj(), b.conj()
-                    d0, u0, d1, u1 = kets.take(todo[sl], axis=0).T
-                    acc[sl] = bound[sl] < _outcome_density(
+                    k = kets.take(todo[sl], axis=0)
+                    d0, u0, d1, u1 = k.T
+                    hit = acc[sl] = bound[sl] < _outcome_density(
                         poly, (ac * d0 - b * u0, bc * d0 + a * u0),
                         (ac * d1 - b * u1, bc * d1 + a * u1))
-                q_sel[todo[acc]] = q[acc]
+                    # <up| u+ = (b*, a) for each accepted rotation
+                    won = todo[sl][hit]
+                    p_up[won] = _up_probability(bc[hit], a[hit], k[hit], labels[won])
                 todo = todo[~acc]
-            # <up| u+ = (b*, a) for each trial's sampled rotation
-            up_sel = np.stack([q_sel[:, 2] - 1j * q_sel[:, 3], q_sel[:, 0] + 1j * q_sel[:, 1]],
-                              axis=1)
+                del q, bound  # free this round's draws before the next round makes its own
         else:
-            u = gen.random((m, 1))
-            up_sel = np.empty((m, 2), complex)
-            for lo in range(0, m, _CHUNK):
-                sl = slice(lo, lo + _CHUNK)
-                rot0, rot1 = ((k @ rot_down, k @ rot_up) for k in (kets[sl, :2], kets[sl, 2:]))
+            for sl in chunks:
+                k = kets[sl]
+                rot0, rot1 = ((kk @ rot_down, kk @ rot_up) for kk in (k[:, :2], k[:, 2:]))
                 p = wq * _outcome_density(poly, rot0, rot1)
                 psum = p.sum(axis=1)
                 # total outcome probability 1 certifies the discretized resolution
@@ -638,12 +655,11 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
                     raise blk.IntegrityError(
                         "quadrature grid does not resolve the identity on the training pair")
                 p /= psum[:, None]
-                up_sel[sl] = up_rows[_grid_pick(p.cumsum(axis=1), u[sl])]
+                up = up_rows[_grid_pick(p.cumsum(axis=1), gen.random((k.shape[0], 1)))]
+                p_up[sl] = _up_probability(up[:, 0], up[:, 1], k, labels[sl])
 
-        up_amp = up_sel[:, 0] * kb[:, 0] + up_sel[:, 1] * kb[:, 1]  # <up| u+ |data>
-        p_up = up_amp.real ** 2 + up_amp.imag ** 2
-        guess = np.where(gen.random(m) < p_up, 0, 1)
-        errors += int((guess != labels).sum())
+        # an "up" outcome guesses label 0, so a trial errs where it equals its label
+        errors += int(np.count_nonzero((gen.random(m) < p_up) == labels))
         done += m
 
     rate = errors / trials

@@ -247,6 +247,15 @@ class TestSchur:
         np.testing.assert_allclose(stack @ stack.conj().T, np.eye(2 ** k), atol=1e-12)
 
 
+class _NoDraws:
+    """A random source that fails the test if anything draws from it."""
+
+    seed = 0
+
+    def generator(self):
+        raise AssertionError("drew from the stream")
+
+
 class TestSimulation:
     def test_n1_hits_closed_form(self):
         sim = simulate_lm(1, machines.lm_seed(1), RandomSource(42), trials=300_000)
@@ -278,14 +287,21 @@ class TestSimulation:
 
     @pytest.mark.parametrize("batch", [0, -1])
     def test_batch_below_one_rejected_before_drawing(self, batch):
-        class NoDraws:
-            seed = 0
-
-            def generator(self):
-                raise AssertionError("drew from the stream")
-
         with pytest.raises(ValueError, match="batch"):
-            simulate_lm(1, machines.lm_seed(1), NoDraws(), trials=10, batch=batch)
+            simulate_lm(1, machines.lm_seed(1), _NoDraws(), trials=10, batch=batch)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"trials": 1000.5}, "trials"),
+        ({"trials": 1000.0}, "trials"),
+        ({"batch": 1000.5}, "batch"),
+        ({"pre_rotation": 2 * np.eye(2)}, "unitary"),   # scales the kets: 0.514, not about 0.36
+        ({"pre_rotation": np.eye(3)}, "2x2"),
+        ({"pre_rotation": np.eye(2)[:, :1]}, "2x2"),
+    ])
+    def test_malformed_inputs_rejected_before_drawing(self, kwargs, match):
+        kwargs = {"trials": 1000, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            simulate_lm(1, machines.lm_seed(1), _NoDraws(), **kwargs)
 
     def test_covariant_under_global_rotation(self):
         ang = np.array([0.9]), np.array([1.7])
@@ -313,6 +329,22 @@ class TestRandomStream:
     def test_pinned_error_rate(self, n, seed, trials, mode, rate):
         sim = simulate_lm(n, machines.lm_seed(n), RandomSource(seed), trials=trials,
                           discretization=mode)
+        assert sim.error_rate == rate
+
+    @pytest.mark.parametrize("n, seed, mode, batch, rotated, rate", [
+        (1, 22, "mc", 15_000, False, 0.355775),         # batches of 15k, 15k and 10k
+        (3, 24, "mc", 15_000, False, 0.2662),
+        (1, 22, "quadrature", 15_000, False, 0.35435),
+        (3, 24, "quadrature", 15_000, False, 0.267725),
+        (1, 32, "mc", 250_000, True, 0.3531),
+        (3, 34, "mc", 250_000, True, 0.2642),
+        (1, 32, "quadrature", 250_000, True, 0.35875),
+        (3, 34, "quadrature", 250_000, True, 0.264375),
+    ])
+    def test_pinned_batched_and_rotated_rate(self, n, seed, mode, batch, rotated, rate):
+        g = oracle._su2_elements(np.array([0.9]), np.array([1.7]))[0] if rotated else None
+        sim = simulate_lm(n, machines.lm_seed(n), RandomSource(seed), trials=40_000,
+                          discretization=mode, pre_rotation=g, batch=batch)
         assert sim.error_rate == rate
 
     @pytest.mark.parametrize("mode", ["mc", "quadrature"])
@@ -491,17 +523,19 @@ class TestMemory:
                                              trials=200_000)) <= 96
 
     def test_simulation_quadrature(self):
+        # a batch holds kets, label and p_up; the rest is one chunk's grid arithmetic
         assert _peak_mib(lambda: simulate_lm(1, machines.lm_seed(1), RandomSource(10),
                                              trials=100_000,
-                                             discretization="quadrature")) <= 96
+                                             discretization="quadrature")) <= 28
 
     def test_ed_60_grid(self):
         grid = oracle.continuous_ed_povm(1, n_azimuth=60, n_polar=60)
         assert _peak_mib(lambda: ed_error_finite(grid, grid, 1, completeness_tol=1e-6)) <= 64
 
     def test_simulation_mc_holds_each_trial_once(self):
+        # kets, label and p_up of 200k trials plus one round's draws: about 23 MiB
         assert _peak_mib(lambda: simulate_lm(1, machines.lm_seed(1), RandomSource(9),
-                                             trials=200_000)) <= 48
+                                             trials=200_000)) <= 32
 
     def test_ed_60_grid_tiles_the_separations(self):
         grid = oracle.continuous_ed_povm(1, n_azimuth=60, n_polar=60)
