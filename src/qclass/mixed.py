@@ -132,22 +132,21 @@ def block_probabilities(n: int, r: float) -> dict[tuple[int, int], float]:
     return {(ta, tc): p[ta // 2] * p[tc // 2] for ta in sides for tc in sides}
 
 
-def mixed_programmable_risk(n: int, r: float,
-                            weight_cutoff: float = WEIGHT_CUTOFF) -> machines.MachineReport:
+def mixed_programmable_risk(n: int, r: float) -> machines.MachineReport:
     """Absolute error floor at (n, r) from the weighted block trace norms: ``_floors`` at one r."""
-    return _floors(_lane_spectrum(n, [r]), weight_cutoff)[0]
+    return _floors(_lane_spectrum(n, [r]))[0]
 
 
-def _floors(spectrum: _Spectrum, weight_cutoff: float) -> list[machines.MachineReport]:
+def _floors(spectrum: _Spectrum) -> list[machines.MachineReport]:
     """Error floor 1/2 - (1/4) sum_xi p_xi ||sigma0_xi - sigma1_xi||_1 at every r of a lane.
 
-    Blocks with p_xi <= ``weight_cutoff`` are skipped (each can shift the
+    Blocks with p_xi <= ``WEIGHT_CUTOFF`` are skipped (each can shift the
     bias by at most 2 p_xi); a label and its mirror share one trace norm.
     Each row's bias is summed in label order, a skipped label adding an exact 0.
     """
     ka, kc = np.triu_indices(spectrum.n // 2 + 1)
     p = spectrum.p[:, ka] * spectrum.p[:, kc]
-    rows, cols = np.nonzero(p > weight_cutoff)
+    rows, cols = np.nonzero(p > WEIGHT_CUTOFF)
     a, c, kept, odd = ka[cols], kc[cols], p[rows, cols], spectrum.n % 2
     norms = _trace_norms(2 * a + odd, 2 * c + odd, spectrum.alpha[rows, a], spectrum.alpha[rows, c])
     terms = np.zeros_like(p)
@@ -582,8 +581,7 @@ def _sweep_lane(args) -> list[SweepRow]:
     n, config = args
     spectrum = _lane_spectrum(n, [float(r) for r in config.r_grid()])
     rows = []
-    for r, floor, parts in zip(spectrum.rs, _floors(spectrum, WEIGHT_CUTOFF),
-                               _lm_parts(spectrum, config.tol)):
+    for r, floor, parts in zip(spectrum.rs, _floors(spectrum), _lm_parts(spectrum, config.tol)):
         opt = floor.excess_risk
         report, totals, error = _lm_row(n, r, parts, config.tol)
         if error is None:

@@ -51,14 +51,11 @@ PAULI = {
 
 @dataclass(frozen=True)
 class RandomSource:
-    """Pinned pseudo-random stream: identical seed, identical results."""
+    """Pinned pseudo-random stream, numpy's PCG64: identical seed, identical results."""
 
     seed: int
-    algorithm: str = "numpy:PCG64"
 
     def generator(self) -> np.random.Generator:
-        if self.algorithm != "numpy:PCG64":
-            raise ValueError(f"unknown rng algorithm {self.algorithm!r}")
         return np.random.Generator(np.random.PCG64(self.seed))
 
 
@@ -85,10 +82,9 @@ class DenseOperator:
 # Sampling
 
 
-def haar_qubit(rng: RandomSource | np.random.Generator) -> np.ndarray:
+def haar_qubit(rng: RandomSource) -> np.ndarray:
     """One uniformly random pure qubit state, as a Bloch unit vector."""
-    gen = rng.generator() if isinstance(rng, RandomSource) else rng
-    return _haar_bloch(gen, 1)[0]
+    return _haar_bloch(rng.generator(), 1)[0]
 
 
 def _haar_bloch(gen: np.random.Generator, size: int) -> np.ndarray:
@@ -190,8 +186,7 @@ def _coherent_pair_average(k: int) -> np.ndarray:
     return np.einsum("q,qi,qj->ij", w, joint, joint.conj())
 
 
-def build_average_states(nA: int, nC: int, r: float = 1.0,
-                         nB: int = 1) -> tuple[DenseOperator, DenseOperator]:
+def build_average_states(nA: int, nC: int, r: float = 1.0) -> tuple[DenseOperator, DenseOperator]:
     """The two averaged hypothesis states, built by explicit group quadrature.
 
     Pure sources (r = 1) live on sym(nA) x qubit x sym(nC); mixed sources are
@@ -199,8 +194,6 @@ def build_average_states(nA: int, nC: int, r: float = 1.0,
     definition of the averages is used: no block formulas, no coupling
     coefficients.
     """
-    if nB != 1:
-        raise ValueError("exactly one data qubit is supported")
     if nA < 0 or nC < 0:
         raise ValueError("qubit counts must be non-negative")
     if not 0.0 < r <= 1.0:
@@ -219,7 +212,7 @@ def build_average_states(nA: int, nC: int, r: float = 1.0,
         s0 = DenseOperator(np.kron(F0, G0), dims, "sym:A,B,C", is_state=True)
         s1 = DenseOperator(np.kron(F1, G1), dims, "sym:A,B,C", is_state=True)
         return s0, s1
-    total = nA + nB + nC
+    total = nA + 1 + nC  # one data qubit B
     if total > MAX_FULL_QUBITS:
         raise ValueError(f"mixed-state construction needs {2**total} dimensions; "
                          f"cap is 2^{MAX_FULL_QUBITS}")
@@ -241,14 +234,11 @@ def build_average_states(nA: int, nC: int, r: float = 1.0,
 # Dense discrimination and conditioning
 
 
-def helstrom(state0: DenseOperator | np.ndarray, state1: DenseOperator | np.ndarray,
-             priors: tuple[float, float] = (0.5, 0.5)) -> float:
-    """Minimum discrimination error (1 - || p0 s0 - p1 s1 ||_1) / 2."""
-    if abs(sum(priors) - 1.0) > 1e-12 or min(priors) < 0:
-        raise ValueError(f"priors must be a distribution, got {priors}")
+def helstrom(state0: DenseOperator | np.ndarray, state1: DenseOperator | np.ndarray) -> float:
+    """Minimum discrimination error at equal priors, (1 - || s0 / 2 - s1 / 2 ||_1) / 2."""
     m0 = state0.matrix if isinstance(state0, DenseOperator) else state0
     m1 = state1.matrix if isinstance(state1, DenseOperator) else state1
-    diff = priors[0] * m0 - priors[1] * m1
+    diff = 0.5 * m0 - 0.5 * m1
     diff = (diff + diff.conj().T) / 2.0
     return 0.5 * (1.0 - float(np.abs(np.linalg.eigvalsh(diff)).sum()))
 

@@ -629,9 +629,16 @@ def solve_many(problems: list[Bands], tol: float = DEFAULT_TOL) -> list[Seed]:
     All share one Newton loop, taken in order of largest sector and cut
     into chunks of at most ``_CHUNK_ENTRIES`` packed inverse entries, or
     where padding would cost more than a loop.  Each result is the one
-    ``solve`` gives alone.
+    ``solve`` gives alone.  A channel that no sector row holds cannot meet
+    its target, so its problem raises ``InfeasibleError`` before any step.
     """
     check_tol(tol)
+    for p in problems:
+        held = np.bincount(p.slot.ravel(), minlength=len(p.channels))[:len(p.channels)]
+        if not held.all():
+            xi, tj = p.channels[int(np.argmin(held))]
+            raise InfeasibleError(f"channel {(xi, tj)} has no row in any sector, "
+                                  f"so its target {tj + 1} cannot be met")
     out = [_zero_seed(p) if p.scale == 0.0 else None for p in problems]
     chunks, sectors, top = [[]], 0, 1
     for i in sorted((i for i, p in enumerate(problems) if p.scale != 0.0),

@@ -1,8 +1,10 @@
 """Named verification suites behind the command-line ``verify`` subcommand.
 
 Each check re-runs an invariant of one module and reports
-{id, detail, expected, got, tol, pass}.  All randomness derives from the
-single seed argument, so reports are byte-identical across runs.
+{id, detail, expected, got, tol, pass}.  A check's tolerance is fixed by
+the check, or by its suite's gate, and no caller overrides it.  All
+randomness derives from the single seed argument, so reports are
+byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ def _check(cid: str, detail: str, expected, got, tol: float) -> dict:
             "tol": tol, "pass": bool(ok)}
 
 
-def su2_suite(seed: int = 0, tol: float = 1e-12) -> list[dict]:
-    checks = []
+def su2_suite(seed: int = 0) -> list[dict]:
+    checks, tol = [], 1e-12  # this suite's gate where a check names none
     dev = max(
         abs(clebsch_gordan(1, 0, "1/2", "1/2", "3/2", "1/2") - math.sqrt(2 / 3)),
         abs(clebsch_gordan(1, 0, "1/2", "1/2", "1/2", "1/2") + math.sqrt(1 / 3)),
@@ -106,8 +108,8 @@ def _w6j_nonzero(tj1, tj2, tj3, tJ, t23) -> bool:
                 for t12 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2))
 
 
-def blocks_suite(seed: int = 0, tol: float = 1e-12) -> list[dict]:
-    checks = []
+def blocks_suite(seed: int = 0) -> list[dict]:
+    checks, tol = [], 1e-12  # this suite's gate where a check names none
     worst = 0.0
     for n in (1, 4, 9, 14, 20):
         for r in (0.1, 0.5, 0.9, 1.0):
@@ -164,8 +166,8 @@ def blocks_suite(seed: int = 0, tol: float = 1e-12) -> list[dict]:
     return checks
 
 
-def machines_suite(seed: int = 0, tol: float = 1e-12) -> list[dict]:
-    checks = []
+def machines_suite(seed: int = 0) -> list[dict]:
+    checks, tol = [], 1e-12  # this suite's gate where a check names none
     worst = max(abs(machines.lm_error(n) - machines.programmable_error_pure(n))
                 for n in range(1, 21))
     checks.append(_check("lm_equals_opt_n1_20",
@@ -229,8 +231,8 @@ def _purity_scan(n: int, steps: int, tol: float) -> tuple[np.ndarray, np.ndarray
     return np.array([row.R_lm for row in rows]), np.array([row.R_opt for row in rows])
 
 
-def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
-    checks = []
+def mixed_suite(seed: int = 0) -> list[dict]:
+    checks, tol = [], 1e-6  # this suite's gate where a check names none
     lm, opt = _purity_scan(1, 10, 1e-8)
     checks.append(_check("n1_lm_equals_opt", "single-copy machine attains the floor at any purity",
                          0.0, float(np.abs(lm - opt).max()), tol))
@@ -272,8 +274,6 @@ def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
     worst = 0.0
     for ta in range(0, 6):
         for tc in range(ta % 2, 6, 2):
-            if (ta - tc) % 2:
-                continue
             for r in (0.25, 0.65, 1.0):
                 label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
                 params = SpectrumParams(max(ta, tc) + 2, r)
@@ -284,7 +284,7 @@ def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
 
     devs = []
     for n in (20, 40, 80, 160):
-        rep = mixed.mixed_programmable_risk(n, 0.8, weight_cutoff=1e-13)
+        rep = mixed.mixed_programmable_risk(n, 0.8)
         devs.append(abs(3 * n * 0.8 * rep.excess_risk - 1.0))
     checks.append(_check("asymptotic_robustness_trend",
                          "n r R approaches 1/3 (slow square-root corrections)",
@@ -299,8 +299,8 @@ def mixed_suite(seed: int = 0, tol: float = 1e-6) -> list[dict]:
     return checks
 
 
-def oracle_suite(seed: int = 7, tol: float = 1e-9) -> list[dict]:
-    checks = []
+def oracle_suite(seed: int = 7) -> list[dict]:
+    checks, tol = [], 1e-9  # this suite's gate where a check names none
     gen = oracle.RandomSource(seed).generator()
     s0 = oracle._haar_bloch(gen, 200_000)
     s1 = oracle._haar_bloch(gen, 200_000)
@@ -380,7 +380,7 @@ def oracle_suite(seed: int = 7, tol: float = 1e-9) -> list[dict]:
     return checks
 
 
-def run_suites(names: list[str], seed: int = 7, tol: float | None = None) -> dict:
+def run_suites(names: list[str], seed: int = 7) -> dict:
     """Run the named suites; returns the report dictionary."""
     table = {
         "su2": su2_suite, "blocks": blocks_suite, "machines": machines_suite,
@@ -392,10 +392,7 @@ def run_suites(names: list[str], seed: int = 7, tol: float | None = None) -> dic
     suites = []
     all_pass = True
     for name in names:
-        kwargs = {"seed": seed}
-        if tol is not None:
-            kwargs["tol"] = tol
-        checks = table[name](**kwargs)
+        checks = table[name](seed=seed)
         ok = all(c["pass"] for c in checks)
         all_pass &= ok
         suites.append({"suite": name, "pass": ok, "checks": checks})

@@ -171,12 +171,11 @@ class TestDumpCommand:
 
 @pytest.mark.parametrize("cmd", [["machine", "lm", "--n", "2", "--r", "0.5"],
                                  ["dump", "seed", "--n", "2", "--r", "0.5"],
-                                 ["verify", "--suite", "mixed"],
                                  ["machine", "opt", "--n", "2", "--r", "0.5"],
                                  ["machine", "lm", "--n", "2", "--r", "1.0"],
                                  ["dump", "gamma", "--n", "2", "--r", "0.5"]],
-                         ids=["machine-lm", "dump-seed", "verify", "machine-opt",
-                              "machine-lm-pure", "dump-gamma"])
+                         ids=["machine-lm", "dump-seed", "machine-opt", "machine-lm-pure",
+                              "dump-gamma"])
 @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
 def test_bad_tolerance_rejected_before_solving(monkeypatch, capsys, cmd, tol):
     def not_reached(*args, **kwargs):
@@ -185,10 +184,21 @@ def test_bad_tolerance_rejected_before_solving(monkeypatch, capsys, cmd, tol):
     monkeypatch.setattr(mixed, "build_lm_problem", not_reached)
     monkeypatch.setattr(sdp, "rank_one", not_reached)
     monkeypatch.setattr(sdp, "solve_many", not_reached)
-    monkeypatch.setattr(verify, "run_suites", not_reached)
     assert cli.main([*cmd, f"--tol={tol}"]) == cli.EXIT_DOMAIN
     err = capsys.readouterr().err
     assert err.startswith("error:") and "tolerance" in err
+
+
+def test_verify_takes_no_tolerance(monkeypatch, capsys):
+    # each check's tolerance is its own; no flag re-gates a suite
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a suite ran under a --tol flag")
+
+    monkeypatch.setattr(verify, "run_suites", not_reached)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--suite", "su2", "--tol", "1e-3"])
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_negative_seed_rejected_before_verifying(monkeypatch, capsys):

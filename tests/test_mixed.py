@@ -180,7 +180,7 @@ class TestMixedProgrammable:
         # bit for bit, r = 1 included
         rs = [float(r) for r in mixed.SweepConfig(r_min=0.12, r_max=1.0, steps=23).r_grid()]
         assert rs[-1] == 1.0
-        lane = mixed._floors(mixed._lane_spectrum(n, rs), mixed.WEIGHT_CUTOFF)
+        lane = mixed._floors(mixed._lane_spectrum(n, rs))
         for r, floor in zip(rs, lane):
             alone = mixed.mixed_programmable_risk(n, r)
             assert (floor.r, floor.error_probability, floor.excess_risk) \
@@ -606,6 +606,41 @@ class TestChunks:
         (chunk,) = mixed._label_chunks(mixed._lane_spectrum(5, [0.1]), sdp.DEFAULT_TOL)
         closure = {xi: c for xi, c, _ in chunk.parts[0]}[1, 5]
         assert closure.how == "barrier" and closure.rounds >= 1 and closure.iterations > 0
+
+    def test_missed_share_lifts_violated_sectors(self, monkeypatch):
+        # capped at 20 Newton steps, labels of (32, 0.8) leave the barrier above
+        # their share; where the multipliers still violate sectors of the whole
+        # label, those are lifted by their Gershgorin deficits, which leaves every
+        # S_m(y) positive definite and the bound above the objective; the row fails
+        monkeypatch.setattr(sdp, "MAX_ITER", 20)
+        made, lifted = [], []
+        real_bands, real_lift = mixed._label_bands, sdp.gershgorin_lift
+
+        def bands(*args):
+            out = real_bands(*args)
+            made.extend(out)
+            return out
+
+        def lift(y, slot, diag, off, violated):
+            out = real_lift(y, slot, diag, off, violated)
+            # a whole label problem's own slot, not the barrier's certify guard
+            lifted.extend((p, (y + out)[:-1]) for p in made if p.slot is slot)
+            return out
+
+        monkeypatch.setattr(mixed, "_label_bands", bands)
+        monkeypatch.setattr(sdp, "gershgorin_lift", lift)
+        (chunk,) = mixed._label_chunks(mixed._lane_spectrum(32, [0.8]), sdp.DEFAULT_TOL)
+        closures = {xi: c for xi, c, _ in chunk.parts[0]}
+        share = sdp.DEFAULT_TOL / len(mixed.block_labels(32))
+        assert lifted
+        for p, y in lifted:
+            closure = closures[p.keys[0][0]]
+            assert closure.how == "barrier" and closure.gap > share
+            assert (sdp.slack_pivots(p, y) > 0.0).all()
+            assert min(least_slack_eigenvalues(p, dict(zip(p.channels, y)))) >= -1e-12 * p.scale
+            assert closure.bound >= closure.objective
+        with pytest.raises(sdp.SolverError, match="at most 20 each"):
+            mixed.lm_risk(32, 0.8)
 
     @pytest.mark.parametrize("n,r", [(5, 0.1), (8, 0.3), (24, 0.8)])
     def test_smallest_chunks_change_no_bit(self, n, r, monkeypatch):

@@ -274,6 +274,33 @@ class TestBandKernels:
             assert_same_seed(a, b)
         assert together[0].sectors == problems[0].layout()
 
+    @pytest.mark.parametrize("singular_width", [None, 5])
+    def test_singular_newton_system_falls_back_per_problem(self, monkeypatch, singular_width):
+        # a stacked Newton solve that fails is redone one system at a time, which
+        # gives every problem its bits; a problem whose own system fails too
+        # stalls at that step, and its neighbours keep their bits
+        problems = [label_problem(4, 0.6, xi) for xi in ((2, 4), (2, 2), (4, 4))]
+        assert [len(p.channels) for p in problems] == [3, 3, 5]
+        plain = solve_many(problems)
+        refused, real = [], np.linalg.solve
+
+        def failing(a, b):
+            if len(a) > 1 or a.shape[-1] == singular_width:
+                refused.append(len(a))
+                raise np.linalg.LinAlgError("singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        forced = solve_many(problems)
+        assert any(k > 1 for k in refused)
+        for k, (a, b) in enumerate(zip(forced, plain)):
+            if len(problems[k].channels) == singular_width:
+                assert a.iterations == 1 and not a.gap <= sdp.DEFAULT_TOL
+                with pytest.raises(SolverError, match="Newton step 1 of"):
+                    solve(problems[k])
+            else:
+                assert_same_seed(a, b)
+
 
 class TestCertificate:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -415,3 +442,17 @@ class TestProblemValidation:
     def test_non_positive_target(self):
         with pytest.raises(InfeasibleError):
             oracle.dense_seed_problem([((0, 0), 0, np.zeros((1, 1)), 1.0, (-2,))])
+
+    def test_channel_without_rows(self, monkeypatch):
+        # no sector row holds channel 2j = 4, so its diagonal sum is 0, never its
+        # target 5; alone or in a batch, no Newton step runs
+        p = oracle.dense_seed_problem([((1, 1), 0, np.array([[1, .5], [.5, -1]]), 1.0, (0, 2))])
+        p.channels.append(((1, 1), 4))
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a Newton loop ran on an infeasible problem")
+
+        monkeypatch.setattr(sdp._Batch, "run", not_reached)
+        for call in (lambda: solve(p), lambda: solve_many([n1_pure_problem(), p])):
+            with pytest.raises(InfeasibleError, match=r"channel \(\(1, 1\), 4\)"):
+                call()
