@@ -231,7 +231,7 @@ def coupled_jz_sector(label: BlockLabel, which: Literal["A", "C"], tm: int) -> n
     ta, tc = label.jA.twice_value, label.jC.twice_value
     diag, off = jz_a_bands(ta, tc, tm)
     lo = max(abs(tm) - abs(ta - tc), 0) // 2  # the padding rows, j < |m|
-    mat = np.diag(diag[lo:]) + np.diag(off[lo:], 1) + np.diag(off[lo:], -1)
+    mat = tridiagonal(diag[lo:], off[lo:])
     return tm / 2.0 * np.eye(len(mat)) - mat if which == "C" else mat
 
 
@@ -255,6 +255,15 @@ def jz_a_bands(ta: int, tc: int, tm) -> tuple[np.ndarray, np.ndarray]:
     radicand = (hi ** 2 - m * m) * (hi ** 2 - (ja - jc) ** 2) * ((ja + jc + 1.0) ** 2 - hi ** 2)
     off = np.sqrt(np.where(inside[:-1], radicand, 0.0)) / (2.0 * hi * np.sqrt(4.0 * hi ** 2 - 1.0))
     return diag, off
+
+
+def tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Symmetric matrices (..., D, D) from position-major bands, (D, ...) and (D - 1, ...)."""
+    D = len(diag)
+    A, ar = np.zeros(diag.shape[1:] + (D, D)), np.arange(D)
+    A[..., ar, ar] = np.moveaxis(diag, 0, -1)
+    A[..., ar[:-1], ar[1:]] = A[..., ar[1:], ar[:-1]] = np.moveaxis(off, 0, -1)
+    return A
 
 
 def coupled_jz(label: BlockLabel, which: Literal["A", "C"]) -> BlockOperator:

@@ -10,6 +10,7 @@ import datetime
 import errno
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -317,14 +318,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _glue_signed(argv: list[str]) -> list[str]:
+    """``--m2 -1/2`` as ``--m2=-1/2``: argparse takes -1/2 for an option; su2 cg's m is signed."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--m1", "--m2", "--M") and re.fullmatch(r"-\d+/\d+", arg):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
         parser = build_parser()
     except ValueError as exc:  # a malformed QCLASS_* default
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    args = parser.parse_args(argv)
-    args.argv = sys.argv[1:] if argv is None else list(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_glue_signed(argv))
+    args.argv = argv
     args.started = time.perf_counter()
     try:
         return args.fn(args)

@@ -33,10 +33,10 @@ the others run the barrier on a growing active set of sectors.  A label's
 result is its totals and how it closed, and a chunk is freed once they are
 read.  A sweep lane sums each row from them (``_lm_row``); ``lm_risk`` is
 the one-purity case, and only ``solve_lm`` assembles blocks, on a layout
-read from the block labels.  The whole problem's bands
-(``build_lm_problem``) and their joint barrier solve are the cross-check
-in the tests.  Each sweep row depends only on its own (n, r), and no
-solver state outlives a call.
+read from the block labels.  The whole problem's bands, built label by
+label with mirrors included (``build_lm_problem``), and their joint
+barrier solve are the cross-check in the tests.  Each sweep row depends
+only on its own (n, r), and no solver state outlives a call.
 """
 from __future__ import annotations
 
@@ -76,7 +76,7 @@ def _kappa(tj: int, r: float) -> float:
 def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
     """[kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) for given side coefficients: weight 1/2 bands."""
     (bands,) = _label_bands(label.jA.twice_value, label.jC.twice_value, [(0.5, kA, kC)])
-    dense = sdp._dense(bands.diag, bands.off)
+    dense = blk.tridiagonal(bands.diag, bands.off)
     index = {tm: tjs for (_, tm), tjs in bands.layout().items()}
     sectors = {tm: dense[k, -len(t):, -len(t):].copy() for k, (tm, t) in enumerate(index.items())}
     return BlockOperator(label=label, basis=blk.BASIS_AC_COUPLED, sectors=sectors, index=index)
@@ -186,31 +186,25 @@ def _label_bands(ta: int, tc: int, coeffs: list[tuple[float, float, float]]) -> 
 def build_lm_problem(n: int, r: float) -> sdp.Bands:
     """Seed-optimization problem: every block label, every magnetic sector.
 
-    Only labels with jA <= jC are built (``_label_bands``).  The mirror
-    (jC, jA) has the same weight, and its sector m has the cost bands of
-    sector -m: its columns are its partner's, reversed.  Labels and their
-    channels come in sorted order, and every sector is front-padded to
-    n + 1 rows.
+    Every label, mirrors included, is built by ``_label_bands`` on its own,
+    so the cross-check does not reuse the label layer's mirror fold.  Labels
+    and channels come in sorted order; every sector is front-padded to n + 1 rows.
     """
     spectrum = _lane_spectrum(n, [r])
     p, kappa = spectrum.p[0].tolist(), spectrum.kappa[0].tolist()
     labels = [(label.jA.twice_value, label.jC.twice_value) for label in block_labels(n)]
     D, count = n + 1, sum(ta + tc + 1 for ta, tc in labels)
-    keys, channels, built = [], [], {}
+    keys, channels = [], []
     diag, off, slot = np.zeros((D, count)), np.zeros((D - 1, count)), np.full((D, count), -1)
     first = 0
-    for ta, tc in labels:  # a mirror (jC, jA) comes after its partner
-        if ta <= tc:
-            (built[ta, tc],) = _label_bands(ta, tc, [(p[ta // 2] * p[tc // 2], kappa[ta // 2],
-                                                      kappa[tc // 2])])
-        bands = built[min(ta, tc), max(ta, tc)]
-        cols = slice(None) if ta <= tc else slice(None, None, -1)
+    for ta, tc in labels:
+        (bands,) = _label_bands(ta, tc, [(p[ta // 2] * p[tc // 2], kappa[ta // 2], kappa[tc // 2])])
         (rows, width), nch = bands.slot.shape, len(bands.channels)
         at = np.s_[D - rows:, first:first + width]  # the rows of off end one earlier
-        diag[at], off[at] = bands.diag[:, cols], bands.off[:, cols]
-        slot[at] = np.where(bands.slot < nch, bands.slot + len(channels), -1)[:, cols]
-        keys += [((ta, tc), tm) for _, tm in bands.keys]
-        channels += [((ta, tc), tj) for _, tj in bands.channels]
+        diag[at], off[at] = bands.diag, bands.off
+        slot[at] = np.where(bands.slot < nch, bands.slot + len(channels), -1)
+        keys += bands.keys
+        channels += bands.channels
         first += width
     slot[slot < 0] = len(channels)
     return sdp.Bands(keys, channels, slot, diag, off)
@@ -555,7 +549,6 @@ class SweepRow:
 @dataclass
 class SweepTable:
     rows: list[SweepRow]
-    config: SweepConfig
 
     CSV_HEADER = "n,r,R_lm,R_opt,rel_gap,solver_gap"
 
@@ -611,4 +604,4 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepTable:
     else:
         per_lane = [_sweep_lane(l) for l in lanes]
     rows = [row for lane in per_lane for row in lane]
-    return SweepTable(rows=rows, config=config)
+    return SweepTable(rows=rows)

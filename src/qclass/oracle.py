@@ -61,12 +61,10 @@ class RandomSource:
 
 @dataclass
 class DenseOperator:
-    """Explicit matrix with its tensor-factor layout."""
+    """Explicit state with its tensor-factor layout: Hermitian with unit trace, within 1e-10."""
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    basis: str
-    is_state: bool = False
 
     def __post_init__(self):
         d = int(np.prod(self.dims))
@@ -74,7 +72,7 @@ class DenseOperator:
             raise ValueError(f"matrix shape {self.matrix.shape} does not match dims {self.dims}")
         if np.abs(self.matrix - self.matrix.conj().T).max() > 1e-10:
             raise blk.IntegrityError("dense operator is not Hermitian within 1e-10")
-        if self.is_state and abs(np.trace(self.matrix).real - 1.0) > 1e-10:
+        if abs(np.trace(self.matrix).real - 1.0) > 1e-10:
             raise blk.IntegrityError("state does not have unit trace")
 
 
@@ -169,20 +167,13 @@ def twirl_product(k: int, single_qubit_diag: np.ndarray,
     return out
 
 
-def _coherent_average(k: int) -> np.ndarray:
-    """Average of [psi^(x k)] over the sphere, on the symmetric subspace."""
+def _coherent_average(*ks: int) -> np.ndarray:
+    """Average of [psi^(x k1)] (x) [psi^(x k2)] (x) ... over the sphere, on sym(k1) x sym(k2) ..."""
     alpha, beta, w = _sphere_grid(*_GRID)
     kets = _su2_elements(alpha, beta)[:, :, 1]  # rotated spin-up column
-    amps = coherent_ket(k, kets)
-    return np.einsum("q,qi,qj->ij", w, amps, amps.conj())
-
-
-def _coherent_pair_average(k: int) -> np.ndarray:
-    """Average of [psi^(x k)] (x) [psi] over the sphere, on sym(k) x qubit."""
-    alpha, beta, w = _sphere_grid(*_GRID)
-    kets = _su2_elements(alpha, beta)[:, :, 1]
-    amps = coherent_ket(k, kets)
-    joint = np.einsum("qi,qj->qij", amps, kets).reshape(len(w), -1)
+    joint = coherent_ket(ks[0], kets)
+    for k in ks[1:]:
+        joint = np.einsum("qi,qj->qij", joint, coherent_ket(k, kets)).reshape(len(w), -1)
     return np.einsum("q,qi,qj->ij", w, joint, joint.conj())
 
 
@@ -199,19 +190,9 @@ def build_average_states(nA: int, nC: int, r: float = 1.0) -> tuple[DenseOperato
     if not 0.0 < r <= 1.0:
         raise ValueError(f"purity must lie in (0, 1], got {r}")
     if r == 1.0:
-        F0 = _coherent_pair_average(nA)      # on A x B
-        G0 = _coherent_average(nC)           # on C
-        F1 = _coherent_average(nA)
-        # B left of C: average of [psi] (x) [psi^(x nC)]
-        alpha, beta, w = _sphere_grid(*_GRID)
-        kets = _su2_elements(alpha, beta)[:, :, 1]
-        ampsC = coherent_ket(nC, kets)
-        joint = np.einsum("qi,qj->qij", kets, ampsC).reshape(len(w), -1)
-        G1 = np.einsum("q,qi,qj->ij", w, joint, joint.conj())
-        dims = (nA + 1, 2, nC + 1)
-        s0 = DenseOperator(np.kron(F0, G0), dims, "sym:A,B,C", is_state=True)
-        s1 = DenseOperator(np.kron(F1, G1), dims, "sym:A,B,C", is_state=True)
-        return s0, s1
+        dims = (nA + 1, 2, nC + 1)  # the qubit B is one copy of psi
+        return (DenseOperator(np.kron(_coherent_average(nA, 1), _coherent_average(nC)), dims),
+                DenseOperator(np.kron(_coherent_average(nA), _coherent_average(1, nC)), dims))
     total = nA + 1 + nC  # one data qubit B
     if total > MAX_FULL_QUBITS:
         raise ValueError(f"mixed-state construction needs {2**total} dimensions; "
@@ -225,9 +206,7 @@ def build_average_states(nA: int, nC: int, r: float = 1.0) -> tuple[DenseOperato
     TC1 = twirl_product(nC + 1, pz)
     TC0 = twirl_product(nC, pz) if nC else np.array([[1.0]], complex)
     dims = (2,) * total
-    s0 = DenseOperator(np.kron(TA1, TC0), dims, "qubits:A,B,C", is_state=True)
-    s1 = DenseOperator(np.kron(TA0, TC1), dims, "qubits:A,B,C", is_state=True)
-    return s0, s1
+    return DenseOperator(np.kron(TA1, TC0), dims), DenseOperator(np.kron(TA0, TC1), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +438,7 @@ def dense_seed_problem(sectors: Sequence[tuple]) -> sdp.Bands:
 
 def dense_seed_sectors(problem: sdp.Bands) -> list[tuple]:
     """(key, channels, 2 w C) of every sector of a problem, each cost a dense matrix."""
-    dense, D = sdp._dense(problem.diag, problem.off), len(problem.slot)
+    dense, D = blk.tridiagonal(problem.diag, problem.off), len(problem.slot)
     return [(key, tjs, dense[k, D - len(tjs):, D - len(tjs):])
             for k, (key, tjs) in enumerate(problem.layout().items())]
 
@@ -529,9 +508,6 @@ def _outcome_density(poly: np.ndarray, rot0: Sequence[np.ndarray],
 class SimulationResult:
     error_rate: float
     stderr: float
-    trials: int
-    mode: str
-    seed: int
 
 
 def _up_probability(row0: np.ndarray, row1: np.ndarray, kets: np.ndarray,
@@ -654,8 +630,7 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
 
     rate = errors / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-30) / trials)
-    return SimulationResult(error_rate=rate, stderr=stderr, trials=trials,
-                            mode=discretization, seed=rng.seed)
+    return SimulationResult(error_rate=rate, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +645,6 @@ _ED_TILE_BYTES = 1 << 18  # separations filled in one pass, sized to stay in a c
 class EdResult:
     bias: float                 # the discrimination bias of the machine
     error_probability: float
-    excess_risk: float
     optimal_estimation: bool    # every element proportional to a coherent projector
 
 
@@ -753,6 +727,4 @@ def ed_error_finite(povm_M: Sequence[np.ndarray], povm_Mprime: Sequence[np.ndarr
         traces = np.einsum("kaa->k", Ms).real
         top = np.linalg.eigvalsh(Ms / traces[:, None, None])[:, -1]
         coherent &= not (top < 1.0 - 1e-8).any()
-    return EdResult(bias=bias, error_probability=error,
-                    excess_risk=error - machines.baseline_error(1.0),
-                    optimal_estimation=coherent)
+    return EdResult(bias=bias, error_probability=error, optimal_estimation=coherent)

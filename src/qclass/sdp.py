@@ -55,10 +55,11 @@ A problem is a ``Bands``, the one problem form: the keys, channels and two
 bands per sector that the engine reads.  ``mixed`` builds one per block
 label from its Jz_A bands; the engine is blind to the block symmetries
 that ``mixed`` uses.  Dense sector costs become ``Bands``, with every
-input check, through ``oracle.dense_seed_problem``, which only the
-cross-checks use.  A ``Seed`` keeps its problem's layout alone
-(``Bands.layout``: each sector's key and the 2j of its rows); a sector
-missing from a seed is 0.
+input check, through ``oracle.dense_seed_problem``, and bands become dense
+matrices through ``blocks.tridiagonal``; only the cross-checks use either.
+A ``Seed`` keeps its best certified point, with no trajectory, and its
+problem's layout alone (``Bands.layout``: each sector's key and the 2j of
+its rows); a sector missing from a seed is 0.
 """
 from __future__ import annotations
 
@@ -147,7 +148,6 @@ class Seed:
     gap: float
     iterations: int
     multipliers: dict[tuple, float]
-    objective_trace: list = field(default_factory=list, repr=False)
     sectors: dict[tuple, tuple] = field(default_factory=dict, repr=False)
 
     def constraint_residual(self) -> float:
@@ -281,28 +281,18 @@ def gershgorin_lift(y: np.ndarray, slot: np.ndarray, diag: np.ndarray, off: np.n
     return lift
 
 
-def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """(sectors, D, D) symmetric matrices from position-major bands."""
-    D, count = diag.shape
-    A = np.zeros((count, D, D))
-    ar = np.arange(D)
-    A[:, ar, ar] = diag.T
-    A[:, ar[:-1], ar[1:]] = A[:, ar[1:], ar[:-1]] = off.T
-    return A
-
-
 # ---------------------------------------------------------------------------
 # Batched barrier method
 
 
-def _seed(part: Bands, X, objective, bound, gap, iterations, y, trace) -> Seed:
+def _seed(part: Bands, X, objective, bound, gap, iterations, y) -> Seed:
     """A Seed in the problem's units from a (D, D, sectors) primal of its bands, front-padded."""
     nch, s, sectors = len(part.channels), part.scale, part.layout()
     blocks = {key: np.ascontiguousarray(X[-len(tjs):, -len(tjs):, k])
               for k, (key, tjs) in enumerate(sectors.items())}
     return Seed(blocks=blocks, objective=objective * s, bound=bound * s, gap=gap * s,
                 iterations=iterations, multipliers=dict(zip(part.channels, y[:nch] * s)),
-                objective_trace=[v * s for v in trace], sectors=sectors)
+                sectors=sectors)
 
 
 def _zero_seed(part: Bands) -> Seed:
@@ -313,7 +303,7 @@ def _zero_seed(part: Bands) -> Seed:
     ar = np.arange(D)
     counts = np.bincount(part.slot.ravel(), minlength=nch + 1)
     X[ar, ar] = (targets / np.maximum(counts, 1))[part.slot]
-    return _seed(part, X, 0.0, 0.0, 0.0, 0, np.zeros(nch + 1), [0.0])
+    return _seed(part, X, 0.0, 0.0, 0.0, 0, np.zeros(nch + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +376,7 @@ def rank_one_seed(problem: Bands) -> tuple[Seed, int]:
     """
     ((best, v, y, objective, bound, _),) = rank_one([problem])
     return Seed({problem.keys[best]: np.outer(v, v)}, objective, bound, bound - objective, 0,
-                dict(zip(problem.channels, y)), [objective], problem.layout()), best
+                dict(zip(problem.channels, y)), problem.layout()), best
 
 
 class _Batch:
@@ -547,7 +537,6 @@ class _Batch:
         t, steps = [1.0] * K, [0] * K
         tb = self.b.copy()  # t b, row by row
         best: list = [None] * K   # (gap, X, objective, bound, y, steps) in scaled units
-        traces: list[list] = [[] for _ in range(K)]
         active = list(range(K))
         while active:
             certify = [k for k in active if steps[k] >= cap]
@@ -608,7 +597,6 @@ class _Batch:
                                                      self.columns(certify)[1])
                 first = 0
                 for k in certify:
-                    traces[k].append(obj[k])
                     if best[k] is None or bound[k] - obj[k] < best[k][0]:
                         best[k] = (bound[k] - obj[k], X[:, :, first:first + self.counts[k]].copy(),
                                    obj[k], bound[k], y_cert[k].copy(), steps[k])
@@ -619,8 +607,8 @@ class _Batch:
                     else:
                         t[k] *= _MU
                         tb[k] = t[k] * self.b[k]
-        return [_seed(part, X, obj, bound, gap, its, yk, trace)
-                for part, (gap, X, obj, bound, yk, its), trace in zip(self.parts, best, traces)]
+        return [_seed(part, X, obj, bound, gap, its, yk)
+                for part, (gap, X, obj, bound, yk, its) in zip(self.parts, best)]
 
 
 def solve_many(problems: list[Bands], tol: float = DEFAULT_TOL) -> list[Seed]:

@@ -120,6 +120,17 @@ class TestSu2Command:
         assert proc.returncode == 0
         assert float(proc.stdout) == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
 
+    @pytest.mark.parametrize("args, want", [
+        (("--j1", "1/2", "--m1", "1/2", "--j2", "1/2", "--m2", "-1/2", "--J", "1", "--M", "0"),
+         "0.70710678118654757"),
+        (("--j1", "1", "--m1", "-1", "--j2", "1/2", "--m2", "1/2", "--J", "1/2", "--M", "-1/2"),
+         "-0.81649658092772603"),
+    ], ids=["m2", "M"])
+    def test_cg_negative_half_integer_token(self, args, want):
+        proc = run_cli("su2", "cg", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == want
+
     def test_mult(self):
         proc = run_cli("su2", "mult", "--n", "4", "--j", "1")
         assert proc.stdout.strip() == "3"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qclass import machines, mixed, oracle
-from qclass.blocks import BlockLabel, SpectrumParams
+from qclass.blocks import BlockLabel, IntegrityError, SpectrumParams
 from qclass.oracle import (
     RandomSource, bloch_to_ket, build_average_states, coherent_ket, coupled_dense,
     coupling_isometry, ed_error_finite, haar_qubit, helstrom, partial_transpose, ppt_check,
@@ -122,6 +122,15 @@ class TestAverageStates:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_average_states(1, 1, r=0.0)
+
+    @pytest.mark.parametrize("matrix, dims, error, match", [
+        (np.eye(4) / 4, (2,), ValueError, "does not match dims"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), (2,), IntegrityError, "not Hermitian"),
+        (np.eye(2) / 4, (2,), IntegrityError, "unit trace"),
+    ], ids=["shape", "non-hermitian", "trace"])
+    def test_dense_operator_refusals(self, matrix, dims, error, match):
+        with pytest.raises(error, match=match):
+            oracle.DenseOperator(matrix, dims)
 
 
 def _twirl_per_point(k, single_qubit_diag, n_azimuth=24, n_polar=24):

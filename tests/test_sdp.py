@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qclass import machines, mixed, oracle, sdp
+from qclass.blocks import tridiagonal
 from qclass.sdp import InfeasibleError, Seed, SolverError, solve, solve_many
 
 
@@ -140,11 +141,6 @@ class TestSolve:
         for key in a.blocks:
             np.testing.assert_array_equal(a.blocks[key], b.blocks[key])
 
-    def test_objective_trace_monotone(self):
-        _, seed = mixed.solve_lm(3, 0.55, tol=1e-9)
-        trace = seed.objective_trace
-        assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
-
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_unusable_tolerance_rejected(self, tol):
         with pytest.raises(ValueError):
@@ -187,7 +183,7 @@ def label_problem(n, r, xi):
 def assert_same_seed(a, b):
     assert (a.objective, a.bound, a.gap, a.iterations) == (b.objective, b.bound, b.gap,
                                                            b.iterations)
-    assert a.objective_trace == b.objective_trace and a.multipliers == b.multipliers
+    assert a.multipliers == b.multipliers
     for key in a.blocks:
         assert np.array_equal(a.blocks[key], b.blocks[key])
 
@@ -346,8 +342,7 @@ class TestCertificate:
         assert positive.tolist() == [False, True]
         for k in range(batch.counts[0]):
             where = batch.gslot[:, k]
-            S = np.diag(y_cert.ravel()[where]) - sdp._dense(batch.cd[:, k:k + 1],
-                                                            batch.co[:, k:k + 1])[0]
+            S = np.diag(y_cert.ravel()[where]) - tridiagonal(batch.cd[:, k], batch.co[:, k])
             assert np.linalg.eigvalsh(S)[0] >= 0.0
             lifted = y_cert.ravel()[where] != y.ravel()[where]
             assert lifted.any() != positive[k]
@@ -380,7 +375,6 @@ class TestSeed:
         seed = solve(n1_pure_problem(), tol=1e-8)
         assert seed.constraint_residual() <= 1e-8
         assert seed.min_eigenvalue() >= -1e-9
-        assert machines.verify_seed(seed)
 
     def test_dual_bound_dominates(self):
         seed = solve(n1_pure_problem(), tol=1e-8)
