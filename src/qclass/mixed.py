@@ -25,24 +25,21 @@ bands for every (weight, kA, kC) asked of it in the same pass; r enters
 through p_xi, kappa_A and kappa_C alone.  Every problem is an
 ``sdp.Bands``; no dense cost is formed for the solver.
 
-Every dual slack S_m(y) is an unreduced tridiagonal, so every optimal X_m
-has rank at most one.  Labels are closed in chunks (``_label_chunks``): one
-``sdp.rank_one`` pass per jA gives every problem its rank-one point on one
-full sector, most certified by the LDL' pivots of S_m(y) in every sector;
-the others run the barrier on a growing active set of sectors.  A label's
-result is its totals and how it closed, and a chunk is freed once they are
-read.  A sweep lane sums each row from them (``_lm_row``); ``lm_risk`` is
-the one-purity case, and only ``solve_lm`` assembles blocks, on a layout
-read from the block labels.  The whole problem's bands, built label by
-label with mirrors included (``build_lm_problem``), and their joint
-barrier solve are the cross-check in the tests.  Each sweep row depends
-only on its own (n, r), and no solver state outlives a call.
+Labels are listed and their bands built in chunks of whole jA groups
+(``_label_chunks``), and ``sdp.close`` closes each chunk, most labels by a
+certified rank-one closed form.  A sweep lane sums each row from the
+closures (``_lm_parts``, ``_lm_row``), a chunk's points dropped before the
+next chunk is built; ``lm_risk`` is the one-purity case, and only
+``solve_lm`` assembles blocks, from the points, on a layout read from the
+block labels.  The whole problem's bands, built label by label with
+mirrors included (``build_lm_problem``), and their joint barrier solve are
+the cross-check in the tests.  Each sweep row depends only on its own
+(n, r), and no solver state outlives a call.
 """
 from __future__ import annotations
 
 import math
 import os
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -214,13 +211,15 @@ def solve_lm(n: int, r: float,
              tol: float = sdp.DEFAULT_TOL) -> tuple[machines.MachineReport, sdp.Seed]:
     """Optimal learning-machine risk at (n, r); returns (report, solved seed).
 
-    The one-purity case of ``_label_chunks``, its label seeds assembled on
-    the block labels' layout; above ``tol``, ``SolverError`` carries that seed.
+    The one-purity case of ``_label_chunks``, its labels' certified points
+    assembled on the block labels' layout; above ``tol``, ``SolverError``
+    carries that seed.
     """
     parts, seeds = [], []
-    for chunk in _label_chunks(_lane_spectrum(n, [r]), tol):  # one problem per label
-        parts += chunk.parts[0]
-        seeds += [(xi, chunk.seed(k), scale) for k, (xi, _, scale) in enumerate(chunk.parts[0])]
+    for labels, closures, points in _label_chunks(_lane_spectrum(n, [r]), tol):
+        for (xi, _, ((_, scale),)), closure, point in zip(labels, closures, points):  # one per label
+            parts.append((xi, closure, scale))
+            seeds.append((xi, point, scale))
     report, totals, error = _lm_row(n, r, parts, tol)
     seed = _assemble_seed(n, seeds, totals)
     if error is not None:
@@ -263,12 +262,15 @@ def _lm_row(n: int, r: float, parts: list,
 
 
 def _lm_parts(spectrum: _Spectrum, tol: float) -> list[list[tuple]]:
-    """(label, closure, cost scale) of every solved label at every r of ``spectrum``."""
+    """(label, ``sdp.Closure``, cost scale) of every solved label at every r of ``spectrum``."""
     rows = [[] for _ in spectrum.rs]
-    for chunk in _label_chunks(spectrum, tol):
-        for out, parts in zip(rows, chunk.parts):
-            out += parts
-        del chunk  # before the next chunk is built
+    for labels, closures, points in _label_chunks(spectrum, tol):
+        del points  # before the next chunk is built
+        first = 0
+        for xi, coeffs, at in labels:
+            for out, (i, scale) in zip(rows, at):
+                out.append((xi, closures[first + i], scale))
+            first += len(coeffs)
     return rows
 
 
@@ -280,10 +282,12 @@ def _label_chunks(spectrum: _Spectrum, tol: float):
     times its unit cost (kA = kC = 1, weight 1), one problem for all of
     ``rs``, at weight 0 if that scale is 0 at every r; any other label gives
     one problem per r.  A chunk takes the labels of one jA after another
-    until their band entries would pass ``_CHUNK_ENTRIES``.  Each label gets
-    tol / (number of labels), so the summed certified gap stays within
-    ``tol``; a unit label's closed form is judged at its largest scale,
-    which bounds every row's.
+    until their band entries would pass ``_CHUNK_ENTRIES``, and yields its
+    labels (label, problem coefficients, (problem, cost scale) of each r)
+    with the ``sdp.close`` closures and points of their problems.  Each
+    problem gets tol / (number of labels), so the summed certified gap stays
+    within ``tol``; it is judged at the largest scale its label takes, which
+    bounds every row's.
     """
     sdp.check_tol(tol)
     n, p, kappa = spectrum.n, spectrum.p.tolist(), spectrum.kappa.tolist()
@@ -298,110 +302,49 @@ def _label_chunks(spectrum: _Spectrum, tol: float):
             labels.append(((ta, tc), coeffs, at))
         entries = (ta + 1) * sum(len(c) * (sum(xi) + 1) for xi, c, _ in labels)  # 2 jA + 1 rows
         if todo and size + entries > _CHUNK_ENTRIES:
-            yield _Chunk(todo, share)
+            yield _close(todo, share)
             todo, size = [], 0
         todo, size = todo + [labels], size + entries
-    yield _Chunk(todo, share)
+    yield _close(todo, share)
 
 
-# how: "closed_form", "zero_cost" or "barrier"; rounds: active-set rounds; iterations: Newton steps
-_Closure = namedtuple("_Closure", "how rounds iterations objective bound gap")
-
-
-class _Chunk:
-    """Label problems closed together; ``parts`` holds each row's (label, closure, cost scale).
-
-    Each jA's problems get their closed forms from one ``sdp.rank_one`` pass,
-    accepted where every pivot of S_m(y) is positive and the gap, times the
-    problem's reach, is within ``share``; a problem of scale 0 closes at 0.
-    Only the others keep their bands: each runs the barrier on its active
-    set, the closed form's sector plus the violated ones, and the sectors
-    its multipliers violate join, one ``solve_many`` call per round, until
-    none is.  A barrier seed holds only the sectors it solved, the others
-    being 0; so extended, the restricted primal is feasible for the whole
-    label, and a y feasible in every sector bounds its optimum, so the gap
-    keeps its meaning.  A round that misses ``share`` ends its problem, its
-    violated sectors lifted by their Gershgorin deficits so that the bound
-    still holds.
-    """
-
-    def __init__(self, groups: list, share: float):
-        labels = [label for group in groups for label in group]
-        self.specs = [(xi, c) for xi, coeffs, _ in labels for c in coeffs]
-        reach = [far for _, coeffs, at in labels  # the largest factor a problem is scaled by
-                 for far in [max(s for _, s in at) or 1.0] * len(coeffs)]
-        self.closures, self.barrier, problems, active, spent = [], {}, {}, {}, {}
-        for group in groups:  # the labels of one jA share a shape
-            bands = [p for xi, coeffs, _ in group for p in _label_bands(*xi, coeffs)]
-            for p, (best, _, _, objective, bound, violated) in zip(bands, sdp.rank_one(bands)):
-                k = len(self.closures)
-                if p.scale == 0.0:
-                    self.closures.append(_Closure("zero_cost", 0, 0, 0.0, 0.0, 0.0))
-                elif (bound - objective) * reach[k] <= share and not violated.any():
-                    self.closures.append(_Closure("closed_form", 0, 0, objective, bound,
-                                                  bound - objective))
-                else:
-                    self.closures.append(None)
-                    problems[k], active[k], spent[k] = p, violated.copy(), (0, 0)
-                    active[k][best] = True
-        while active:
-            order = sorted(active)
-            parts = sdp.solve_many([_restrict(problems[k], active[k]) for k in order], share)
-            for k, part in zip(order, parts):
-                p, on, (rounds, steps) = problems[k], active.pop(k), spent[k]
-                spent[k] = done = rounds + 1, steps + part.iterations
-                y = np.array([part.multipliers[c] for c in p.channels])
-                violated = ~(sdp.slack_pivots(p, y) > 0.0).all(axis=0) & ~on
-                if violated.any() and part.gap <= share:
-                    active[k] = on | violated
-                    continue
-                bound = part.bound
-                if violated.any():
-                    y = y + sdp.gershgorin_lift(np.append(y, 1.0), p.slot, p.diag, p.off,
-                                                violated)[:-1]
-                    bound = float(np.array([tj + 1.0 for _, tj in p.channels]) @ y)
-                self.closures[k] = _Closure("barrier", *done, part.objective, bound,
-                                            bound - part.objective)
-                self.barrier[k] = sdp.Seed(part.blocks, *self.closures[k][3:], done[1],
-                                           dict(zip(p.channels, y)), sectors=part.sectors)
-        self.parts, first = [[] for _ in labels[0][2]], 0
-        for xi, coeffs, at in labels:
-            for out, (i, scale) in zip(self.parts, at):
-                out.append((xi, self.closures[first + i], scale))
-            first += len(coeffs)
-
-    def seed(self, k: int) -> sdp.Seed:
-        """Problem ``k``'s seed, holding only the sectors it solved, for ``solve_lm``."""
-        if self.closures[k].how == "barrier":
-            return self.barrier[k]
-        xi, coeffs = self.specs[k]
-        (p,) = _label_bands(*xi, [coeffs])
-        return sdp._zero_seed(p) if self.closures[k].how == "zero_cost" else sdp.rank_one_seed(p)[0]
-
-
-def _restrict(p: sdp.Bands, on: np.ndarray) -> sdp.Bands:
-    """The label problem ``p`` on the sectors ``on`` alone."""
-    return sdp.Bands([key for key, keep in zip(p.keys, on) if keep], p.channels,
-                     p.slot[:, on], p.diag[:, on], p.off[:, on])
+def _close(groups: list, share: float) -> tuple[list, list, list]:
+    """The labels of ``groups``, one list per jA, and the closures and points of their problems."""
+    labels = [label for group in groups for label in group]
+    reach = [max(s for _, s in at) or 1.0  # the largest factor a problem is scaled by
+             for _, coeffs, at in labels for _ in coeffs]
+    bands = ([p for xi, coeffs, _ in group for p in _label_bands(*xi, coeffs)] for group in groups)
+    return (labels, *sdp.close(bands, share, reach))
 
 
 def _assemble_seed(n: int, parts: list, totals: dict) -> sdp.Seed:
-    """The seed of n from (label, label seed, cost scale) triples, mirrors filled in.
+    """The seed of n from (label, ``sdp.close`` point, cost scale) triples, mirrors filled in.
 
     It is laid out on every sector of every block label, in the order of
-    ``build_lm_problem``; a sector no label seed holds is 0.
+    ``build_lm_problem``.  A closed form holds v v' on its one sector, a
+    barrier point the sectors it solved, and a zero cost the identity in
+    every sector at multipliers 0; a sector no point holds is 0.
     """
-    blocks, multipliers = {}, {}
-    for (ta, tc), seed, scale in parts:
-        mirrors = [(ta, tc)] if ta == tc else [(ta, tc), (tc, ta)]
-        for (_, tm), X in seed.blocks.items():
-            for k, xi in enumerate(mirrors):
-                blocks[xi, -tm if k else tm] = X
-        for (_, tj), y in seed.multipliers.items():
-            for xi in mirrors:
-                multipliers[xi, tj] = scale * y
     sectors = {((lb.jA.twice_value, lb.jC.twice_value), tm): blk.coupled_sector_index(lb, tm)
                for lb in block_labels(n) for tm in blk.sector_range(lb)}
+    blocks, multipliers = {}, {}
+    for (ta, tc), point, scale in parts:
+        mirrors = [(ta, tc)] if ta == tc else [(ta, tc), (tc, ta)]
+        tms, tjs = range(-(ta + tc), ta + tc + 1, 2), range(abs(ta - tc), ta + tc + 1, 2)
+        if point is None:
+            held = {((ta, tc), tm): np.eye(len(sectors[(ta, tc), tm])) for tm in tms}
+            y = np.zeros(len(tjs))
+        elif len(point) == 3:
+            key, v, y = point
+            held = {key: np.outer(v, v)}
+        else:
+            held, y = point
+        for (_, tm), X in held.items():
+            for k, xi in enumerate(mirrors):
+                blocks[xi, -tm if k else tm] = X
+        for tj, yj in zip(tjs, y):
+            for xi in mirrors:
+                multipliers[xi, tj] = scale * yj
     return sdp.Seed(blocks=blocks, multipliers={c: multipliers[c] for c in sorted(multipliers)},
                     sectors=sectors, **totals)
 

@@ -48,9 +48,9 @@ Overton, Math. Program. 77, 1997).  ``rank_one`` takes, for many problems
 in one pass, the rank-one point of one full sector, whose dual
 y_j = (C v)_j / v_j attains b'y = v'Cv, lifted by ``_LIFT`` times the
 problem's scale, and certifies it by the LDL' pivots of S_b(y), O(D) per
-sector; ``rank_one_seed`` is its one-problem case, a ``Seed`` holding that
-one sector, and ``slack_pivots`` certifies any dual.  No Newton step runs
-for such a point.
+sector; ``slack_pivots`` certifies any dual.  ``close`` is the certificate
+policy: closed forms first, then the barrier on growing active sets of
+sectors, each problem ending in a ``Closure`` and its certified point.
 A problem is a ``Bands``, the one problem form: the keys, channels and two
 bands per sector that the engine reads.  ``mixed`` builds one per block
 label from its Jz_A bands; the engine is blind to the block symmetries
@@ -64,6 +64,7 @@ its rows); a sector missing from a seed is 0.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -322,12 +323,22 @@ def slack_pivots(problem: Bands, y: np.ndarray) -> np.ndarray:
 
 
 def rank_one(problems: list[Bands]) -> list[tuple]:
-    """(sector, signed v, dual y, v'Cv, b'y, violated sectors) of ``rank_one_seed``, per problem.
+    """(sector, signed v, dual y, v'Cv, b'y, violated sectors) of each problem's rank-one point.
 
-    The problems share one shape (rows, channels) and run joined along the
-    sector axis; each one's sums run over its own full sectors, and its
-    bound is one dot product, so each gets the numbers it gets alone.  A
-    sector is violated where ``slack_pivots`` of the dual are not all positive.
+    A full sector has a row for every channel, so X = v v' there, with
+    v_j = s_j sqrt(2j + 1), and 0 elsewhere meets every constraint.  Signs
+    s_j s_{j+1} = sign(o_j) make every off-diagonal term of v'Cv positive,
+    and y_j = (C v)_j / v_j puts v in the kernel of S(y); with the signs
+    taken out S(y) is a Z-matrix with a positive null vector, so it is
+    positive semidefinite on that sector, and b'y = v'Cv.  Of the full
+    sectors the one with the largest v'Cv is taken (the first, as
+    ``np.argmax`` takes it).  The dual is lifted by ``_LIFT`` times the
+    problem's scale, which makes the gap ``_LIFT`` scale sum_j (2j + 1) up
+    to rounding; a sector is violated where ``slack_pivots`` of it are not
+    all positive.  Every problem needs a full sector.  The problems share
+    one shape (rows, channels) and run joined along the sector axis; each
+    one's sums run over its own full sectors, and its bound is one dot
+    product, so each gets the numbers it gets alone.
     """
     (D, _), c = problems[0].slot.shape, len(problems[0].channels)
     counts = [p.slot.shape[1] for p in problems]
@@ -357,26 +368,6 @@ def rank_one(problems: list[Bands]) -> list[tuple]:
     ys = [y[g * (c + 1):g * (c + 1) + c] for g in range(len(problems))]  # contiguous, as alone
     return [(int(at[i] - first[g]), u[:, g], yg, float(values[i]), float(table[g, :c] @ yg),
              violated[first[g]:first[g + 1]]) for g, (i, yg) in enumerate(zip(pick, ys))]
-
-
-def rank_one_seed(problem: Bands) -> tuple[Seed, int]:
-    """The best rank-one point on a full sector with its dual, lifted by ``_LIFT`` scale.
-
-    A full sector has a row for every channel, so X = v v' there, with
-    v_j = s_j sqrt(2j + 1), and 0 elsewhere meets every constraint.  Signs
-    s_j s_{j+1} = sign(o_j) make every off-diagonal term of v'Cv positive,
-    and y_j = (C v)_j / v_j puts v in the kernel of S(y); with the signs
-    taken out S(y) is a Z-matrix with a positive null vector, so it is
-    positive semidefinite on that sector, and b'y = v'Cv.  Of the full
-    sectors the one with the largest v'Cv is taken, and returned with the
-    seed.  The lift makes the gap ``_LIFT`` scale sum_j (2j + 1) up to
-    rounding; the seed is certified where ``slack_pivots`` of its
-    multipliers are all positive.  A problem needs a full sector.  This is
-    the one-problem case of ``rank_one``.
-    """
-    ((best, v, y, objective, bound, _),) = rank_one([problem])
-    return Seed({problem.keys[best]: np.outer(v, v)}, objective, bound, bound - objective, 0,
-                dict(zip(problem.channels, y)), problem.layout()), best
 
 
 class _Batch:
@@ -662,3 +653,64 @@ def solve(problem: Bands, tol: float = DEFAULT_TOL) -> Seed:
             f"Newton step {seed.iterations} of at most {MAX_ITER}", seed
         )
     return seed
+
+
+# how: "closed_form", "zero_cost" or "barrier"; rounds: active-set rounds; iterations: Newton steps
+Closure = namedtuple("Closure", "how rounds iterations objective bound gap")
+
+
+def close(groups, share: float, reach: list[float]) -> tuple[list[Closure], list]:
+    """The closure and certified point of every problem of ``groups``, in order.
+
+    ``groups`` yields lists of problems of one shape and is read one list at
+    a time; problem k enters its caller's sums scaled by at most
+    ``reach[k]``.  Each list gets its closed forms from one ``rank_one``
+    pass, accepted where every pivot of S_b(y) is positive and the gap,
+    times the reach, is within ``share``; the point is (sector key, v, y),
+    X = v v' on that sector.  A problem of scale 0 closes at 0 with no
+    point: its seed is the identity in every sector, as ``_zero_seed``
+    gives it where each channel 2j has 2j + 1 sectors.  Only the others keep
+    their bands: each runs the barrier on its active set, the closed form's
+    sector plus the violated ones, and the sectors its multipliers violate
+    join, one ``solve_many`` call per round, until none is.  Its point is
+    (blocks, y), the blocks of the sectors it solved, the others being 0;
+    so extended, the restricted primal is feasible for the whole problem,
+    and a y feasible in every sector bounds its optimum, so the gap keeps
+    its meaning.  A round that misses ``share`` ends its problem, its
+    violated sectors lifted by their Gershgorin deficits so that the bound
+    still holds.
+    """
+    closures, points, problems, active, spent = [], [], {}, {}, {}
+    for group in groups:
+        for p, (best, v, y, objective, bound, violated) in zip(group, rank_one(group)):
+            k = len(closures)
+            points.append(None)
+            if p.scale == 0.0:
+                closures.append(Closure("zero_cost", 0, 0, 0.0, 0.0, 0.0))
+            elif (bound - objective) * reach[k] <= share and not violated.any():
+                closures.append(Closure("closed_form", 0, 0, objective, bound, bound - objective))
+                points[k] = (p.keys[best], v, y)
+            else:
+                closures.append(None)
+                problems[k], active[k], spent[k] = p, violated.copy(), (0, 0)
+                active[k][best] = True
+    while active:
+        order = sorted(active)
+        parts = solve_many([Bands([key for key, keep in zip(p.keys, on) if keep], p.channels,
+                                  p.slot[:, on], p.diag[:, on], p.off[:, on])
+                            for p, on in ((problems[k], active[k]) for k in order)], share)
+        for k, part in zip(order, parts):
+            p, on, (rounds, steps) = problems[k], active.pop(k), spent[k]
+            spent[k] = done = rounds + 1, steps + part.iterations
+            y = np.array([part.multipliers[c] for c in p.channels])
+            violated = ~(slack_pivots(p, y) > 0.0).all(axis=0) & ~on
+            if violated.any() and part.gap <= share:
+                active[k] = on | violated
+                continue
+            bound = part.bound
+            if violated.any():
+                y = y + gershgorin_lift(np.append(y, 1.0), p.slot, p.diag, p.off, violated)[:-1]
+                bound = float(np.array([tj + 1.0 for _, tj in p.channels]) @ y)
+            closures[k] = Closure("barrier", *done, part.objective, bound, bound - part.objective)
+            points[k] = (part.blocks, y)
+    return closures, points

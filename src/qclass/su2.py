@@ -63,13 +63,15 @@ def as_half(x: HalfIntLike) -> HalfInteger:
     if isinstance(x, int):
         return HalfInteger(2 * x)
     if isinstance(x, str):
-        s = x.strip()
-        if "/" in s:
-            num, den = s.split("/")
-            if int(den) != 2:
-                raise ValueError(f"half-integer strings must have denominator 2: {x!r}")
-            return HalfInteger(int(num))
-        return HalfInteger(2 * int(s))
+        num, *den = x.strip().split("/")
+        try:
+            if not den:
+                return HalfInteger(2 * int(num))
+            if len(den) == 1 and int(den[0]) == 2:
+                return HalfInteger(int(num))
+        except ValueError:
+            pass
+        raise ValueError(f"{x!r} is not a quantum number: write an integer or k/2")
     raise ValueError(
         f"quantum numbers must be HalfInteger, int or 'k/2' strings, got {type(x).__name__}"
     )

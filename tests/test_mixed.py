@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -305,7 +306,7 @@ class TestLabelByLabelSolve:
                     for tm, mat in g.iter_sectors():
                         np.testing.assert_allclose(mat, k * unit.sectors[tm], rtol=0, atol=1e-16)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_joint_solve(self, n):
         # both solves bracket the optimum: objective <= OPT <= bound; gaps that
         # round to a little below zero are counted as zero, plus 1e-12 rounding
@@ -437,9 +438,27 @@ def label_problems(n, r):
 
 
 def close_label(xi, coeffs, share):
-    """Closure and seed of one label problem, closed in a chunk of its own."""
-    chunk = mixed._Chunk([[(xi, [coeffs], [(0, 1.0)])]], share)
-    return chunk.closures[0], chunk.seed(0)
+    """Closure and seed of one label problem, closed by ``sdp.close`` on its own.
+
+    The seed holds the sectors of the certified point, a closed form's one
+    sector or those the barrier solved; a zero cost has no point and no seed.
+    """
+    (p,) = mixed._label_bands(*xi, [coeffs])
+    (closure,), (point,) = sdp.close([[p]], share, [1.0])
+    if point is None:
+        return closure, None
+    if closure.how == "closed_form":
+        key, v, y = point
+        point = {key: np.outer(v, v)}, y
+    blocks, y = point
+    return closure, sdp.Seed(blocks, *closure[3:], closure.iterations, dict(zip(p.channels, y)),
+                             p.layout())
+
+
+def rank_one_dual(p):
+    """The lifted dual of the rank-one point of one label problem, one multiplier per channel."""
+    ((_, _, y, _, _, _),) = sdp.rank_one([p])
+    return y
 
 
 def least_slack_eigenvalues(problem, multipliers):
@@ -482,9 +501,9 @@ class TestClosedFormSeeds:
             rep = mixed.lm_risk(n, 1.0)
             assert rep.error_probability == pytest.approx(machines.lm_error(n), abs=1e-12)
             p = dict(label_problems(n, 1.0))[n, n]
-            seed, best = sdp.rank_one_seed(p)
-            assert p.keys[best] == ((n, n), 0)
-            np.testing.assert_allclose(np.abs(seed.blocks[(n, n), 0]),
+            (closure,), ((key, v, _),) = sdp.close([[p]], sdp.DEFAULT_TOL, [1.0])
+            assert closure.how == "closed_form" and key == ((n, n), 0)
+            np.testing.assert_allclose(np.abs(np.outer(v, v)),
                                        np.outer(*[machines.lm_seed(n).coefficients] * 2),
                                        rtol=1e-15)
 
@@ -493,8 +512,7 @@ class TestClosedFormSeeds:
         # any one of its multipliers is lowered by 1e-6
         certified = 0
         for xi, p in label_problems(4, 0.5):
-            seed, _ = sdp.rank_one_seed(p)
-            y = np.array([seed.multipliers[c] for c in p.channels])
+            y = rank_one_dual(p)
             if p.scale == 0.0 or not (sdp.slack_pivots(p, y) > 0.0).all():
                 continue
             certified += 1
@@ -512,9 +530,7 @@ class TestClosedFormSeeds:
         n, r = 5, 0.1
         share = sdp.DEFAULT_TOL / len(mixed.block_labels(n))
         p = dict(label_problems(n, r))[1, 5]
-        closed, _ = sdp.rank_one_seed(p)
-        y = np.array([closed.multipliers[c] for c in p.channels])
-        assert not (sdp.slack_pivots(p, y) > 0.0).all()
+        assert not (sdp.slack_pivots(p, rank_one_dual(p)) > 0.0).all()
         _, active = close_label((1, 5), dict(label_coeffs(n, r))[1, 5], share)
         (whole,) = sdp.solve_many([p], share)
         assert active.iterations > 0 and active.gap <= share and whole.gap <= share
@@ -528,8 +544,7 @@ class TestClosedFormSeeds:
         # violated sector are lifted by its Gershgorin deficit, which leaves every
         # S_m(y) positive semidefinite and the other channels as they were
         p = dict(label_problems(5, 0.1))[1, 5]
-        closed, _ = sdp.rank_one_seed(p)
-        y = np.array([closed.multipliers[c] for c in p.channels])
+        y = rank_one_dual(p)
         violated = ~(sdp.slack_pivots(p, y) > 0.0).all(axis=0)
         lifted = y + sdp.gershgorin_lift(np.append(y, 1.0), p.slot, p.diag, p.off,
                                          violated)[:-1]
@@ -566,13 +581,14 @@ class TestClosedFormSeeds:
         # a closed-form label seed holds its one full sector and an active-set seed
         # the sectors its barrier solved, the others being 0; the assembled whole
         # seed lays out every sector of its problem and holds some of them
-        (chunk,) = mixed._label_chunks(mixed._lane_spectrum(4, [0.5]), sdp.DEFAULT_TOL)
-        closed = [k for k, c in enumerate(chunk.closures) if c.how == "closed_form"]
-        for k in closed:
-            xi, coeffs = chunk.specs[k]
-            (p,), seed = mixed._label_bands(*xi, [coeffs]), chunk.seed(k)
-            _, best = sdp.rank_one_seed(p)
-            assert set(seed.blocks) == {p.keys[best]}
+        ((labels, closures, points),) = mixed._label_chunks(mixed._lane_spectrum(4, [0.5]),
+                                                             sdp.DEFAULT_TOL)
+        closed = [k for k, c in enumerate(closures) if c.how == "closed_form"]
+        for k in closed:  # one problem per label at one r
+            xi, coeffs, _ = labels[k]
+            (p,) = mixed._label_bands(*xi, coeffs)
+            ((best, *_),) = sdp.rank_one([p])
+            assert points[k][0] == p.keys[best]
         assert len(closed) == 5
         n, r = 5, 0.1
         share = sdp.DEFAULT_TOL / len(mixed.block_labels(n))
@@ -595,16 +611,16 @@ class TestChunks:
         kinds = set()
         for n in FIG1.n_values:
             spectrum = mixed._lane_spectrum(n, [float(r) for r in FIG1.r_grid()])
-            for chunk in mixed._label_chunks(spectrum, FIG1.tol):
-                for _, closure, _ in (part for parts in chunk.parts for part in parts):
+            for parts in mixed._lm_parts(spectrum, FIG1.tol):
+                for _, closure, _ in parts:
                     kinds.add(closure.how)
                     assert closure.rounds == closure.iterations == 0
         assert kinds == {"closed_form", "zero_cost"}
 
     def test_barrier_label_reports_its_rounds(self):
         # label (1, 5) at (5, 0.1) is closed by the barrier on its active sectors
-        (chunk,) = mixed._label_chunks(mixed._lane_spectrum(5, [0.1]), sdp.DEFAULT_TOL)
-        closure = {xi: c for xi, c, _ in chunk.parts[0]}[1, 5]
+        (parts,) = mixed._lm_parts(mixed._lane_spectrum(5, [0.1]), sdp.DEFAULT_TOL)
+        closure = {xi: c for xi, c, _ in parts}[1, 5]
         assert closure.how == "barrier" and closure.rounds >= 1 and closure.iterations > 0
 
     def test_missed_share_lifts_violated_sectors(self, monkeypatch):
@@ -629,8 +645,8 @@ class TestChunks:
 
         monkeypatch.setattr(mixed, "_label_bands", bands)
         monkeypatch.setattr(sdp, "gershgorin_lift", lift)
-        (chunk,) = mixed._label_chunks(mixed._lane_spectrum(32, [0.8]), sdp.DEFAULT_TOL)
-        closures = {xi: c for xi, c, _ in chunk.parts[0]}
+        (parts,) = mixed._lm_parts(mixed._lane_spectrum(32, [0.8]), sdp.DEFAULT_TOL)
+        closures = {xi: c for xi, c, _ in parts}
         share = sdp.DEFAULT_TOL / len(mixed.block_labels(32))
         assert lifted
         for p, y in lifted:
@@ -645,20 +661,22 @@ class TestChunks:
     @pytest.mark.parametrize("n,r", [(5, 0.1), (8, 0.3), (24, 0.8)])
     def test_smallest_chunks_change_no_bit(self, n, r, monkeypatch):
         # every solved label in one chunk, then the labels of each jA in a chunk of
-        # their own, the smallest chunk: the report keeps every bit
+        # their own, the smallest chunk: the report and the assembled seed keep every
+        # bit, so a certified point does not depend on the chunk that closed it
         chunks = []
-        real = mixed._Chunk
+        real = sdp.close
 
         def counting(groups, *args):
+            groups = list(groups)
             chunks.append(len(groups))
             return real(groups, *args)
 
-        monkeypatch.setattr(mixed, "_Chunk", counting)
-        want = mixed.lm_risk(n, r)
+        monkeypatch.setattr(sdp, "close", counting)
+        want = mixed.lm_risk(n, r), json.dumps(mixed.solve_lm(n, r)[1].to_json_dict())
         monkeypatch.setattr(mixed, "_CHUNK_ENTRIES", 1)
-        got = mixed.lm_risk(n, r)
+        got = mixed.lm_risk(n, r), json.dumps(mixed.solve_lm(n, r)[1].to_json_dict())
         groups = n // 2 + 1  # one per jA, the smallest chunk
-        assert chunks == [groups] + [1] * groups
+        assert chunks == [groups] * 2 + [1] * (2 * groups)
         assert got == want
 
     def test_smallest_chunks_keep_sweep_rows(self, monkeypatch):

@@ -355,19 +355,22 @@ class TestCertificate:
 class TestRankOneSeed:
     def test_n1_pure_seed(self):
         # the full sector m = 0 holds v = (1, sqrt 3), the optimum 1/sqrt(3); its
-        # dual, lifted by 1e-12 scale, is certified by positive pivots
+        # dual, lifted by 1e-12 scale, is certified by positive pivots, and
+        # sdp.close takes that point, the one sector, with no Newton step
         p = n1_pure_problem()
-        seed, best = sdp.rank_one_seed(p)
+        ((best, v, y, objective, bound, violated),) = sdp.rank_one([p])
         assert p.keys[best] == ((1, 1), 0)
-        assert seed.objective == pytest.approx(1 / math.sqrt(3), abs=1e-15)
-        np.testing.assert_allclose(seed.blocks[(1, 1), 0],
+        assert objective == pytest.approx(1 / math.sqrt(3), abs=1e-15)
+        np.testing.assert_allclose(np.outer(v, v),
                                    np.outer([1, math.sqrt(3)], [1, math.sqrt(3)]), rtol=1e-15)
-        assert set(seed.blocks) == {((1, 1), 0)}  # the other sectors are absent, so 0
-        assert seed.iterations == 0 and seed.constraint_residual() <= 1e-15
-        assert seed.gap == pytest.approx(1e-12 * p.scale * 4, rel=1e-3)
-        y = np.array([seed.multipliers[c] for c in p.channels])
-        assert (sdp.slack_pivots(p, y) > 0.0).all()
-        assert seed.bound == pytest.approx(solve(p, tol=1e-10).objective, abs=1e-10)
+        assert np.abs(v * v - [1, 3]).max() <= 1e-15  # the other sectors are 0
+        assert bound - objective == pytest.approx(1e-12 * p.scale * 4, rel=1e-3)
+        assert not violated.any() and (sdp.slack_pivots(p, y) > 0.0).all()
+        assert bound == pytest.approx(solve(p, tol=1e-10).objective, abs=1e-10)
+        (closure,), ((key, v_closed, y_closed),) = sdp.close([[p]], 1e-10, [1.0])
+        assert closure == ("closed_form", 0, 0, objective, bound, bound - objective)
+        assert key == p.keys[best]
+        assert v_closed.tolist() == v.tolist() and y_closed.tolist() == y.tolist()
 
 
 class TestSeed:

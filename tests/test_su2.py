@@ -22,6 +22,10 @@ class TestHalfInteger:
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
             as_half(0.5)
+        for bad in ("1.5", "1/2/3", "x/2", "", "3/4"):
+            with pytest.raises(ValueError, match=f"^{bad!r} is not a quantum number: "
+                                                 "write an integer or k/2$"):
+                as_half(bad)
 
     def test_arithmetic(self):
         assert (HalfInteger(3) + HalfInteger(1)).twice_value == 4
