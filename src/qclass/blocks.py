@@ -22,7 +22,7 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .su2 import HalfInteger, HalfIntLike, as_half
+from .su2 import HalfInteger, HalfIntLike, as_half, check_count
 
 HERMITICITY_TOL = 1e-10
 
@@ -33,6 +33,13 @@ class IntegrityError(RuntimeError):
     """A numerical object violated one of its structural invariants."""
 
 
+def check_purity(r: float) -> float:
+    """``r`` if it is a Bloch length in (0, 1], else ``ValueError``."""
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"purity must lie in (0, 1], got {r}")
+    return r
+
+
 @dataclass(frozen=True)
 class SpectrumParams:
     """Source configuration: n qubits per training side, Bloch length r."""
@@ -41,10 +48,8 @@ class SpectrumParams:
     r: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
-        if not 0.0 < self.r <= 1.0:
-            raise ValueError(f"purity must lie in (0, 1], got {self.r}")
+        check_count(self.n, 0, "n must be non-negative, got {}")
+        check_purity(self.r)
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,7 @@ def jz_expectation(j: HalfIntLike, r: float) -> float:
     tj = as_half(j).twice_value
     if tj < 0:
         raise ValueError(f"j must be non-negative, got {tj}/2")
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"purity must lie in (0, 1], got {r}")
-    return mean_m(tj, _block_spectrum(tj, r)[0])
+    return mean_m(tj, _block_spectrum(tj, check_purity(r))[0])
 
 
 def mean_m(tj: int, a: np.ndarray) -> float:
@@ -130,11 +133,16 @@ def mean_m(tj: int, a: np.ndarray) -> float:
     return float((np.arange(-tj, tj + 1, 2) / 2.0) @ a)
 
 
-def _alpha(tj: int, r: float) -> float:
-    """Coefficient r <Jz>_j / j splitting a block between its two couplings."""
+def side_fractions(tj: int, r: float) -> tuple[float, float]:
+    """(alpha_j, kappa_j) = (m / j, m / (j (j+1))) of one side, m = r <Jz>_j; both 0 at j = 0.
+
+    alpha_j splits a block between its two couplings and kappa_j weighs the
+    side in the conditioned operator; ``mixed._lane_spectrum`` forms both alike.
+    """
     if tj == 0:
-        return 0.0
-    return r * jz_expectation(HalfInteger(tj), r) / (tj / 2.0)
+        return 0.0, 0.0
+    m, j = r * jz_expectation(HalfInteger(tj), r), tj / 2.0
+    return m / j, m / (j * (j + 1.0))
 
 
 @dataclass
@@ -179,19 +187,6 @@ class BlockOperator:
                 for tm, mat in self.iter_sectors()
             ],
         }
-
-
-def combine(ops: list[BlockOperator], coeffs: list[float]) -> BlockOperator:
-    """Linear combination of same-shaped block operators."""
-    first = ops[0]
-    sectors = {}
-    for tm in first.sectors:
-        acc = np.zeros_like(np.asarray(first.sectors[tm], dtype=float))
-        for op, c in zip(ops, coeffs):
-            acc = acc + c * op.sectors[tm]
-        sectors[tm] = acc
-    return BlockOperator(label=first.label, basis=first.basis, sectors=sectors,
-                         index=dict(first.index))
 
 
 def trace_norm(op: BlockOperator) -> float:
@@ -289,8 +284,7 @@ def asymptotic_block_distribution(n: int, r: float, x: float) -> float:
     """
     if not 0.0 < x < 1.0 or not 0.0 < r < 1.0:
         raise ValueError(f"x and r must lie strictly inside (0, 1), got x={x}, r={r}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_count(n)
     s, t = (1.0 + x) / 2.0, (1.0 + r) / 2.0
     H = s * math.log(s / t) + (1.0 - s) * math.log((1.0 - s) / (1.0 - t))
     pref = math.sqrt(n / (2.0 * math.pi)) / math.sqrt(1.0 - x * x) * (x * (1.0 + r)) / (r * (1.0 + x))

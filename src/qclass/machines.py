@@ -27,14 +27,12 @@ import numpy as np
 
 from . import blocks
 from .blocks import BlockLabel, BlockOperator
-from .su2 import HalfInteger
+from .su2 import HalfInteger, check_count
 
 
 def baseline_error(r: float = 1.0) -> float:
     """Average two-known-states discrimination error at purity r: 1/2 - r/3."""
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"purity must lie in (0, 1], got {r}")
-    return 0.5 - r / 3.0
+    return 0.5 - blocks.check_purity(r) / 3.0
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,7 @@ def programmable_error_pure(n: int) -> float:
 
     1/2 - (1 / (d_n^2 d_{n+1})) sum_{k=0}^{n} k sqrt(d_n^2 - k^2),  d_m = m + 1.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    d = n + 1
+    d = check_count(n, 0, "n must be non-negative, got {}") + 1
     acc = sum(k * math.sqrt(d * d - k * k) for k in range(1, n + 1))
     return 0.5 - acc / (d * d * (d + 1))
 
@@ -101,8 +97,8 @@ def programmable_error_unbalanced(nA: int, nC: int) -> float:
     Closed form in the averaged-state dimensions D0 = (nA+2)(nC+1) and
     D1 = (nA+1)(nC+2); symmetric under swapping the two sides.
     """
-    if nA < 0 or nC < 0:
-        raise ValueError(f"qubit counts must be non-negative, got {nA}, {nC}")
+    for count in (nA, nC):
+        check_count(count, 0, f"qubit counts must be non-negative, got {nA}, {nC}")
     if nA < nC:
         nA, nC = nC, nA
     D0 = (nA + 2) * (nC + 1)
@@ -134,8 +130,7 @@ class SeedVector:
 
 def lm_seed(n: int) -> SeedVector:
     """The optimal seed: coefficient sqrt(2j+1) on each |j, 0> of the training pair."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_count(n)
     return SeedVector(n=n, coefficients=np.sqrt(2.0 * np.arange(n + 1) + 1.0))
 
 
@@ -154,14 +149,14 @@ def gamma_up_pure(n: int) -> BlockOperator:
 
     (Jz_A - Jz_C) / (d_n^2 d_{n+1}) in the coupled basis, all magnetic sectors.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_count(n)
     label = BlockLabel(HalfInteger(n), HalfInteger(n))
     jzA = blocks.coupled_jz(label, "A")
     jzC = blocks.coupled_jz(label, "C")
     d = n + 1
     s = 1.0 / (d * d * (d + 1))
-    return blocks.combine([jzA, jzC], [s, -s])
+    sectors = {tm: 0.0 + s * A + (-s) * jzC.sectors[tm] for tm, A in jzA.sectors.items()}
+    return BlockOperator(label=label, basis=jzA.basis, sectors=sectors, index=jzA.index)
 
 
 def lm_error(n: int) -> float:
@@ -174,8 +169,7 @@ def lm_error(n: int) -> float:
     j - 1/2, j = 1..n+1.  The seed overlap with ``gamma_up_pure`` is the
     cross-check in the tests, and the block SDP at r = 1 in ``qclass verify``.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_count(n)
     d = n + 1
     acc = 0.0
     for j in range(1, n + 2):
@@ -190,8 +184,7 @@ def lm_error(n: int) -> float:
 
 def ed_shrink_factor(n: int) -> float:
     """Bloch shrink of the data state conditioned on an optimal estimate: n/(n+2)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_count(n)
     return n / (n + 2.0)
 
 
@@ -200,8 +193,7 @@ def ed_error_continuous(n: int) -> float:
 
     Bias 4n / (3 (n + 2)); error (1 - bias/2) / 2.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_count(n)
     bias = 4.0 * n / (3.0 * (n + 2))
     return 0.5 * (1.0 - bias / 2.0)
 
@@ -231,13 +223,11 @@ def reversed_lm_error(n: int) -> float:
 
     (1/2) (1 - (1/6) n / (n+1)).
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_count(n)
     return 0.5 * (1.0 - n / (6.0 * (n + 1)))
 
 
 def memory_bound_bits(n: int) -> float:
     """Classical memory that suffices for the learning machine: log2(2 (n+1) (2n+1))."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_count(n)
     return math.log2(2 * (n + 1) * (2 * n + 1))

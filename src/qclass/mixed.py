@@ -48,7 +48,7 @@ import numpy as np
 from . import blocks as blk
 from . import machines, sdp
 from .blocks import BlockLabel, BlockOperator, SpectrumParams
-from .su2 import HalfInteger
+from .su2 import HalfInteger, check_count
 
 WEIGHT_CUTOFF = 1e-15  # the floor leaves out every block of weight p_xi at or below it
 _CHUNK_ENTRIES = 1 << 21  # band entries of the label problems closed at once
@@ -60,14 +60,8 @@ def gamma_up_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
     [kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) with kS = r <Jz>_{jS} / (jS (jS+1));
     a side with jS = 0 contributes nothing.
     """
-    ta, tc = label.jA.twice_value, label.jC.twice_value
-    return _gamma(label, _kappa(ta, params.r), _kappa(tc, params.r))
-
-
-def _kappa(tj: int, r: float) -> float:
-    """kS = r <Jz>_{jS} / (jS (jS+1)) of one side, as ``_lane_spectrum`` forms it."""
-    j = tj / 2
-    return 0.0 if tj == 0 else r * blk.jz_expectation(HalfInteger(tj), r) / (j * (j + 1.0))
+    kA, kC = (blk.side_fractions(t.twice_value, params.r)[1] for t in (label.jA, label.jC))
+    return _gamma(label, kA, kC)
 
 
 def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
@@ -95,8 +89,7 @@ class _Spectrum(NamedTuple):
 
 def _lane_spectrum(n: int, rs: list[float]) -> _Spectrum:
     """p_j, alpha_j and kappa_j of every side at every r, from one ``block_weights`` call per r."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_count(n)
     rows = np.array([[(w.p, r * blk.mean_m(w.j.twice_value, w.a))
                       for w in blk.block_weights(SpectrumParams(n, r))] for r in rs])
     j = np.maximum(np.arange(n % 2, n + 1, 2), 1) / 2.0  # r <Jz> is 0 at j = 0
@@ -111,7 +104,8 @@ def block_trace_norm(label: BlockLabel, params: SpectrumParams) -> float:
     with the principal cosine given by ``_recoupling_cos2``.
     """
     ta, tc = label.jA.twice_value, label.jC.twice_value
-    return _trace_norm_from_alphas(ta, tc, blk._alpha(ta, params.r), blk._alpha(tc, params.r))
+    (aA, _), (aC, _) = blk.side_fractions(ta, params.r), blk.side_fractions(tc, params.r)
+    return _label_trace_norm(ta, tc, aA, aC)
 
 
 def block_labels(n: int) -> list[BlockLabel]:
@@ -372,11 +366,8 @@ def unbalanced_block_diff_asymptotic(n: int, r: float, delta: float = 0.0) -> Un
     block nearest (r nA / 2, r nC / 2), and compares its exact difference
     trace norm against the scaled pure-block norm at matched total momentum.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"purity must lie in (0, 1], got {r}")
-    factor = r * (1.0 - (1.0 - r) / (n * r * r))
+    check_count(n)
+    factor = blk.check_purity(r) * (1.0 - (1.0 - r) / (n * r * r))
     valid = n * r * r > 1.0
 
     shift = int(round(delta * math.sqrt(n)))
@@ -392,9 +383,10 @@ def unbalanced_block_diff_asymptotic(n: int, r: float, delta: float = 0.0) -> Un
         return min(max(t, side_n % 2), side_n)
 
     ta, tc = near_block(nA), near_block(nC)
-    exact = _trace_norm_from_alphas(ta, tc, blk._alpha(ta, r), blk._alpha(tc, r))
+    (aA, _), (aC, _) = blk.side_fractions(ta, r), blk.side_fractions(tc, r)
+    exact = _label_trace_norm(ta, tc, aA, aC)
     tbar = round((ta + tc) / 2)  # matched pure block: total momentum ~ r n / 2 per side
-    pure = _trace_norm_from_alphas(tbar, tbar, 1.0, 1.0)
+    pure = _label_trace_norm(tbar, tbar, 1.0, 1.0)
     return UnbalancedCheck(
         factor=factor, exact_norm=exact, scaled_pure_norm=factor * pure,
         ratio=exact / pure if pure else math.nan, label=(ta, tc),
@@ -402,7 +394,7 @@ def unbalanced_block_diff_asymptotic(n: int, r: float, delta: float = 0.0) -> Un
     )
 
 
-def _trace_norm_from_alphas(ta: int, tc: int, aA: float, aC: float) -> float:
+def _label_trace_norm(ta: int, tc: int, aA: float, aC: float) -> float:
     """Spectral block trace norm of one label from its two coupling fractions."""
     return _trace_norms(*(np.array([v]) for v in (ta, tc, aA, aC)))[0].item()
 
@@ -468,8 +460,8 @@ class SweepConfig:
             raise ValueError("r_min == r_max admits one step only")
         if not self.n_values:
             raise ValueError("the sweep needs at least one n value")
-        if any(n < 1 for n in self.n_values):
-            raise ValueError("n values must be positive")
+        for n in self.n_values:
+            check_count(n, 1, "n values must be positive")
         sdp.check_tol(self.tol)
 
     def r_grid(self) -> np.ndarray:

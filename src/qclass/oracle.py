@@ -31,7 +31,7 @@ import numpy as np
 from . import blocks as blk
 from . import machines, sdp
 from .blocks import BlockLabel, BlockOperator, SpectrumParams
-from .su2 import HalfInteger, _cg_doubled, multiplicity
+from .su2 import HalfInteger, _cg_doubled, check_count, multiplicity
 
 MAX_FULL_QUBITS = 12  # dense full-product-space construction guard
 # Largest twirl that finishes in well under a minute: its cost grows about 6x
@@ -70,8 +70,9 @@ class DenseOperator:
         d = int(np.prod(self.dims))
         if self.matrix.shape != (d, d):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match dims {self.dims}")
-        if np.abs(self.matrix - self.matrix.conj().T).max() > 1e-10:
-            raise blk.IntegrityError("dense operator is not Hermitian within 1e-10")
+        tol = blk.HERMITICITY_TOL
+        if np.abs(self.matrix - self.matrix.conj().T).max() > tol:
+            raise blk.IntegrityError(f"dense operator is not Hermitian within {tol}")
         if abs(np.trace(self.matrix).real - 1.0) > 1e-10:
             raise blk.IntegrityError("state does not have unit trace")
 
@@ -185,10 +186,9 @@ def build_average_states(nA: int, nC: int, r: float = 1.0) -> tuple[DenseOperato
     definition of the averages is used: no block formulas, no coupling
     coefficients.
     """
-    if nA < 0 or nC < 0:
-        raise ValueError("qubit counts must be non-negative")
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"purity must lie in (0, 1], got {r}")
+    for count in (nA, nC):
+        check_count(count, 0, "qubit counts must be non-negative")
+    blk.check_purity(r)
     if r == 1.0:
         dims = (nA + 1, 2, nC + 1)  # the qubit B is one copy of psi
         return (DenseOperator(np.kron(_coherent_average(nA, 1), _coherent_average(nC)), dims),
@@ -254,8 +254,7 @@ def ppt_check(n: int, kernel_weight: float = 0.5) -> float:
     projector (``kernel_weight`` = 0) is *not* positive under transposition,
     so the kernel completion is what carries the property.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    check_count(n)
     s0, s1 = build_average_states(n, n, r=1.0)
     diff = (s0.matrix - s1.matrix)
     diff = (diff + diff.conj().T) / 2.0
@@ -325,7 +324,7 @@ def _sigma_pair_block(label: BlockLabel, params: SpectrumParams) -> tuple[np.nda
     """Dense averaged states (sigma0, sigma1) of one block, on spin(jA) x qubit x spin(jC)."""
     ta, tc = label.jA.twice_value, label.jC.twice_value
     dA, dC = ta + 1, tc + 1
-    aA, aC = blk._alpha(ta, params.r), blk._alpha(tc, params.r)
+    (aA, _), (aC, _) = blk.side_fractions(ta, params.r), blk.side_fractions(tc, params.r)
     iA, iB, iC = np.eye(dA), np.eye(2), np.eye(dC)
 
     # sigma0: data qubit correlated with side A
@@ -384,8 +383,7 @@ def average_state_diff_mixed(label: BlockLabel, params: SpectrumParams) -> Block
 
 def average_state_diff_pure(n: int) -> BlockOperator:
     """sigma0 - sigma1 for n pure training qubits per side."""
-    if n < 1:
-        raise ValueError(f"need at least one training qubit per side, got n={n}")
+    check_count(n, 1, "need at least one training qubit per side, got n={}")
     label = BlockLabel(HalfInteger(n), HalfInteger(n))
     return average_state_diff_mixed(label, SpectrumParams(n=n, r=1.0))
 
@@ -417,7 +415,7 @@ def dense_seed_problem(sectors: Sequence[tuple]) -> sdp.Bands:
             raise ValueError(f"block {key}: cost or weight is not finite")
         if np.iscomplexobj(cost) and cost.imag.any():
             raise ValueError(f"block {key}: cost is not real")
-        if np.abs(cost - cost.conj().T).max() > 1e-10:
+        if np.abs(cost - cost.conj().T).max() > blk.HERMITICITY_TOL:
             raise ValueError(f"block {key}: cost is not Hermitian")
         i = np.arange(len(channels))
         if cost[np.abs(i[:, None] - i) > 1].any():
@@ -455,8 +453,7 @@ def schur_isometries(k: int) -> dict[int, list[np.ndarray]]:
     (2^k, 2j+1) isometries with columns ordered by ascending m.  Built by
     coupling one qubit at a time through ``coupling_isometry``.
     """
-    if k < 1:
-        raise ValueError("need at least one qubit")
+    check_count(k, 1, "need at least one qubit")
     states = {(1, ()): np.eye(2)}  # doubled j, path -> (2^1, 2) columns m=-j..j
     for step in range(1, k):
         nxt: dict[tuple, np.ndarray] = {}

@@ -33,15 +33,15 @@ congruence, attains an objective below it; the difference is the reported
 gap.  ``Seed.iterations`` counts Newton steps.
 
 ``solve_many`` runs one Newton loop over many independent problems of any
-shape, each with its own t, step length, centering test, certificate and
-count of Newton steps, at most ``MAX_ITER``; ``solve`` is its one-problem
-case.  Backtracking evaluates three step lengths (s, s/2, s/4) per round
-and takes the first that decreases enough, which is the point
-one-at-a-time backtracking reaches.  A problem's
-result does not depend on what else shares its loop: padding its sectors
-adds pivots of exactly 1 and zero inverse entries in a dummy channel, its
-sums run in a fixed order, and LAPACK solves its Newton system at its own
-channel count; no eigensolver runs in the loop.
+shape and of positive scale (``close`` closes a zero cost), each with its
+own t, step length, centering test, certificate and count of Newton steps,
+at most ``MAX_ITER``; ``solve`` is its one-problem case.  Backtracking
+evaluates three step lengths (s, s/2, s/4) per round and takes the first
+that decreases enough, which is the point one-at-a-time backtracking
+reaches.  A problem's result does not depend on what else shares its loop:
+padding its sectors adds pivots of exactly 1 and zero inverse entries in a
+dummy channel, its sums run in a fixed order, and LAPACK solves its Newton
+system at its own channel count; no eigensolver runs in the loop.
 Seed costs make every S_b(y) an unreduced tridiagonal, whose eigenvalues
 are simple, so an optimal X_b has rank at most one (Alizadeh, Haeberly and
 Overton, Math. Program. 77, 1997).  ``rank_one`` takes, for many problems
@@ -294,17 +294,6 @@ def _seed(part: Bands, X, objective, bound, gap, iterations, y) -> Seed:
     return Seed(blocks=blocks, objective=objective * s, bound=bound * s, gap=gap * s,
                 iterations=iterations, multipliers=dict(zip(part.channels, y[:nch] * s)),
                 sectors=sectors)
-
-
-def _zero_seed(part: Bands) -> Seed:
-    """Zero cost: the identity made feasible by the congruence; objective, bound, gap 0."""
-    nch, (D, count) = len(part.channels), part.slot.shape
-    targets = np.array([tj + 1 for _, tj in part.channels] + [0], float)
-    X = np.zeros((D, D, count))
-    ar = np.arange(D)
-    counts = np.bincount(part.slot.ravel(), minlength=nch + 1)
-    X[ar, ar] = (targets / np.maximum(counts, 1))[part.slot]
-    return _seed(part, X, 0.0, 0.0, 0.0, 0, np.zeros(nch + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -609,19 +598,20 @@ def solve_many(problems: list[Bands], tol: float = DEFAULT_TOL) -> list[Seed]:
     into chunks of at most ``_CHUNK_ENTRIES`` packed inverse entries, or
     where padding would cost more than a loop.  Each result is the one
     ``solve`` gives alone.  A channel that no sector row holds cannot meet
-    its target, so its problem raises ``InfeasibleError`` before any step.
+    its target, so its problem raises ``InfeasibleError`` before any step,
+    and a problem of scale 0 raises ``ValueError``: ``close`` closes it.
     """
     check_tol(tol)
     for p in problems:
+        if p.scale == 0.0:
+            raise ValueError("a zero cost has no scale to solve in; close closes it at 0")
         held = np.bincount(p.slot.ravel(), minlength=len(p.channels))[:len(p.channels)]
         if not held.all():
             xi, tj = p.channels[int(np.argmin(held))]
             raise InfeasibleError(f"channel {(xi, tj)} has no row in any sector, "
                                   f"so its target {tj + 1} cannot be met")
-    out = [_zero_seed(p) if p.scale == 0.0 else None for p in problems]
-    chunks, sectors, top = [[]], 0, 1
-    for i in sorted((i for i, p in enumerate(problems) if p.scale != 0.0),
-                    key=lambda i: len(problems[i].slot)):
+    out, chunks, sectors, top = [None] * len(problems), [[]], 0, 1
+    for i in sorted(range(len(problems)), key=lambda i: len(problems[i].slot)):
         D, count = problems[i].slot.shape
         if chunks[-1] and ((sectors + count) * D * (D + 1) // 2 > _CHUNK_ENTRIES
                            or sectors * (D * (D + 1) - top * (top + 1)) // 2 > _PAD_ENTRIES):
@@ -668,17 +658,16 @@ def close(groups, share: float, reach: list[float]) -> tuple[list[Closure], list
     pass, accepted where every pivot of S_b(y) is positive and the gap,
     times the reach, is within ``share``; the point is (sector key, v, y),
     X = v v' on that sector.  A problem of scale 0 closes at 0 with no
-    point: its seed is the identity in every sector, as ``_zero_seed``
-    gives it where each channel 2j has 2j + 1 sectors.  Only the others keep
-    their bands: each runs the barrier on its active set, the closed form's
-    sector plus the violated ones, and the sectors its multipliers violate
-    join, one ``solve_many`` call per round, until none is.  Its point is
-    (blocks, y), the blocks of the sectors it solved, the others being 0;
-    so extended, the restricted primal is feasible for the whole problem,
-    and a y feasible in every sector bounds its optimum, so the gap keeps
-    its meaning.  A round that misses ``share`` ends its problem, its
-    violated sectors lifted by their Gershgorin deficits so that the bound
-    still holds.
+    point: its seed is the identity in every sector, where each channel 2j
+    has 2j + 1 sectors.  Only the others keep their bands: each runs the
+    barrier on its active set, the closed form's sector plus the violated
+    ones, and the sectors its multipliers violate join, one ``solve_many``
+    call per round, until none is.  Its point is (blocks, y), the blocks of
+    the sectors it solved, the others being 0; so extended, the restricted
+    primal is feasible for the whole problem, and a y feasible in every
+    sector bounds its optimum, so the gap keeps its meaning.  A round that
+    misses ``share`` ends its problem, its violated sectors lifted by their
+    Gershgorin deficits so that the bound still holds.
     """
     closures, points, problems, active, spent = [], [], {}, {}, {}
     for group in groups:

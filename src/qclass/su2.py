@@ -14,6 +14,7 @@ return exactly 0.0; malformed quantum numbers raise ``ValueError``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +28,7 @@ class HalfInteger:
     twice_value: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_value, int):
+        if isinstance(self.twice_value, bool) or not isinstance(self.twice_value, int):
             raise ValueError(f"twice_value must be int, got {type(self.twice_value).__name__}")
 
     @property
@@ -94,13 +95,22 @@ def triangle_ok(tj1: int, tj2: int, tj3: int) -> bool:
     )
 
 
+def check_count(n: int, least: int = 1, message: str = "n must be positive, got {}") -> int:
+    """``n`` if it is an integral qubit count of at least ``least``, else ``ValueError``.
+
+    Bools and non-integral numbers are refused; numpy integers pass.  A count
+    below ``least`` raises ``message``, formatted with ``n``.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"qubit count must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(message.format(n))
+    return n
+
+
 def dim(m: int) -> int:
     """Dimension of the fully symmetric subspace of ``m`` qubits: m + 1."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError(f"qubit count must be int, got {m!r}")
-    if m < 0:
-        raise ValueError(f"qubit count must be non-negative, got {m}")
-    return m + 1
+    return check_count(m, 0, "qubit count must be non-negative, got {}") + 1
 
 
 def multiplicity(n: int, j: HalfIntLike) -> int:
@@ -108,8 +118,7 @@ def multiplicity(n: int, j: HalfIntLike) -> int:
 
     binom(n, n/2 - j) * (2j+1) / (n/2 + j + 1); requires 2j = n (mod 2).
     """
-    if n < 0:
-        raise ValueError(f"qubit count must be non-negative, got {n}")
+    check_count(n, 0, "qubit count must be non-negative, got {}")
     tj = as_half(j).twice_value
     if tj < 0 or tj > n or (n - tj) % 2 != 0:
         raise ValueError(f"j={tj}/2 invalid for n={n}: need 0 <= j <= n/2 with matching parity")
@@ -243,8 +252,7 @@ def recoupling_overlap(n: int, j: HalfIntLike, sign: int) -> float:
     J = j + 1/2 or J = j - 1/2.  The value is returned with the positive phase
     convention for the A(CB) basis; unitarity pairs (n, j, +) with (n, j+1, -).
     """
-    if n < 1:
-        raise ValueError(f"need at least one training qubit per side, got n={n}")
+    check_count(n, 1, "need at least one training qubit per side, got n={}")
     tj = as_half(j).twice_value
     if tj % 2 != 0 or not 0 <= tj // 2 <= n:
         raise ValueError(f"intermediate momentum j={tj}/2 must be an integer in [0, {n}]")

@@ -17,6 +17,7 @@ from . import machines, mixed, oracle
 from .blocks import BlockLabel, SpectrumParams
 from .su2 import HalfInteger, clebsch_gordan, multiplicity, recoupling_overlap, wigner_6j
 
+# suite x runs x_suite, looked up at each run, so a suite rebound on the module runs rebound
 SUITES = ("su2", "blocks", "machines", "mixed", "oracle")
 
 
@@ -134,7 +135,7 @@ def blocks_suite(seed: int = 0) -> list[dict]:
             label = BlockLabel(HalfInteger(tj), HalfInteger(tj))
             dm = oracle.average_state_diff_mixed(label, SpectrumParams(tj + 2, r))
             dp = oracle.average_state_diff_pure(tj)
-            fac = blk._alpha(tj, r)
+            fac = blk.side_fractions(tj, r)[0]
             for tm in dm.sectors:
                 worst = max(worst, float(np.abs(dm.sectors[tm] - fac * dp.sectors[tm]).max()))
     checks.append(_check("equal_momentum_identity",
@@ -382,17 +383,13 @@ def oracle_suite(seed: int = 7) -> list[dict]:
 
 def run_suites(names: list[str], seed: int = 7) -> dict:
     """Run the named suites; returns the report dictionary."""
-    table = {
-        "su2": su2_suite, "blocks": blocks_suite, "machines": machines_suite,
-        "mixed": mixed_suite, "oracle": oracle_suite,
-    }
     for name in names:
-        if name not in table:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     suites = []
     all_pass = True
     for name in names:
-        checks = table[name](seed=seed)
+        checks = globals()[f"{name}_suite"](seed=seed)
         ok = all(c["pass"] for c in checks)
         all_pass &= ok
         suites.append({"suite": name, "pass": ok, "checks": checks})

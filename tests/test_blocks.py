@@ -22,6 +22,9 @@ class TestSpectrumParams:
             SpectrumParams(3, 1.2)
         with pytest.raises(ValueError):
             SpectrumParams(-1, 0.5)
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match="^qubit count must be an integer"):
+                SpectrumParams(bad, 0.5)
 
 
 class TestBlockWeights:
@@ -112,21 +115,21 @@ class TestCoupledJz:
     def test_a_plus_c_is_total(self):
         # Jz_A + Jz_C acts as m on every coupled state
         label = BlockLabel.of("3/2", 1)
-        total = blk.combine([coupled_jz(label, "A"), coupled_jz(label, "C")], [1.0, 1.0])
-        for tm, mat in total.iter_sectors():
-            np.testing.assert_allclose(mat, (tm / 2) * np.eye(len(total.index[tm])),
-                                       atol=1e-13)
+        jz_a, jz_c = coupled_jz(label, "A"), coupled_jz(label, "C")
+        for tm, mat in jz_a.iter_sectors():
+            np.testing.assert_allclose(mat + jz_c.sectors[tm],
+                                       (tm / 2) * np.eye(len(jz_a.index[tm])), atol=1e-13)
 
     def test_wigner_eckart_tridiagonal(self):
         # Jz_A - Jz_C couples only adjacent momenta with elements
         # j sqrt(d^2 - j^2) / sqrt(4 j^2 - 1) at m = 0
         n = 5
         label = BlockLabel.of(HalfInteger(n), HalfInteger(n))
-        diff = blk.combine([coupled_jz(label, "A"), coupled_jz(label, "C")], [1.0, -1.0])
-        mat = diff.sectors[0]
+        jz_a, jz_c = coupled_jz(label, "A"), coupled_jz(label, "C")
+        mat = jz_a.sectors[0] - jz_c.sectors[0]
         d = n + 1
-        for a, tj in enumerate(diff.index[0]):
-            for b, tjp in enumerate(diff.index[0]):
+        for a, tj in enumerate(jz_a.index[0]):
+            for b, tjp in enumerate(jz_a.index[0]):
                 if abs(tj - tjp) == 2:
                     j = max(tj, tjp) // 2
                     want = j * math.sqrt(d * d - j * j) / math.sqrt(4 * j * j - 1)
@@ -158,7 +161,7 @@ class TestAverageStateDiff:
         label = BlockLabel(HalfInteger(tj), HalfInteger(tj))
         dm = average_state_diff_mixed(label, SpectrumParams(tj + 2, r))
         dp = average_state_diff_pure(tj)
-        fac = blk._alpha(tj, r)
+        fac = blk.side_fractions(tj, r)[0]
         for tm in dm.sectors:
             np.testing.assert_allclose(dm.sectors[tm], fac * dp.sectors[tm], atol=1e-12)
 

@@ -223,6 +223,20 @@ class TestMemoryBound:
         assert abs(ratios[-1] - 2.0) < abs(ratios[0] - 2.0)
 
 
+class TestQubitCounts:
+    def test_bool_and_fractional_counts_refused(self):
+        # every machine reads one count check: numpy integers pass, bools and fractions do not
+        for machine, bad in ((lm_error, True), (memory_bound_bits, 2.5),
+                             (ed_error_continuous, 2.5), (programmable_error_pure, 1.0)):
+            with pytest.raises(ValueError, match="^qubit count must be an integer, got "):
+                machine(bad)
+        with pytest.raises(ValueError, match="^qubit count must be an integer, got 1.5$"):
+            programmable_error_unbalanced(2, 1.5)
+        with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+            lm_error(0)
+        assert lm_error(np.int64(3)) == lm_error(3)
+
+
 class TestMachineReport:
     def test_excess_consistency(self):
         rep = make_report("lm", 3, lm_error(3))

@@ -25,7 +25,7 @@ def gamma_from_conditioning(label, params):
 
 def trace_norm_loop(ta, tc, aA, aC):
     """Block trace norm one total momentum at a time: the reference for the
-    vectorized ``mixed._trace_norm_from_alphas``."""
+    vectorized ``mixed._label_trace_norm``."""
     a = aA / ((ta + 2) * (tc + 1))
     b = aC / ((ta + 1) * (tc + 2))
     c = (aC - aA) / (2.0 * (ta + 1) * (tc + 1))
@@ -82,18 +82,20 @@ class TestGammaUpMixed:
                                    atol=1e-10)
 
     def test_kappa_reads_one_side(self, monkeypatch):
-        # kappa_j of one side is the lane spectrum's kappa_j bit for bit, read from
-        # that side's spectrum alone: building Gamma takes no block_weights call
+        # alpha_j and kappa_j of one side are the lane spectrum's bit for bit, read
+        # from that side's spectrum alone: neither they nor Gamma call block_weights
         rs = [1e-12, 1e-9] + np.linspace(0.025, 1.0, 39).tolist()
-        for n in (199, 200):
-            spectrum = mixed._lane_spectrum(n, rs)
-            for tj in range(n % 2, n + 1, 2):
-                assert [mixed._kappa(tj, r) for r in rs] == spectrum.kappa[:, tj // 2].tolist()
+        spectra = [mixed._lane_spectrum(n, rs) for n in (199, 200)]
 
         def not_reached(params):
             raise AssertionError("block_weights called")
 
         monkeypatch.setattr(blk, "block_weights", not_reached)
+        for spectrum in spectra:
+            for tj in range(spectrum.n % 2, spectrum.n + 1, 2):
+                alpha, kappa = zip(*(blk.side_fractions(tj, r) for r in rs))
+                assert list(alpha) == spectrum.alpha[:, tj // 2].tolist()
+                assert list(kappa) == spectrum.kappa[:, tj // 2].tolist()
         for ta, tc in ((1, 1), (0, 2), (3, 5), (6, 2)):
             mixed.gamma_up_mixed(label_of(ta, tc), SpectrumParams(max(ta, tc) + 2, 0.7))
 
@@ -123,8 +125,8 @@ class TestBlockTraceNorms:
     def test_vectorized_matches_loop(self, r):
         for ta in range(41):
             for tc in range(41):
-                aA, aC = blk._alpha(ta, r), blk._alpha(tc, r)
-                assert mixed._trace_norm_from_alphas(ta, tc, aA, aC) == pytest.approx(
+                (aA, _), (aC, _) = blk.side_fractions(ta, r), blk.side_fractions(tc, r)
+                assert mixed._label_trace_norm(ta, tc, aA, aC) == pytest.approx(
                     trace_norm_loop(ta, tc, aA, aC), abs=1e-14)
 
     def test_production_paths_skip_exact_coefficients(self):
@@ -158,6 +160,12 @@ def floor_label_loop(n, r, weight_cutoff=1e-15):
 
 
 class TestMixedProgrammable:
+    def test_bool_and_fractional_counts_refused(self):
+        for risk in (mixed.lm_risk, mixed.mixed_programmable_risk):
+            for bad in (2.5, True):
+                with pytest.raises(ValueError, match="^qubit count must be an integer"):
+                    risk(bad, 0.5)
+
     @pytest.mark.parametrize("n,r", [(1, 0.5), (6, 0.12), (7, 1.0), (40, 0.3), (300, 0.8),
                                      (1200, 0.95)])
     def test_pruned_floor_bit_identical(self, n, r, monkeypatch):
@@ -302,7 +310,7 @@ class TestLabelByLabelSolve:
                 unit = mixed._gamma(label_of(ta, tc), 1.0, 1.0)
                 for r in (0.12, 0.5, 0.9, 1.0):
                     g = mixed.gamma_up_mixed(label_of(ta, tc), SpectrumParams(n, r))
-                    k = mixed._kappa(tc, r)
+                    k = blk.side_fractions(tc, r)[1]
                     for tm, mat in g.iter_sectors():
                         np.testing.assert_allclose(mat, k * unit.sectors[tm], rtol=0, atol=1e-16)
 
@@ -426,8 +434,8 @@ def label_coeffs(n, r):
     probs, out = mixed.block_probabilities(n, r), []
     for ta in range(n % 2, n + 1, 2):
         for tc in range(ta, n + 1, 2):
-            coeffs = (1.0, 1.0, 1.0) if ta in (0, tc) else (probs[ta, tc], mixed._kappa(ta, r),
-                                                             mixed._kappa(tc, r))
+            coeffs = (1.0, 1.0, 1.0) if ta in (0, tc) else (
+                probs[ta, tc], blk.side_fractions(ta, r)[1], blk.side_fractions(tc, r)[1])
             out.append(((ta, tc), coeffs))
     return out
 
@@ -921,6 +929,9 @@ class TestSweep:
             mixed.SweepConfig(n_values=(0, 1))
         with pytest.raises(ValueError):
             mixed.SweepConfig(n_values=())
+        for bad in (2.5, True):  # refused before any lane runs
+            with pytest.raises(ValueError, match="^qubit count must be an integer"):
+                mixed.run_sweep(mixed.SweepConfig(n_values=(bad,)))
         for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 mixed.SweepConfig(tol=tol)

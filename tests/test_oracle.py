@@ -122,6 +122,9 @@ class TestAverageStates:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_average_states(1, 1, r=0.0)
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match="^qubit count must be an integer"):
+                build_average_states(bad, 1)
 
     @pytest.mark.parametrize("matrix, dims, error, match", [
         (np.eye(4) / 4, (2,), ValueError, "does not match dims"),
@@ -231,6 +234,12 @@ class TestGammaConditioning:
 
 
 class TestSchur:
+    def test_counts_refused(self):
+        with pytest.raises(ValueError, match="^qubit count must be an integer, got 2.5$"):
+            schur_isometries(2.5)
+        with pytest.raises(ValueError, match="^need at least one qubit$"):
+            schur_isometries(0)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_isometries(self, k):
         schur = schur_isometries(k)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qclass import blocks as blk
 from qclass import machines, mixed, oracle, sdp
 from qclass.blocks import tridiagonal
 from qclass.sdp import InfeasibleError, Seed, SolverError, solve, solve_many
@@ -119,11 +120,21 @@ class TestSolve:
         seed = solve(lp, tol=1e-10)
         assert seed.objective == pytest.approx(0.7, abs=1e-9)
 
-    def test_zero_cost(self):
+    def test_zero_cost(self, monkeypatch):
+        # close is the one place a zero cost closes; the barrier refuses it before any step
         prob = oracle.dense_seed_problem([((1, 1), 0, np.zeros((2, 2)), 1.0, (0, 2))])
-        seed = solve(prob, tol=1e-8)
-        assert seed.objective == 0.0
-        assert seed.bound == 0.0
+        closures, points = sdp.close([[prob]], 1e-8, [1.0])
+        assert closures == [sdp.Closure("zero_cost", 0, 0, 0.0, 0.0, 0.0)]
+        assert points == [None]
+
+        def not_reached(parts):
+            raise AssertionError("the barrier ran")
+
+        monkeypatch.setattr(sdp, "_Batch", not_reached)
+        with pytest.raises(ValueError, match="zero cost"):
+            solve(prob, tol=1e-8)
+        with pytest.raises(ValueError, match="zero cost"):
+            solve_many([n1_pure_problem(), prob], tol=1e-8)
 
     def test_cost_scaling(self):
         base = solve(n1_pure_problem(), tol=1e-10)
@@ -176,7 +187,8 @@ def random_tridiagonal(rng, d, scale=1.0):
 def label_problem(n, r, xi):
     """The bands of label xi (jA <= jC) alone, as the solver gets them from a sweep lane."""
     weight = mixed.block_probabilities(n, r)[xi]
-    (bands,) = mixed._label_bands(*xi, [(weight, mixed._kappa(xi[0], r), mixed._kappa(xi[1], r))])
+    (_, kA), (_, kC) = blk.side_fractions(xi[0], r), blk.side_fractions(xi[1], r)
+    (bands,) = mixed._label_bands(*xi, [(weight, kA, kC)])
     return bands
 
 

@@ -22,6 +22,9 @@ class TestHalfInteger:
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
             as_half(0.5)
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match="^twice_value must be int"):
+                HalfInteger(bad)
         for bad in ("1.5", "1/2/3", "x/2", "", "3/4"):
             with pytest.raises(ValueError, match=f"^{bad!r} is not a quantum number: "
                                                  "write an integer or k/2$"):
@@ -41,6 +44,10 @@ class TestDim:
     def test_negative(self):
         with pytest.raises(ValueError):
             dim(-1)
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match="^qubit count must be an integer"):
+                dim(bad)
+        assert dim(np.int64(2)) == 3
 
 
 class TestClebschGordan:
