@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -79,44 +79,63 @@ class BlockWeights:
     p: float
 
 
-def _block_spectrum(tj: int, r: float) -> tuple[np.ndarray, float]:
-    """Weights a_m (ascending m) and log c_j of one spin-j block at purity r.
+def spin_spectrum(tj: int, rs: Sequence[float]) -> tuple[np.ndarray, list[float]]:
+    """Weights a_m (one row per purity of ``rs``, ascending m) and log c_j of a spin-j block.
 
     With x = (1-r)/(1+r) the weights are geometric, a_m = x^(j-m) (1-x) / (1-x^(2j+1)),
     and c_j = ((1+r)/2)^(2j+1) (1 - x^(2j+1)) / r; both are evaluated through
     log1p/expm1 so that neither cancels at small r nor underflows at large j.
+    The rows come from one ``np.exp`` of the outer product of the log x with
+    (2j, ..., 0), each scaled by its r's normalization; an r = 1 row is
+    (0, ..., 0, 1), with log c_j = 0.
     """
-    if r == 1.0:
-        a = np.zeros(tj + 1)
-        a[-1] = 1.0
-        return a, 0.0
-    L = math.log1p(-r) - math.log1p(r)  # log x < 0
-    tail = -math.expm1((tj + 1) * L)     # 1 - x^(2j+1)
-    a = np.exp(L * np.arange(tj, -1, -1)) * (-math.expm1(L) / tail)
-    log_c = (tj + 1) * (math.log1p(r) - math.log(2.0)) + math.log(tail / r)
+    logs = [0.0 if r == 1.0 else math.log1p(-r) - math.log1p(r) for r in rs]  # log x < 0
+    a = np.exp(np.multiply.outer(logs, np.arange(tj, -1, -1)))
+    norm, log_c = [], []
+    for r, L in zip(rs, logs):
+        if r == 1.0:
+            norm.append(0.0)
+            log_c.append(0.0)
+            continue
+        tail = -math.expm1((tj + 1) * L)     # 1 - x^(2j+1)
+        norm.append(-math.expm1(L) / tail)
+        log_c.append((tj + 1) * (math.log1p(r) - math.log(2.0)) + math.log(tail / r))
+    a *= np.array(norm)[:, None]
+    a[[r == 1.0 for r in rs], -1] = 1.0
     return a, log_c
 
 
-def block_weights(params: SpectrumParams) -> list[BlockWeights]:
-    """Weights a_m^j, normalizations c_j and probabilities p_j^n for all j.
+def block_spectra(n: int, rs: Sequence[float]) -> list[tuple[int, np.ndarray, list, list]]:
+    """(2j, a, log c_j, p_j) of every side j of n qubits, ascending, at every purity of ``rs``.
 
-    a_m^j = ((1-r)/2)^(j-m) ((1+r)/2)^(j+m) / c_j,
-    c_j   = (((1+r)/2)^(2j+1) - ((1-r)/2)^(2j+1)) / r,
-    p_j^n = nu_j^n c_j ((1-r^2)/4)^(n/2-j),
-
-    with p_j^n formed in log space, so any n is admissible.
+    ``a`` is ``spin_spectrum``'s (R, 2j + 1) weights and p_j^n = nu_j^n c_j
+    ((1-r^2)/4)^(n/2-j) is formed in log space, one list entry per r, so any
+    n is admissible.
     """
-    n, r = params.n, params.r
-    log_q = -math.inf if r == 1.0 else math.log1p(-r) + math.log1p(r) - math.log(4.0)
+    log_q = [-math.inf if r == 1.0 else math.log1p(-r) + math.log1p(r) - math.log(4.0) for r in rs]
     out = []
     for tj in range(n % 2, n + 1, 2):
-        a, log_c = _block_spectrum(tj, r)
+        a, log_c = spin_spectrum(tj, rs)
         k = (n - tj) // 2
         log_nu = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
                   + math.log((tj + 1) / (n - k + 1)))
-        p = math.exp(log_nu + log_c + (k * log_q if k else 0.0))  # 0 * -inf at r = 1
+        p = [math.exp(log_nu + lc + (k * lq if k else 0.0))  # 0 * -inf at r = 1
+             for lc, lq in zip(log_c, log_q)]
+        out.append((tj, a, log_c, p))
+    return out
+
+
+def block_weights(params: SpectrumParams) -> list[BlockWeights]:
+    """Weights a_m^j, normalizations c_j and probabilities p_j^n for all j (``block_spectra``).
+
+    a_m^j = ((1-r)/2)^(j-m) ((1+r)/2)^(j+m) / c_j,
+    c_j   = (((1+r)/2)^(2j+1) - ((1-r)/2)^(2j+1)) / r,
+    p_j^n = nu_j^n c_j ((1-r^2)/4)^(n/2-j).
+    """
+    out = []
+    for tj, a, (log_c,), (p,) in block_spectra(params.n, [params.r]):
         a.flags.writeable = False
-        out.append(BlockWeights(j=HalfInteger(tj), a=a, c=math.exp(log_c), p=p))
+        out.append(BlockWeights(j=HalfInteger(tj), a=a[0], c=math.exp(log_c), p=p))
     return out
 
 
@@ -125,12 +144,13 @@ def jz_expectation(j: HalfIntLike, r: float) -> float:
     tj = as_half(j).twice_value
     if tj < 0:
         raise ValueError(f"j must be non-negative, got {tj}/2")
-    return mean_m(tj, _block_spectrum(tj, check_purity(r))[0])
+    return mean_m(tj, spin_spectrum(tj, [check_purity(r)])[0])[0]
 
 
-def mean_m(tj: int, a: np.ndarray) -> float:
-    """<Jz>_j = sum_m m a_m from spin-j weights ``a``, ascending m, as ``block_weights`` has them."""
-    return float((np.arange(-tj, tj + 1, 2) / 2.0) @ a)
+def mean_m(tj: int, a: np.ndarray) -> list[float]:
+    """<Jz>_j = sum_m m a_m of each row of spin-j weights ``a``, ascending m: one dot per row."""
+    ms = np.arange(-tj, tj + 1, 2) / 2.0
+    return [float(ms @ row) for row in a]
 
 
 def side_fractions(tj: int, r: float) -> tuple[float, float]:

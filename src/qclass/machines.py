@@ -149,7 +149,7 @@ def gamma_up_pure(n: int) -> BlockOperator:
 
     (Jz_A - Jz_C) / (d_n^2 d_{n+1}) in the coupled basis, all magnetic sectors.
     """
-    check_count(n)
+    n = int(check_count(n))
     label = BlockLabel(HalfInteger(n), HalfInteger(n))
     jzA = blocks.coupled_jz(label, "A")
     jzC = blocks.coupled_jz(label, "C")

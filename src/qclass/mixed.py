@@ -7,8 +7,8 @@ trace norms, optimizes the learning-machine seed block by block with the
 semidefinite solver, and drives the (n, r) sweep grid.
 
 A sweep lane (one n, all its purities) reads its block spectrum once, from
-one ``blocks.block_weights`` call per r; its floor is one pass over every
-kept label at every r.  Block trace norms take one route: each
+one ``blocks.spin_spectrum`` pass per side over every r; its floor is one
+pass over every kept label at every r.  Block trace norms take one route: each
 total-momentum sector of a block difference holds at most two rank-one
 projectors, whose principal cosine has a closed form, so no dense
 eigendecomposition is needed at any n.  The dense per-sector
@@ -88,12 +88,19 @@ class _Spectrum(NamedTuple):
 
 
 def _lane_spectrum(n: int, rs: list[float]) -> _Spectrum:
-    """p_j, alpha_j and kappa_j of every side at every r, from one ``block_weights`` call per r."""
+    """p_j, alpha_j and kappa_j of every side at every r, from one ``blocks.block_spectra`` call.
+
+    Each side fills its column of p_j and of r <Jz>_j, one ``mean_m`` dot per row.
+    """
     check_count(n)
-    rows = np.array([[(w.p, r * blk.mean_m(w.j.twice_value, w.a))
-                      for w in blk.block_weights(SpectrumParams(n, r))] for r in rs])
+    for r in rs:
+        blk.check_purity(r)
+    p, m = np.empty((2, len(rs), n // 2 + 1))
+    for tj, a, _, p_j in blk.block_spectra(n, rs):
+        p[:, tj // 2], m[:, tj // 2] = p_j, blk.mean_m(tj, a)
+    m *= np.array(rs)[:, None]
     j = np.maximum(np.arange(n % 2, n + 1, 2), 1) / 2.0  # r <Jz> is 0 at j = 0
-    return _Spectrum(n, rs, rows[..., 0], rows[..., 1] / j, rows[..., 1] / (j * (j + 1.0)))
+    return _Spectrum(n, rs, p, m / j, m / (j * (j + 1.0)))
 
 
 def block_trace_norm(label: BlockLabel, params: SpectrumParams) -> float:
@@ -125,26 +132,26 @@ def block_probabilities(n: int, r: float) -> dict[tuple[int, int], float]:
 
 def mixed_programmable_risk(n: int, r: float) -> machines.MachineReport:
     """Absolute error floor at (n, r) from the weighted block trace norms: ``_floors`` at one r."""
-    return _floors(_lane_spectrum(n, [r]))[0]
+    return machines.make_report("opt", n, _floors(_lane_spectrum(n, [r]))[0], r=r,
+                                method="closed_form")
 
 
-def _floors(spectrum: _Spectrum) -> list[machines.MachineReport]:
+def _floors(spectrum: _Spectrum) -> list[float]:
     """Error floor 1/2 - (1/4) sum_xi p_xi ||sigma0_xi - sigma1_xi||_1 at every r of a lane.
 
     Blocks with p_xi <= ``WEIGHT_CUTOFF`` are skipped (each can shift the
     bias by at most 2 p_xi); a label and its mirror share one trace norm.
     Each row's bias is summed in label order, a skipped label adding an exact 0.
     """
-    ka, kc = np.triu_indices(spectrum.n // 2 + 1)
+    side = np.arange(spectrum.n // 2 + 1)
+    ka, kc = np.nonzero(side[:, None] <= side)  # the labels jA <= jC, row by row
     p = spectrum.p[:, ka] * spectrum.p[:, kc]
     rows, cols = np.nonzero(p > WEIGHT_CUTOFF)
     a, c, kept, odd = ka[cols], kc[cols], p[rows, cols], spectrum.n % 2
     norms = _trace_norms(2 * a + odd, 2 * c + odd, spectrum.alpha[rows, a], spectrum.alpha[rows, c])
     terms = np.zeros_like(p)
     terms[rows, cols] = np.where(a == c, kept, kept + kept) * norms
-    bias = np.cumsum(terms, axis=1)[:, -1].tolist()
-    return [machines.make_report("opt", spectrum.n, 0.5 - b / 4.0, r=r, method="closed_form")
-            for r, b in zip(spectrum.rs, bias)]
+    return [0.5 - b / 4.0 for b in np.cumsum(terms, axis=1)[:, -1].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +221,11 @@ def solve_lm(n: int, r: float,
         for (xi, _, ((_, scale),)), closure, point in zip(labels, closures, points):  # one per label
             parts.append((xi, closure, scale))
             seeds.append((xi, point, scale))
-    report, totals, error = _lm_row(n, r, parts, tol)
+    probability, totals, error = _lm_row(parts, tol)
     seed = _assemble_seed(n, seeds, totals)
     if error is not None:
         raise sdp.SolverError(error, seed)
-    return report, seed
+    return _lm_report(n, r, probability, totals), seed
 
 
 def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL) -> machines.MachineReport:
@@ -227,15 +234,19 @@ def lm_risk(n: int, r: float, tol: float = sdp.DEFAULT_TOL) -> machines.MachineR
     No blocks are assembled, so ``SolverError`` carries no seed.
     """
     (parts,) = _lm_parts(_lane_spectrum(n, [r]), tol)
-    report, _, error = _lm_row(n, r, parts, tol)
+    probability, totals, error = _lm_row(parts, tol)
     if error is not None:
         raise sdp.SolverError(error, None)
-    return report
+    return _lm_report(n, r, probability, totals)
 
 
-def _lm_row(n: int, r: float, parts: list,
-            tol: float) -> tuple[machines.MachineReport, dict, Optional[str]]:
-    """Report, totals and gap error of one row from its (label, closure, cost scale) parts.
+def _lm_report(n: int, r: float, probability: float, totals: dict) -> machines.MachineReport:
+    """The learning-machine report of one row from its error probability and totals."""
+    return machines.make_report("lm", n, probability, r=r, method="sdp", solver_gap=totals["gap"])
+
+
+def _lm_row(parts: list, tol: float) -> tuple[float, dict, Optional[str]]:
+    """Error probability, totals and gap error of one row from its (label, closure, cost scale) parts.
 
     A mirrored label counts twice; the error is None where the summed gap meets ``tol``.
     """
@@ -247,12 +258,11 @@ def _lm_row(n: int, r: float, parts: list,
         bound += weight * closure.bound
         gap += weight * closure.gap
         iterations += closure.iterations
-    report = machines.make_report("lm", n, 0.5 * (1.0 - objective / 2.0), r=r, method="sdp",
-                                  solver_gap=gap)
     error = None if gap <= tol else (
         f"gap {gap:.3e} above tolerance {tol:.3e} after {iterations} Newton steps summed "
         f"over {len(parts)} solved labels, at most {sdp.MAX_ITER} each")
-    return report, dict(objective=objective, bound=bound, gap=gap, iterations=iterations), error
+    totals = dict(objective=objective, bound=bound, gap=gap, iterations=iterations)
+    return 0.5 * (1.0 - objective / 2.0), totals, error
 
 
 def _lm_parts(spectrum: _Spectrum, tol: float) -> list[list[tuple]]:
@@ -284,15 +294,18 @@ def _label_chunks(spectrum: _Spectrum, tol: float):
     bounds every row's.
     """
     sdp.check_tol(tol)
-    n, p, kappa = spectrum.n, spectrum.p.tolist(), spectrum.kappa.tolist()
+    n, p, kappa = spectrum.n, spectrum.p, spectrum.kappa
     share, todo, size = tol / (n // 2 + 1) ** 2, [], 0
     for ta in range(n % 2, n + 1, 2):
         labels = []
         for tc in range(ta, n + 1, 2):
-            row = [(w[ta // 2] * w[tc // 2], k[ta // 2], k[tc // 2]) for w, k in zip(p, kappa)]
-            unit = ta in (0, tc)  # (problem, cost scale) of each r
-            at = [(0, w * kC) if unit else (i, 1.0) for i, (w, _, kC) in enumerate(row)]
-            coeffs = [(float(max(s for _, s in at) > 0.0), 1.0, 1.0)] if unit else row
+            w = p[:, ta // 2] * p[:, tc // 2]
+            if ta in (0, tc):  # (problem, cost scale) of each r
+                at = [(0, s) for s in (w * kappa[:, tc // 2]).tolist()]
+                coeffs = [(float(max(s for _, s in at) > 0.0), 1.0, 1.0)]
+            else:
+                at = [(i, 1.0) for i in range(len(w))]
+                coeffs = np.stack([w, kappa[:, ta // 2], kappa[:, tc // 2]], axis=1)
             labels.append(((ta, tc), coeffs, at))
         entries = (ta + 1) * sum(len(c) * (sum(xi) + 1) for xi, c, _ in labels)  # 2 jA + 1 rows
         if todo and size + entries > _CHUNK_ENTRIES:
@@ -304,9 +317,9 @@ def _label_chunks(spectrum: _Spectrum, tol: float):
 
 def _close(groups: list, share: float) -> tuple[list, list, list]:
     """The labels of ``groups``, one list per jA, and the closures and points of their problems."""
-    labels = [label for group in groups for label in group]
-    reach = [max(s for _, s in at) or 1.0  # the largest factor a problem is scaled by
-             for _, coeffs, at in labels for _ in coeffs]
+    labels, reach = [label for group in groups for label in group], []
+    for _, coeffs, at in labels:  # the largest factor a problem is scaled by
+        reach += [max(s for _, s in at) or 1.0] * len(coeffs)
     bands = ([p for xi, coeffs, _ in group for p in _label_bands(*xi, coeffs)] for group in groups)
     return (labels, *sdp.close(bands, share, reach))
 
@@ -510,10 +523,11 @@ def _sweep_lane(args) -> list[SweepRow]:
     spectrum = _lane_spectrum(n, [float(r) for r in config.r_grid()])
     rows = []
     for r, floor, parts in zip(spectrum.rs, _floors(spectrum), _lm_parts(spectrum, config.tol)):
-        opt = floor.excess_risk
-        report, totals, error = _lm_row(n, r, parts, config.tol)
+        baseline = machines.baseline_error(r)
+        opt = floor - baseline
+        lm, totals, error = _lm_row(parts, config.tol)
         if error is None:
-            lm = report.excess_risk
+            lm -= baseline
             rel_gap = (lm - opt) / opt if opt else 0.0
         else:
             lm = rel_gap = math.nan

@@ -383,7 +383,7 @@ def average_state_diff_mixed(label: BlockLabel, params: SpectrumParams) -> Block
 
 def average_state_diff_pure(n: int) -> BlockOperator:
     """sigma0 - sigma1 for n pure training qubits per side."""
-    check_count(n, 1, "need at least one training qubit per side, got n={}")
+    n = int(check_count(n, 1, "need at least one training qubit per side, got n={}"))
     label = BlockLabel(HalfInteger(n), HalfInteger(n))
     return average_state_diff_mixed(label, SpectrumParams(n=n, r=1.0))
 
@@ -475,6 +475,7 @@ def schur_isometries(k: int) -> dict[int, list[np.ndarray]]:
 # Learning-machine simulation
 
 _CHUNK = 8_192  # trials whose per-candidate arithmetic is held in memory at once
+_QUAD_TILE_BYTES = 1 << 18  # one complex (trials, grid points) array of the quadrature path
 
 
 def _grid_pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -534,7 +535,8 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
     its label and the probability p_up of the "up" outcome, set once its
     rotation is chosen.  For "mc" it also holds one rejection round's draws.
     The draws are made a chunk of trials at a time, in the order one
-    whole-batch draw would make them, and the rest lives for one chunk.
+    whole-batch draw would make them, and the rest lives for one chunk;
+    the quadrature grid arithmetic runs in tiles of ``_QUAD_TILE_BYTES``.
     """
     if seed_vector.n != n:
         raise ValueError(f"seed is for n={seed_vector.n}, not {n}")
@@ -608,18 +610,22 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
                 todo = todo[~acc]
                 del q, bound  # free this round's draws before the next round makes its own
         else:
+            tile = max(1, _QUAD_TILE_BYTES // (16 * len(wq)))  # trials of one complex tile
             for sl in chunks:
-                k = kets[sl]
-                rot0, rot1 = ((kk @ rot_down, kk @ rot_up) for kk in (k[:, :2], k[:, 2:]))
-                p = wq * _outcome_density(poly, rot0, rot1)
-                psum = p.sum(axis=1)
-                # total outcome probability 1 certifies the discretized resolution
-                if np.abs(psum - 1.0).max() > 1e-8:
-                    raise blk.IntegrityError(
-                        "quadrature grid does not resolve the identity on the training pair")
-                p /= psum[:, None]
-                up = up_rows[_grid_pick(p.cumsum(axis=1), gen.random((k.shape[0], 1)))]
-                p_up[sl] = _up_probability(up[:, 0], up[:, 1], k, labels[sl])
+                draws = gen.random((sl.stop - sl.start, 1))
+                for lo in range(0, len(draws), tile):
+                    at = slice(sl.start + lo, min(sl.start + lo + tile, sl.stop))
+                    k = kets[at]
+                    rot0, rot1 = ((kk @ rot_down, kk @ rot_up) for kk in (k[:, :2], k[:, 2:]))
+                    p = wq * _outcome_density(poly, rot0, rot1)
+                    psum = p.sum(axis=1)
+                    # total outcome probability 1 certifies the discretized resolution
+                    if np.abs(psum - 1.0).max() > 1e-8:
+                        raise blk.IntegrityError(
+                            "quadrature grid does not resolve the identity on the training pair")
+                    p /= psum[:, None]
+                    up = up_rows[_grid_pick(p.cumsum(axis=1), draws[lo:lo + tile])]
+                    p_up[at] = _up_probability(up[:, 0], up[:, 1], k, labels[at])
 
         # an "up" outcome guesses label 0, so a trial errs where it equals its label
         errors += int(np.count_nonzero((gen.random(m) < p_up) == labels))

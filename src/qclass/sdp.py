@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,8 +120,9 @@ class Bands:
     diag: np.ndarray           # (D, sectors)
     off: np.ndarray            # (D - 1, sectors)
 
-    def __post_init__(self):  # the engine works in units of the largest absolute entry, or nan
-        self.scale = float(np.maximum(np.abs(self.diag).max(), np.abs(self.off).max(initial=0.0)))
+    @cached_property
+    def scale(self) -> float:  # the engine works in units of the largest absolute entry, or nan
+        return float(_column_scales(self.diag, self.off).max())
 
     def sector_slots(self, k: int) -> np.ndarray:
         """Channel indices of the rows of sector ``k``, its padding cut off."""
@@ -192,6 +193,11 @@ class Seed:
 # ---------------------------------------------------------------------------
 # Band kernels.  Sector arrays are position-major, (D, sectors), so every step
 # of a recurrence is one vector operation across sectors.
+
+
+def _column_scales(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Largest absolute band entry of each sector (column), or nan."""
+    return np.maximum(np.abs(diag).max(axis=0), np.abs(off).max(axis=0, initial=0.0))
 
 
 def ldl_pivots(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
@@ -312,7 +318,7 @@ def slack_pivots(problem: Bands, y: np.ndarray) -> np.ndarray:
 
 
 def rank_one(problems: list[Bands]) -> list[tuple]:
-    """(sector, signed v, dual y, v'Cv, b'y, violated sectors) of each problem's rank-one point.
+    """(sector, signed v, dual y, v'Cv, b'y, scale, violated sectors) of each problem's rank-one point.
 
     A full sector has a row for every channel, so X = v v' there, with
     v_j = s_j sqrt(2j + 1), and 0 elsewhere meets every constraint.  Signs
@@ -327,7 +333,8 @@ def rank_one(problems: list[Bands]) -> list[tuple]:
     all positive.  Every problem needs a full sector.  The problems share
     one shape (rows, channels) and run joined along the sector axis; each
     one's sums run over its own full sectors, and its bound is one dot
-    product, so each gets the numbers it gets alone.
+    product, so each gets the numbers it gets alone; its ``Bands.scale`` is
+    read off the joined bands.
     """
     (D, _), c = problems[0].slot.shape, len(problems[0].channels)
     counts = [p.slot.shape[1] for p in problems]
@@ -340,23 +347,25 @@ def rank_one(problems: list[Bands]) -> list[tuple]:
     who, flat = owner[at], base[at] + slot[rows, at]
     root = np.sqrt(table.ravel()[flat])
     d, o = diag[rows, at], off[D - c:, at]
-    values = (d * root * root).sum(axis=0) + 2.0 * (np.abs(o) * root[:-1] * root[1:]).sum(axis=0)
+    o_abs = np.abs(o)
+    values = (d * root * root).sum(axis=0) + 2.0 * (o_abs * root[:-1] * root[1:]).sum(axis=0)
     starts = np.searchsorted(who, np.arange(len(problems)))  # each problem's first full sector
     hits = np.flatnonzero(values == np.maximum.reduceat(values, starts)[who])
     pick = hits[np.searchsorted(hits, starts)]  # its first largest value, as np.argmax takes it
-    a, u = np.abs(o[:, pick]), root[:, pick]
-    yk = d[:, pick] + _LIFT * np.array([p.scale for p in problems])
+    a, u = o_abs[:, pick], root[:, pick]
+    scale = np.maximum.reduceat(_column_scales(diag, off), first[:-1])
+    yk = d[:, pick] + _LIFT * scale
     yk[1:] += a * u[:-1] / u[1:]
     yk[:-1] += a * u[1:] / u[:-1]
     y = np.ones(len(problems) * (c + 1))
     y[flat[:, pick]] = yk
-    u = u * np.cumprod(np.vstack([np.ones(len(problems)), np.where(o[:, pick] < 0.0, -1.0, 1.0)]),
-                       axis=0)
+    u[1:] *= np.cumprod(np.where(o[:, pick] < 0.0, -1.0, 1.0), axis=0)  # the signs s_j
     with np.errstate(divide="ignore", invalid="ignore"):
         violated = ~(ldl_pivots(y[base + slot] - diag, off * off) > 0.0).all(axis=0)
     ys = [y[g * (c + 1):g * (c + 1) + c] for g in range(len(problems))]  # contiguous, as alone
-    return [(int(at[i] - first[g]), u[:, g], yg, float(values[i]), float(table[g, :c] @ yg),
-             violated[first[g]:first[g + 1]]) for g, (i, yg) in enumerate(zip(pick, ys))]
+    return [(int(at[i] - first[g]), u[:, g], yg, float(values[i]), float(table[g, :c] @ yg), s,
+             violated[first[g]:first[g + 1]])
+            for g, (i, yg, s) in enumerate(zip(pick, ys, scale.tolist()))]
 
 
 class _Batch:
@@ -671,10 +680,10 @@ def close(groups, share: float, reach: list[float]) -> tuple[list[Closure], list
     """
     closures, points, problems, active, spent = [], [], {}, {}, {}
     for group in groups:
-        for p, (best, v, y, objective, bound, violated) in zip(group, rank_one(group)):
+        for p, (best, v, y, objective, bound, scale, violated) in zip(group, rank_one(group)):
             k = len(closures)
             points.append(None)
-            if p.scale == 0.0:
+            if scale == 0.0:
                 closures.append(Closure("zero_cost", 0, 0, 0.0, 0.0, 0.0))
             elif (bound - objective) * reach[k] <= share and not violated.any():
                 closures.append(Closure("closed_form", 0, 0, objective, bound, bound - objective))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qclass import blocks as blk
-from qclass import machines
+from qclass import machines, mixed
 from qclass.blocks import (
     BlockLabel, BlockOperator, IntegrityError, SpectrumParams, asymptotic_block_distribution,
     block_weights, coupled_jz, jz_expectation, trace_norm,
@@ -57,6 +57,55 @@ class TestBlockWeights:
         # the multiplicities nu_j exceed the float range here
         ws = block_weights(SpectrumParams(n, r))
         assert sum(w.p for w in ws) == pytest.approx(1.0, abs=1e-10)
+
+
+def spectrum_at(n, r):
+    """(2j, a, c, p, <Jz>) of every side at one purity, from the scalar per-r formulas
+    the many-purity kernel replaced: the rows of ``spin_spectrum`` must equal them."""
+    log_q = -math.inf if r == 1.0 else math.log1p(-r) + math.log1p(r) - math.log(4.0)
+    out = []
+    for tj in range(n % 2, n + 1, 2):
+        if r == 1.0:
+            a, log_c = np.zeros(tj + 1), 0.0
+            a[-1] = 1.0
+        else:
+            L = math.log1p(-r) - math.log1p(r)
+            tail = -math.expm1((tj + 1) * L)
+            a = np.exp(L * np.arange(tj, -1, -1)) * (-math.expm1(L) / tail)
+            log_c = (tj + 1) * (math.log1p(r) - math.log(2.0)) + math.log(tail / r)
+        k = (n - tj) // 2
+        log_nu = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                  + math.log((tj + 1) / (n - k + 1)))
+        p = math.exp(log_nu + log_c + (k * log_q if k else 0.0))
+        out.append((tj, a, math.exp(log_c), p, float((np.arange(-tj, tj + 1, 2) / 2.0) @ a)))
+    return out
+
+
+class TestSpinSpectrum:
+    FIG1 = [float(r) for r in np.linspace(0.1, 1.0, 46)]  # the default sweep grid
+
+    @pytest.mark.parametrize("ns,rs", [(range(1, 61), FIG1 + [1e-12, 0.5, 1.0]), ([2000], [0.5])],
+                             ids=["n60-fig1", "n2000"])
+    def test_rows_match_one_purity(self, ns, rs):
+        # every row of the many-purity kernel is the one-purity spectrum bit for bit:
+        # a, c, p and <Jz>, through block_spectra, the lane, block_weights and jz_expectation
+        for n in ns:
+            want = [spectrum_at(n, r) for r in rs]
+            lane = mixed._lane_spectrum(n, rs)
+            for k, (tj, a, log_c, p) in enumerate(blk.block_spectra(n, rs)):
+                jz = blk.mean_m(tj, a)
+                for i, (r, sides) in enumerate(zip(rs, want)):
+                    ref = sides[k]
+                    assert (tj, a[i].tobytes(), math.exp(log_c[i]), p[i], jz[i]) \
+                        == (ref[0], ref[1].tobytes(), *ref[2:])
+                    assert (lane.p[i, k], lane.alpha[i, k]) \
+                        == (ref[3], r * ref[4] / (max(tj, 1) / 2.0))
+            for r, sides in list(zip(rs, want))[::7]:
+                got = [(w.j.twice_value, w.a.tobytes(), w.c, w.p)
+                       for w in block_weights(SpectrumParams(n, r))]
+                assert got == [(tj, a.tobytes(), c, p) for tj, a, c, p, _ in sides]
+                assert [jz_expectation(HalfInteger(tj), r) for tj, *_ in sides] \
+                    == [jz for *_, jz in sides]
 
 
 class TestJzExpectation:
@@ -177,6 +226,10 @@ class TestAverageStateDiff:
             average_state_diff_mixed(BlockLabel.of("1/2", 1), SpectrumParams(2, 0.5))
         with pytest.raises(ValueError):
             average_state_diff_pure(0)
+        # a numpy integer count is a count
+        wide, narrow = average_state_diff_pure(np.int64(2)), average_state_diff_pure(2)
+        assert wide.label == narrow.label
+        assert all(np.array_equal(wide.sectors[tm], X) for tm, X in narrow.sectors.items())
 
 
 class TestTraceNorm:

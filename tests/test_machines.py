@@ -235,6 +235,9 @@ class TestQubitCounts:
         with pytest.raises(ValueError, match="^n must be positive, got 0$"):
             lm_error(0)
         assert lm_error(np.int64(3)) == lm_error(3)
+        wide, narrow = gamma_up_pure(np.int64(2)), gamma_up_pure(2)
+        assert wide.label == narrow.label
+        assert all(np.array_equal(wide.sectors[tm], X) for tm, X in narrow.sectors.items())
 
 
 class TestMachineReport:

@@ -169,18 +169,18 @@ class TestMixedProgrammable:
     @pytest.mark.parametrize("n,r", [(1, 0.5), (6, 0.12), (7, 1.0), (40, 0.3), (300, 0.8),
                                      (1200, 0.95)])
     def test_pruned_floor_bit_identical(self, n, r, monkeypatch):
-        # the block spectrum is read once, from one block_weights call
+        # the block spectrum is read once: one spin_spectrum pass per side, at r
         calls = []
-        real = blk.block_weights
+        real = blk.spin_spectrum
 
-        def counting(params):
-            calls.append((params.n, params.r))
-            return real(params)
+        def counting(tj, rs):
+            calls.append((tj, list(rs)))
+            return real(tj, rs)
 
-        monkeypatch.setattr(blk, "block_weights", counting)
+        monkeypatch.setattr(blk, "spin_spectrum", counting)
         error = mixed.mixed_programmable_risk(n, r).error_probability
-        assert calls == [(n, r)]
-        monkeypatch.setattr(blk, "block_weights", real)
+        assert calls == [(tj, [r]) for tj in range(n % 2, n + 1, 2)]
+        monkeypatch.setattr(blk, "spin_spectrum", real)
         assert error == floor_label_loop(n, r)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 40, 160, 300])
@@ -190,10 +190,7 @@ class TestMixedProgrammable:
         rs = [float(r) for r in mixed.SweepConfig(r_min=0.12, r_max=1.0, steps=23).r_grid()]
         assert rs[-1] == 1.0
         lane = mixed._floors(mixed._lane_spectrum(n, rs))
-        for r, floor in zip(rs, lane):
-            alone = mixed.mixed_programmable_risk(n, r)
-            assert (floor.r, floor.error_probability, floor.excess_risk) \
-                == (r, alone.error_probability, alone.excess_risk)
+        assert lane == [mixed.mixed_programmable_risk(n, r).error_probability for r in rs]
 
     def test_pure_limit(self):
         for n in (1, 2, 3, 4, 5):
@@ -465,7 +462,7 @@ def close_label(xi, coeffs, share):
 
 def rank_one_dual(p):
     """The lifted dual of the rank-one point of one label problem, one multiplier per channel."""
-    ((_, _, y, _, _, _),) = sdp.rank_one([p])
+    ((_, _, y, *_),) = sdp.rank_one([p])
     return y
 
 
@@ -832,20 +829,21 @@ class TestSweep:
         assert calls == []
 
     def test_lane_spectrum_built_once(self, monkeypatch):
-        # the floor and the seed problems of a lane read one block spectrum:
-        # one block_weights call per (n, r) of the benchmark's fig1 grid
+        # the floor and the seed problems of a lane read one block spectrum: one
+        # spin_spectrum pass per side of each lane, at every r of the benchmark's fig1 grid
         calls = []
-        real = blk.block_weights
+        real = blk.spin_spectrum
 
-        def counting(params):
-            calls.append((params.n, params.r))
-            return real(params)
+        def counting(tj, rs):
+            calls.append((tj, list(rs)))
+            return real(tj, rs)
 
-        monkeypatch.setattr(blk, "block_weights", counting)
+        monkeypatch.setattr(blk, "spin_spectrum", counting)
         config = mixed.SweepConfig(n_values=(1, 2, 3, 4), r_min=0.12, r_max=1.0, steps=23)
         rows = mixed.run_sweep(config).rows
-        assert len(calls) == len(set(calls)) == 92
-        assert sorted(calls) == sorted((row.n, row.r) for row in rows)
+        assert len(rows) == 92
+        assert calls == [(tj, [row.r for row in rows if row.n == n])
+                         for n in config.n_values for tj in range(n % 2, n + 1, 2)]
 
     def test_lane_builds_no_dense_problem(self, monkeypatch):
         # a lane reads its costs from the labels' bands alone

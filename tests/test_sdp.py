@@ -370,7 +370,7 @@ class TestRankOneSeed:
         # dual, lifted by 1e-12 scale, is certified by positive pivots, and
         # sdp.close takes that point, the one sector, with no Newton step
         p = n1_pure_problem()
-        ((best, v, y, objective, bound, violated),) = sdp.rank_one([p])
+        ((best, v, y, objective, bound, _, violated),) = sdp.rank_one([p])
         assert p.keys[best] == ((1, 1), 0)
         assert objective == pytest.approx(1 / math.sqrt(3), abs=1e-15)
         np.testing.assert_allclose(np.outer(v, v),
