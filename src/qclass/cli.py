@@ -1,13 +1,15 @@
 """Command-line surface: per-machine queries, sweeps, verification, dumps.
 
 Exit codes: 0 success, 1 domain error, 2 usage, 3 verification failure.
-Configuration precedence: flags > QCLASS_* environment variables > defaults.
+Configuration precedence: flags > QCLASS_* environment variables > defaults;
+the QCLASS_* defaults are read once per process, when the first parser is built.
 """
 from __future__ import annotations
 
 import argparse
 import datetime
 import errno
+import functools
 import math
 import os
 import re
@@ -166,8 +168,6 @@ def cmd_machine(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     _check_writable(args.out)
     config = mixed.SweepConfig(
         n_values=tuple(range(1, args.n_max + 1)),
@@ -248,6 +248,7 @@ def cmd_dump(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     tol_default = _env("QCLASS_TOL", float, sdp.DEFAULT_TOL)
     seed_default = _env("QCLASS_SEED", int, 7)
@@ -268,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--nC", type=int, default=None, help="side-C qubits (unbalanced)")
     m.add_argument("--tol", type=float, default=tol_default)
     m.add_argument("--json", action="store_true")
-    m.set_defaults(fn=cmd_machine)
 
     s = sub.add_parser("sweep", help="risk table over the (n, purity) grid")
     s.add_argument("preset", choices=("fig1",))
@@ -279,13 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default="fig1.csv")
     s.add_argument("--tol", type=float, default=tol_default)
     s.add_argument("--threads", type=int, default=threads_default)
-    s.set_defaults(fn=cmd_sweep)
 
     v = sub.add_parser("verify", help="run module verification suites")
     v.add_argument("--suite", choices=verify_mod.SUITES + ("all",), default="all")
     v.add_argument("--seed", type=int, default=seed_default)
     v.add_argument("--out", default=None, help="also write the report to this file")
-    v.set_defaults(fn=cmd_verify)
 
     w = sub.add_parser("su2", help="inspect coupling coefficients")
     wsub = w.add_subparsers(dest="op", required=True)
@@ -304,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     mu.add_argument("--j", required=True)
     dm = wsub.add_parser("dim")
     dm.add_argument("--m", type=int, required=True)
-    w.set_defaults(fn=cmd_su2)
 
     d = sub.add_parser("dump", help="JSON dump of block operators or solved seeds")
     d.add_argument("what", choices=("gamma", "seed"))
@@ -314,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--jC", default=None)
     d.add_argument("--tol", type=float, default=tol_default)
     d.add_argument("--out", default=None)
-    d.set_defaults(fn=cmd_dump)
     return p
 
 
@@ -339,7 +335,7 @@ def main(argv=None) -> int:
     args.argv = argv
     args.started = time.perf_counter()
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.cmd}"](args)  # looked up at each call, so a rebound cmd_* runs
     except (ValueError, OSError, blocks.IntegrityError, sdp.InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

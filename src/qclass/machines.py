@@ -20,14 +20,13 @@ average error of discriminating the two source states when they are known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import blocks
-from .blocks import BlockLabel, BlockOperator
-from .su2 import HalfInteger, check_count
+from .su2 import check_count
 
 
 def baseline_error(r: float = 1.0) -> float:
@@ -50,21 +49,8 @@ class MachineReport:
     solver_gap: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "machine": self.machine,
-            "n": self.n,
-            "r": self.r,
-            "error_probability": self.error_probability,
-            "excess_risk": self.excess_risk,
-            "method": self.method,
-        }
-        if self.nA is not None:
-            out["nA"] = self.nA
-        if self.nC is not None:
-            out["nC"] = self.nC
-        if self.solver_gap is not None:
-            out["solver_gap"] = self.solver_gap
-        return out
+        """The fields in their order, the unset optional ones left out."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def make_report(machine: str, n: int, error: float, r: float = 1.0,
@@ -144,21 +130,6 @@ def verify_seed(seed: SeedVector) -> bool:
     return bool(np.abs(seed.coefficients ** 2 - want).max() <= 1e-10)
 
 
-def gamma_up_pure(n: int) -> BlockOperator:
-    """Training-pair operator whose seed overlap sets the learning-machine bias.
-
-    (Jz_A - Jz_C) / (d_n^2 d_{n+1}) in the coupled basis, all magnetic sectors.
-    """
-    n = int(check_count(n))
-    label = BlockLabel(HalfInteger(n), HalfInteger(n))
-    jzA = blocks.coupled_jz(label, "A")
-    jzC = blocks.coupled_jz(label, "C")
-    d = n + 1
-    s = 1.0 / (d * d * (d + 1))
-    sectors = {tm: 0.0 + s * A + (-s) * jzC.sectors[tm] for tm, A in jzA.sectors.items()}
-    return BlockOperator(label=label, basis=jzA.basis, sectors=sectors, index=jzA.index)
-
-
 def lm_error(n: int) -> float:
     """Learning-machine error probability at the optimal seed.
 
@@ -166,8 +137,9 @@ def lm_error(n: int) -> float:
     projection of the seed (tensored with an up data qubit) onto the subspace
     symmetric over the data qubit and side C has coefficients
     sqrt(j) (sqrt(d_n + j) - sqrt(d_n - j)) / sqrt(2 d_n) on total momentum
-    j - 1/2, j = 1..n+1.  The seed overlap with ``gamma_up_pure`` is the
-    cross-check in the tests, and the block SDP at r = 1 in ``qclass verify``.
+    j - 1/2, j = 1..n+1.  The seed overlap with ``mixed.gamma_up_mixed`` at
+    r = 1 is the cross-check in the tests, and the block SDP at r = 1 in
+    ``qclass verify``.
     """
     check_count(n)
     d = n + 1

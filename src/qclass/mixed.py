@@ -39,6 +39,7 @@ the cross-check in the tests.  Each sweep row depends only on its own
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -454,6 +455,12 @@ def _recoupling_cos2(ta: int, tc: int, tJ: int | np.ndarray) -> float | np.ndarr
 # Sweep driver
 
 
+def _check_positive(value, name: str) -> None:
+    """Refuse a ``value`` that is not an integer >= 1; bools are refused, numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid description for the risk sweep; a solve stops at ``sdp.MAX_ITER`` Newton steps."""
@@ -465,8 +472,7 @@ class SweepConfig:
     tol: float = sdp.DEFAULT_TOL
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        _check_positive(self.steps, "steps")
         if not 0.0 < self.r_min <= self.r_max <= 1.0:
             raise ValueError("need 0 < r_min <= r_max <= 1")
         if self.steps > 1 and self.r_min == self.r_max:
@@ -543,6 +549,7 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepTable:
     worker per core this process may run on; every row depends only on its own (n, r), so results
     do not depend on ``threads``.
     """
+    _check_positive(threads, "threads")
     lanes = [(n, config) for n in config.n_values]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, len(lanes), cores or 1)

@@ -364,8 +364,6 @@ def dense_to_sectors(mat: np.ndarray, label: BlockLabel) -> BlockOperator:
     sectors, index = {}, {}
     for tm in range(-(ta + tc + 1), ta + tc + 2, 2):
         lbls = product_sector_index(label, tm)
-        if not lbls:
-            continue
         ix = np.array([flat(l) for l in lbls])
         sectors[tm] = mat[np.ix_(ix, ix)].copy()
         index[tm] = lbls

@@ -203,7 +203,8 @@ def machines_suite(seed: int = 0) -> list[dict]:
     checks.append(_check("reversed_pinned_values", "data-first machine closed form",
                          0.0, dev, tol))
 
-    dev = max(abs(blk.trace_norm(machines.gamma_up_pure(n)) - n / (3 * (n + 1)))
+    dev = max(abs(blk.trace_norm(mixed.gamma_up_mixed(BlockLabel(HalfInteger(n), HalfInteger(n)),
+                                                      SpectrumParams(n, 1.0))) - n / (3 * (n + 1)))
               for n in range(1, 9))
     checks.append(_check("gamma_trace_norm", "conditioned-operator norm n/(3(n+1))",
                          0.0, dev, 1e-10))

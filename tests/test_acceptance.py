@@ -110,6 +110,11 @@ def _dense_gamma_norm(n: int) -> float:
     return float(np.abs(np.linalg.eigvalsh((g + g.conj().T) / 2)).sum())
 
 
+def _gamma_pure(n: int):
+    """Conditioned training-set operator of n + n pure qubits: block (n/2, n/2) at r = 1."""
+    return mixed.gamma_up_mixed(BlockLabel(HalfInteger(n), HalfInteger(n)), SpectrumParams(n, 1.0))
+
+
 def _gamma_pure_vs_dense() -> float:
     worst = 0.0
     for n in (1, 2, 3):
@@ -117,7 +122,7 @@ def _gamma_pure_vs_dense() -> float:
         g_dense = oracle.conditioned_training_operator(
             s0.matrix - s1.matrix, s0.dims, data_axis=1)
         V = coupling_isometry(n, n)
-        g = coupled_dense(machines.gamma_up_pure(n))
+        g = coupled_dense(_gamma_pure(n))
         worst = max(worst, float(np.abs(V @ g_dense @ V.T - g).max()))
     return worst
 
@@ -218,7 +223,7 @@ def test_criterion_6_reversed_machine():
     closed = {1: 11 / 24, 10: 0.5 * (1 - 10 / 66), 100: 0.5 * (1 - 100 / 606)}
     worst = max(abs(machines.reversed_lm_error(n) - v) for n, v in closed.items())
     limit_dev = abs(machines.reversed_lm_error(10 ** 12) - 5 / 12)
-    norm_dev = max(abs(blk.trace_norm(machines.gamma_up_pure(n)) - n / (3 * (n + 1)))
+    norm_dev = max(abs(blk.trace_norm(_gamma_pure(n)) - n / (3 * (n + 1)))
                    for n in range(1, 11))
     report(6, "reversed machine", [
         (f"closed-form values at n in {{1,10,100}}: dev {worst:.1e} <= 1e-12",

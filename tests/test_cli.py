@@ -105,6 +105,19 @@ class TestMachineCommand:
         assert cli.main(["machine", machine, "--nC", "1"]) == cli.EXIT_DOMAIN
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        cli.build_parser()
+        before = cli.build_parser.cache_info()
+        assert cli.main(["machine", "lm", "--n", "2"]) == cli.EXIT_OK
+        assert cli.main(["machine", "reversed", "--n", "2"]) == cli.EXIT_OK
+        after = cli.build_parser.cache_info()
+        assert after.misses == before.misses and after.currsize == 1
+        assert after.hits == before.hits + 2
+        assert "reversed" in capsys.readouterr().out
+        # the cached parser holds no handler: a patched cmd_* still takes effect
+        monkeypatch.setattr(cli, "cmd_machine", lambda args: 42)
+        assert cli.main(["machine", "lm", "--n", "2"]) == 42
+
     @pytest.mark.parametrize("name,value", [("QCLASS_TOL", "abc"), ("QCLASS_SEED", "1.5"),
                                             ("QCLASS_THREADS", "two")])
     def test_malformed_environment_exit_2(self, name, value):

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from qclass import blocks as blk
+from qclass import mixed
+from qclass.blocks import BlockLabel, SpectrumParams
 from qclass.machines import (
     MachineReport, SeedVector, baseline_error, ed_error_continuous,
-    ed_error_n1_optimal, ed_shrink_factor, gamma_up_pure, lm_error, lm_seed,
+    ed_error_n1_optimal, ed_shrink_factor, lm_error, lm_seed,
     make_report, memory_bound_bits, programmable_error_pure, programmable_error_unbalanced,
     reversed_lm_error, verify_seed,
 )
 from qclass.su2 import HalfInteger
 
 S2, S3 = math.sqrt(2.0), math.sqrt(3.0)
+
+
+def gamma_up(n: int):
+    """Conditioned training-set operator of n + n pure qubits: block (n/2, n/2) at r = 1."""
+    return mixed.gamma_up_mixed(BlockLabel(HalfInteger(n), HalfInteger(n)), SpectrumParams(n, 1.0))
 
 
 def programmable_error_asymptotic(n: int) -> float:
@@ -122,16 +129,16 @@ class TestSeed:
 
 class TestGammaUp:
     def test_n1_element(self):
-        g = gamma_up_pure(1)
+        g = gamma_up(1)
         assert g.sectors[0][1, 0] == pytest.approx(1 / 12, abs=1e-14)
 
     def test_traceless(self):
         for n in (1, 2, 4):
-            assert gamma_up_pure(n).trace() == pytest.approx(0.0, abs=1e-13)
+            assert gamma_up(n).trace() == pytest.approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_trace_norm(self, n):
-        assert blk.trace_norm(gamma_up_pure(n)) == pytest.approx(
+        assert blk.trace_norm(gamma_up(n)) == pytest.approx(
             n / (3 * (n + 1)), abs=1e-12)
 
 
@@ -197,7 +204,7 @@ class TestReversedMachine:
 
     def test_consistent_with_gamma_norm(self):
         for n in (1, 2, 4, 6):
-            want = 0.5 * (1 - blk.trace_norm(gamma_up_pure(n)) / 2)
+            want = 0.5 * (1 - blk.trace_norm(gamma_up(n)) / 2)
             assert reversed_lm_error(n) == pytest.approx(want, abs=1e-12)
 
 
@@ -235,9 +242,6 @@ class TestQubitCounts:
         with pytest.raises(ValueError, match="^n must be positive, got 0$"):
             lm_error(0)
         assert lm_error(np.int64(3)) == lm_error(3)
-        wide, narrow = gamma_up_pure(np.int64(2)), gamma_up_pure(2)
-        assert wide.label == narrow.label
-        assert all(np.array_equal(wide.sectors[tm], X) for tm, X in narrow.sectors.items())
 
 
 class TestMachineReport:
@@ -250,3 +254,12 @@ class TestMachineReport:
         rep = make_report("opt", 2, programmable_error_unbalanced(3, 1), nA=3, nC=1)
         d = rep.to_json_dict()
         assert d["nA"] == 3 and d["nC"] == 1 and d["method"] == "closed_form"
+        # the fields in their order, each unset optional field left out
+        head = ["machine", "n", "r", "error_probability", "excess_risk", "method"]
+        assert list(d) == head + ["nA", "nC"]
+        assert list(make_report("lm", 3, lm_error(3)).to_json_dict()) == head
+        solved = make_report("lm", 2, 0.3, r=0.7, method="sdp", solver_gap=1e-9)
+        assert list(solved.to_json_dict()) == head + ["solver_gap"]
+        assert solved.to_json_dict()["solver_gap"] == 1e-9
+        full = make_report("opt", 3, 0.3, nA=3, nC=1, solver_gap=0.0)
+        assert list(full.to_json_dict()) == head + ["nA", "nC", "solver_gap"]

@@ -55,9 +55,12 @@ class TestGammaUpMixed:
         for n in (1, 2, 3):
             label = BlockLabel(HalfInteger(n), HalfInteger(n))
             gm = mixed.gamma_up_mixed(label, SpectrumParams(n, 1.0))
-            gp = machines.gamma_up_pure(n)
-            for tm in gm.sectors:
-                np.testing.assert_allclose(gm.sectors[tm], gp.sectors[tm], atol=1e-13)
+            jzA, jzC = blk.coupled_jz(label, "A"), blk.coupled_jz(label, "C")
+            scale = 1.0 / ((n + 1) ** 2 * (n + 2))  # (Jz_A - Jz_C) / (d_n^2 d_{n+1})
+            assert list(gm.sectors) == list(jzA.sectors) and gm.index == jzA.index
+            for tm, g in gm.sectors.items():
+                np.testing.assert_allclose(g, scale * (jzA.sectors[tm] - jzC.sectors[tm]),
+                                           atol=1e-13)
 
     def test_traceless(self):
         for ta, tc in ((1, 1), (2, 0), (3, 1)):
@@ -918,9 +921,23 @@ class TestSweep:
             assert math.isnan(row.R_lm)
             assert not math.isnan(row.R_opt)
 
+    def test_thread_count_refused_below_one(self, monkeypatch):
+        # refused before any lane runs, whoever calls: not only the CLI checks
+        def not_reached(lane):
+            raise AssertionError("a lane ran")
+
+        monkeypatch.setattr(mixed, "_sweep_lane", not_reached)
+        config = mixed.SweepConfig(n_values=(1,), steps=1)
+        for bad in (0, -5, 1.5, True, None):
+            with pytest.raises(ValueError, match="^threads must be an integer >= 1, got "):
+                mixed.run_sweep(config, threads=bad)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             mixed.SweepConfig(steps=0)
+        for bad in (2.5, True):  # a fractional count fails in r_grid, True ran as one step
+            with pytest.raises(ValueError, match="^steps must be an integer >= 1, got "):
+                mixed.SweepConfig(steps=bad)
         with pytest.raises(ValueError):
             mixed.SweepConfig(r_min=0.0)
         with pytest.raises(ValueError):

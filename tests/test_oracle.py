@@ -75,6 +75,17 @@ class TestAverageStates:
             assert helstrom(s0, s1) == pytest.approx(
                 mixed.mixed_programmable_risk(n, r).error_probability, abs=1e-10)
 
+    def test_every_total_m_holds_a_sector(self):
+        # jA x 1/2 x jC has a product state at each total m, so no sector is empty
+        for ta in range(5):
+            for tc in range(ta % 2, 5, 2):
+                label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
+                diff = oracle.average_state_diff_mixed(label, SpectrumParams(max(ta, tc) + 2, 0.6))
+                assert list(diff.sectors) == list(range(-(ta + tc + 1), ta + tc + 2, 2))
+                assert len(diff.sectors) == ta + tc + 2
+                assert sum(len(ix) for ix in diff.index.values()) == (ta + 1) * 2 * (tc + 1)
+                assert all(diff.index.values())
+
     def test_covariance(self):
         s0, s1 = build_average_states(2, 2)
         ang = RandomSource(5).generator().random(2) * np.pi
@@ -203,8 +214,8 @@ class TestGammaConditioning:
         g_dense = oracle.conditioned_training_operator(
             s0.matrix - s1.matrix, s0.dims, data_axis=1)
         V = coupling_isometry(n, n)
-        np.testing.assert_allclose(V @ g_dense @ V.T, coupled_dense(machines.gamma_up_pure(n)),
-                                   atol=1e-10)
+        g = mixed.gamma_up_mixed(BlockLabel(HalfInteger(n), HalfInteger(n)), SpectrumParams(n, 1.0))
+        np.testing.assert_allclose(V @ g_dense @ V.T, coupled_dense(g), atol=1e-10)
 
     @pytest.mark.parametrize("r", [0.3, 0.7])
     def test_mixed_matches_blocks_through_schur(self, r):
