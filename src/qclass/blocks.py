@@ -157,8 +157,10 @@ def side_fractions(tj: int, r: float) -> tuple[float, float]:
     """(alpha_j, kappa_j) = (m / j, m / (j (j+1))) of one side, m = r <Jz>_j; both 0 at j = 0.
 
     alpha_j splits a block between its two couplings and kappa_j weighs the
-    side in the conditioned operator; ``mixed._lane_spectrum`` forms both alike.
+    side in the conditioned operator; ``mixed._lane_spectrum`` forms both
+    alike.  r is checked at every j, j = 0 too, for the block functions of r.
     """
+    check_purity(r)
     if tj == 0:
         return 0.0, 0.0
     m, j = r * jz_expectation(HalfInteger(tj), r), tj / 2.0

@@ -126,36 +126,26 @@ def cmd_machine(args) -> int:
     unbalanced = args.nA is not None or args.nC is not None
     if unbalanced and (args.machine != "opt" or args.nA is None or args.nC is None):
         raise ValueError("--nA and --nC must be given together, and to the opt machine only")
-    if args.machine == "opt":
-        if unbalanced:
-            if args.r != 1.0:
-                raise ValueError("unbalanced training sets are supported for pure sources only")
-            err = machines.programmable_error_unbalanced(args.nA, args.nC)
-            report = machines.make_report("opt", max(args.nA, args.nC), err,
-                                          nA=args.nA, nC=args.nC)
-        elif args.r == 1.0:
-            report = machines.make_report("opt", args.n,
-                                          machines.programmable_error_pure(args.n))
-        else:
-            report = mixed.mixed_programmable_risk(args.n, args.r)
-    elif args.machine == "lm":
-        if args.r == 1.0:
-            report = machines.make_report("lm", args.n, machines.lm_error(args.n))
-        else:
-            report = mixed.lm_risk(args.n, args.r, tol=tol)
-    else:  # ed, ed-n1 or reversed
-        if args.r != 1.0:
-            raise ValueError(f"the {args.machine} machine is implemented for pure sources only")
-        if args.machine == "ed":
-            report = machines.make_report("ed_continuous", args.n,
-                                          machines.ed_error_continuous(args.n))
-        elif args.machine == "ed-n1":
-            if args.n != 1:
-                raise ValueError("the finite-outcome estimation machine is defined for --n 1")
-            report = machines.make_report("ed_n1", 1, machines.ed_error_n1_optimal())
-        else:
-            report = machines.make_report("reversed", args.n,
-                                          machines.reversed_lm_error(args.n))
+    if args.r != 1.0 and (unbalanced or args.machine not in ("opt", "lm")):  # no mixed route
+        raise ValueError("unbalanced training sets are supported for pure sources only"
+                         if unbalanced else
+                         f"the {args.machine} machine is implemented for pure sources only")
+    if unbalanced:
+        err = machines.programmable_error_unbalanced(args.nA, args.nC)
+        report = machines.make_report("opt", max(args.nA, args.nC), err, nA=args.nA, nC=args.nC)
+    elif args.r != 1.0:
+        report = (mixed.mixed_programmable_risk(args.n, args.r) if args.machine == "opt"
+                  else mixed.lm_risk(args.n, args.r, tol=tol))
+    elif args.machine == "ed-n1":
+        if args.n != 1:
+            raise ValueError("the finite-outcome estimation machine is defined for --n 1")
+        report = machines.make_report("ed_n1", 1, machines.ed_error_n1_optimal())
+    else:  # report name and closed form of n of each machine at r = 1
+        name, closed_form = {"opt": ("opt", machines.programmable_error_pure),
+                             "lm": ("lm", machines.lm_error),
+                             "ed": ("ed_continuous", machines.ed_error_continuous),
+                             "reversed": ("reversed", machines.reversed_lm_error)}[args.machine]
+        report = machines.make_report(name, args.n, closed_form(args.n))
 
     payload = report.to_json_dict()
     if args.json:
@@ -230,7 +220,7 @@ def cmd_dump(args) -> int:
         label = blocks.BlockLabel(su2.HalfInteger(ta), su2.HalfInteger(tc))
         if args.n < 1 or any(t > args.n or (args.n - t) % 2 for t in (ta, tc)):
             raise ValueError(f"--n {args.n} has no block label (jA, jC) = ({label.jA}, {label.jC})")
-        payload = mixed.gamma_up_mixed(label, blocks.SpectrumParams(args.n, args.r)).to_json_dict()
+        payload = mixed.gamma_up_mixed(label, args.r).to_json_dict()
     else:
         _, seed = mixed.solve_lm(args.n, args.r, tol=args.tol)
         payload = seed.to_json_dict()

@@ -6,6 +6,8 @@ operator of every block, computes the absolute error floor from the block
 trace norms, optimizes the learning-machine seed block by block with the
 semidefinite solver, and drives the (n, r) sweep grid.
 
+A block's conditioned operator and trace norm depend on its label and r
+alone (``gamma_up_mixed``, ``block_trace_norm``); n enters through p_xi.
 A sweep lane (one n, all its purities) reads its block spectrum once, from
 one ``blocks.spin_spectrum`` pass per side over every r; its floor is one
 pass over every kept label at every r.  Block trace norms take one route: each
@@ -27,7 +29,8 @@ through p_xi, kappa_A and kappa_C alone.  Every problem is an
 
 Labels are listed and their bands built in chunks of whole jA groups
 (``_label_chunks``), and ``sdp.close`` closes each chunk, most labels by a
-certified rank-one closed form.  A sweep lane sums each row from the
+certified rank-one closed form; a chunk gives one record per label, its
+(closure, point, cost scale) at each r.  A sweep lane sums each row from the
 closures (``_lm_parts``, ``_lm_row``), a chunk's points dropped before the
 next chunk is built; ``lm_risk`` is the one-purity case, and only
 ``solve_lm`` assembles blocks, from the points, on a layout read from the
@@ -48,25 +51,20 @@ import numpy as np
 
 from . import blocks as blk
 from . import machines, sdp
-from .blocks import BlockLabel, BlockOperator, SpectrumParams
+from .blocks import BlockLabel, BlockOperator
 from .su2 import HalfInteger, check_count
 
 WEIGHT_CUTOFF = 1e-15  # the floor leaves out every block of weight p_xi at or below it
 _CHUNK_ENTRIES = 1 << 21  # band entries of the label problems closed at once
 
 
-def gamma_up_mixed(label: BlockLabel, params: SpectrumParams) -> BlockOperator:
-    """Conditioned training-set operator of one block, coupled basis.
+def gamma_up_mixed(label: BlockLabel, r: float) -> BlockOperator:
+    """Conditioned training-set operator of one block at purity r, coupled basis.
 
     [kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) with kS = r <Jz>_{jS} / (jS (jS+1));
-    a side with jS = 0 contributes nothing.
+    a side with jS = 0 contributes nothing: the label's bands at weight 1/2.
     """
-    kA, kC = (blk.side_fractions(t.twice_value, params.r)[1] for t in (label.jA, label.jC))
-    return _gamma(label, kA, kC)
-
-
-def _gamma(label: BlockLabel, kA: float, kC: float) -> BlockOperator:
-    """[kA Jz_A - kC Jz_C] / (2 d_{2jA} d_{2jC}) for given side coefficients: weight 1/2 bands."""
+    kA, kC = (blk.side_fractions(t.twice_value, r)[1] for t in (label.jA, label.jC))
     (bands,) = _label_bands(label.jA.twice_value, label.jC.twice_value, [(0.5, kA, kC)])
     dense = blk.tridiagonal(bands.diag, bands.off)
     index = {tm: tjs for (_, tm), tjs in bands.layout().items()}
@@ -104,15 +102,15 @@ def _lane_spectrum(n: int, rs: list[float]) -> _Spectrum:
     return _Spectrum(n, rs, p, m / j, m / (j * (j + 1.0)))
 
 
-def block_trace_norm(label: BlockLabel, params: SpectrumParams) -> float:
-    """Trace norm of sigma0 - sigma1 on one block.
+def block_trace_norm(label: BlockLabel, r: float) -> float:
+    """Trace norm of sigma0 - sigma1 on one block at purity r.
 
     In each total-J sector the difference is a Jz_A-aligned projector minus a
     Jz_C-aligned one plus a multiple of the identity; at most two dimensions,
     with the principal cosine given by ``_recoupling_cos2``.
     """
     ta, tc = label.jA.twice_value, label.jC.twice_value
-    (aA, _), (aC, _) = blk.side_fractions(ta, params.r), blk.side_fractions(tc, params.r)
+    (aA, _), (aC, _) = blk.side_fractions(ta, r), blk.side_fractions(tc, r)
     return _label_trace_norm(ta, tc, aA, aC)
 
 
@@ -217,13 +215,9 @@ def solve_lm(n: int, r: float,
     assembled on the block labels' layout; above ``tol``, ``SolverError``
     carries that seed.
     """
-    parts, seeds = [], []
-    for labels, closures, points in _label_chunks(_lane_spectrum(n, [r]), tol):
-        for (xi, _, ((_, scale),)), closure, point in zip(labels, closures, points):  # one per label
-            parts.append((xi, closure, scale))
-            seeds.append((xi, point, scale))
-    probability, totals, error = _lm_row(parts, tol)
-    seed = _assemble_seed(n, seeds, totals)
+    records = [record for chunk in _label_chunks(_lane_spectrum(n, [r]), tol) for record in chunk]
+    probability, totals, error = _lm_row([(xi, c, s) for xi, ((c, _, s),) in records], tol)
+    seed = _assemble_seed(n, [(xi, point, s) for xi, ((_, point, s),) in records], totals)
     if error is not None:
         raise sdp.SolverError(error, seed)
     return _lm_report(n, r, probability, totals), seed
@@ -269,13 +263,10 @@ def _lm_row(parts: list, tol: float) -> tuple[float, dict, Optional[str]]:
 def _lm_parts(spectrum: _Spectrum, tol: float) -> list[list[tuple]]:
     """(label, ``sdp.Closure``, cost scale) of every solved label at every r of ``spectrum``."""
     rows = [[] for _ in spectrum.rs]
-    for labels, closures, points in _label_chunks(spectrum, tol):
-        del points  # before the next chunk is built
-        first = 0
-        for xi, coeffs, at in labels:
-            for out, (i, scale) in zip(rows, at):
-                out.append((xi, closures[first + i], scale))
-            first += len(coeffs)
+    for records in _label_chunks(spectrum, tol):
+        for i, out in enumerate(rows):
+            out += [(xi, at[i][0], at[i][2]) for xi, at in records]
+        del records  # its points, before the next chunk is built
     return rows
 
 
@@ -287,12 +278,11 @@ def _label_chunks(spectrum: _Spectrum, tol: float):
     times its unit cost (kA = kC = 1, weight 1), one problem for all of
     ``rs``, at weight 0 if that scale is 0 at every r; any other label gives
     one problem per r.  A chunk takes the labels of one jA after another
-    until their band entries would pass ``_CHUNK_ENTRIES``, and yields its
-    labels (label, problem coefficients, (problem, cost scale) of each r)
-    with the ``sdp.close`` closures and points of their problems.  Each
-    problem gets tol / (number of labels), so the summed certified gap stays
-    within ``tol``; it is judged at the largest scale its label takes, which
-    bounds every row's.
+    until their band entries would pass ``_CHUNK_ENTRIES``, and yields one
+    record per label, (label, [(closure, point, cost scale) at each r]),
+    from ``_close``.  Each problem gets tol / (number of labels), so the
+    summed certified gap stays within ``tol``; it is judged at the largest
+    scale its label takes, which bounds every row's.
     """
     sdp.check_tol(tol)
     n, p, kappa = spectrum.n, spectrum.p, spectrum.kappa
@@ -316,13 +306,17 @@ def _label_chunks(spectrum: _Spectrum, tol: float):
     yield _close(todo, share)
 
 
-def _close(groups: list, share: float) -> tuple[list, list, list]:
-    """The labels of ``groups``, one list per jA, and the closures and points of their problems."""
-    labels, reach = [label for group in groups for label in group], []
-    for _, coeffs, at in labels:  # the largest factor a problem is scaled by
-        reach += [max(s for _, s in at) or 1.0] * len(coeffs)
-    bands = ([p for xi, coeffs, _ in group for p in _label_bands(*xi, coeffs)] for group in groups)
-    return (labels, *sdp.close(bands, share, reach))
+def _close(groups: list, share: float) -> list:
+    """(label, [(closure, point, cost scale) at each r]) of every label of ``groups``, in order."""
+    labels = [label for group in groups for label in group]
+    reach = {xi: max(s for _, s in at) or 1.0 for xi, _, at in labels}  # largest scale, or 1
+    closed = iter(sdp.close(([(p, reach[xi]) for xi, coeffs, _ in group
+                              for p in _label_bands(*xi, coeffs)] for group in groups), share))
+    records = []
+    for xi, coeffs, at in labels:
+        pairs = [next(closed) for _ in range(len(coeffs))]
+        records.append((xi, [pairs[i] + (scale,) for i, scale in at]))
+    return records
 
 
 def _assemble_seed(n: int, parts: list, totals: dict) -> sdp.Seed:
@@ -381,6 +375,8 @@ def unbalanced_block_diff_asymptotic(n: int, r: float, delta: float = 0.0) -> Un
     trace norm against the scaled pure-block norm at matched total momentum.
     """
     check_count(n)
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     factor = blk.check_purity(r) * (1.0 - (1.0 - r) / (n * r * r))
     valid = n * r * r > 1.0
 

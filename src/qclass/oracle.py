@@ -320,11 +320,11 @@ def sym_plus_projector(tj: int) -> np.ndarray:
     return P
 
 
-def _sigma_pair_block(label: BlockLabel, params: SpectrumParams) -> tuple[np.ndarray, np.ndarray]:
-    """Dense averaged states (sigma0, sigma1) of one block, on spin(jA) x qubit x spin(jC)."""
+def _sigma_pair_block(label: BlockLabel, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense averaged states (sigma0, sigma1) of one block at purity r, on jA x qubit x jC."""
     ta, tc = label.jA.twice_value, label.jC.twice_value
     dA, dC = ta + 1, tc + 1
-    (aA, _), (aC, _) = blk.side_fractions(ta, params.r), blk.side_fractions(tc, params.r)
+    (aA, _), (aC, _) = blk.side_fractions(ta, r), blk.side_fractions(tc, r)
     iA, iB, iC = np.eye(dA), np.eye(2), np.eye(dC)
 
     # sigma0: data qubit correlated with side A
@@ -375,7 +375,7 @@ def average_state_diff_mixed(label: BlockLabel, params: SpectrumParams) -> Block
     ta, tc = label.jA.twice_value, label.jC.twice_value
     if ta > params.n or tc > params.n or (params.n - ta) % 2 or (params.n - tc) % 2:
         raise ValueError(f"label {label} is not admissible for n={params.n}")
-    s0, s1 = _sigma_pair_block(label, params)
+    s0, s1 = _sigma_pair_block(label, params.r)
     return dense_to_sectors(s0 - s1, label)
 
 
@@ -542,9 +542,9 @@ def simulate_lm(n: int, seed_vector: machines.SeedVector, rng: RandomSource,
         raise ValueError("seed fails the completeness condition")
     if discretization not in ("mc", "quadrature"):
         raise ValueError(f"unknown discretization {discretization!r}")
-    if not isinstance(trials, numbers.Integral) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not isinstance(batch, numbers.Integral) or batch < 1:
+    if isinstance(batch, bool) or not isinstance(batch, numbers.Integral) or batch < 1:
         raise ValueError(f"batch must be an integer of at least one trial, got {batch!r}")
     if pre_rotation is not None:
         pre_rotation = np.asarray(pre_rotation)

@@ -50,7 +50,7 @@ y_j = (C v)_j / v_j attains b'y = v'Cv, lifted by ``_LIFT`` times the
 problem's scale, and certifies it by the LDL' pivots of S_b(y), O(D) per
 sector; ``slack_pivots`` certifies any dual.  ``close`` is the certificate
 policy: closed forms first, then the barrier on growing active sets of
-sectors, each problem ending in a ``Closure`` and its certified point.
+sectors, one (``Closure``, certified point) pair per (problem, reach) pair.
 A problem is a ``Bands``, the one problem form: the keys, channels and two
 bands per sector that the engine reads.  ``mixed`` builds one per block
 label from its Jz_A bands; the engine is blind to the block symmetries
@@ -658,17 +658,17 @@ def solve(problem: Bands, tol: float = DEFAULT_TOL) -> Seed:
 Closure = namedtuple("Closure", "how rounds iterations objective bound gap")
 
 
-def close(groups, share: float, reach: list[float]) -> tuple[list[Closure], list]:
+def close(groups, share: float) -> list[tuple[Closure, object]]:
     """The closure and certified point of every problem of ``groups``, in order.
 
-    ``groups`` yields lists of problems of one shape and is read one list at
-    a time; problem k enters its caller's sums scaled by at most
-    ``reach[k]``.  Each list gets its closed forms from one ``rank_one``
-    pass, accepted where every pivot of S_b(y) is positive and the gap,
-    times the reach, is within ``share``; the point is (sector key, v, y),
-    X = v v' on that sector.  A problem of scale 0 closes at 0 with no
-    point: its seed is the identity in every sector, where each channel 2j
-    has 2j + 1 sectors.  Only the others keep their bands: each runs the
+    ``groups`` yields lists of (problem, reach) pairs, problems of one shape
+    that enter their caller's sums scaled by at most their reach, and is
+    read one list at a time.  Each list gets its closed forms from one
+    ``rank_one`` pass, accepted where every pivot of S_b(y) is positive and
+    the gap, times the reach, is within ``share``; the point is (sector key,
+    v, y), X = v v' on that sector.  A problem of scale 0 closes at 0 with
+    no point: its seed is the identity in every sector, where each channel
+    2j has 2j + 1 sectors.  Only the others keep their bands: each runs the
     barrier on its active set, the closed form's sector plus the violated
     ones, and the sectors its multipliers violate join, one ``solve_many``
     call per round, until none is.  Its point is (blocks, y), the blocks of
@@ -678,37 +678,37 @@ def close(groups, share: float, reach: list[float]) -> tuple[list[Closure], list
     misses ``share`` ends its problem, its violated sectors lifted by their
     Gershgorin deficits so that the bound still holds.
     """
-    closures, points, problems, active, spent = [], [], {}, {}, {}
+    out, todo = [], {}  # todo: index in out -> (problem, active sectors, rounds, Newton steps)
     for group in groups:
-        for p, (best, v, y, objective, bound, scale, violated) in zip(group, rank_one(group)):
-            k = len(closures)
-            points.append(None)
+        for (p, reach), (best, v, y, objective, bound, scale, violated) in zip(
+                group, rank_one([p for p, _ in group])):
             if scale == 0.0:
-                closures.append(Closure("zero_cost", 0, 0, 0.0, 0.0, 0.0))
-            elif (bound - objective) * reach[k] <= share and not violated.any():
-                closures.append(Closure("closed_form", 0, 0, objective, bound, bound - objective))
-                points[k] = (p.keys[best], v, y)
+                out.append((Closure("zero_cost", 0, 0, 0.0, 0.0, 0.0), None))
+            elif (bound - objective) * reach <= share and not violated.any():
+                out.append((Closure("closed_form", 0, 0, objective, bound, bound - objective),
+                            (p.keys[best], v, y)))
             else:
-                closures.append(None)
-                problems[k], active[k], spent[k] = p, violated.copy(), (0, 0)
-                active[k][best] = True
-    while active:
-        order = sorted(active)
+                on = violated.copy()
+                on[best] = True
+                todo[len(out)] = p, on, 0, 0
+                out.append(None)
+    while todo:
+        order = sorted(todo)
         parts = solve_many([Bands([key for key, keep in zip(p.keys, on) if keep], p.channels,
                                   p.slot[:, on], p.diag[:, on], p.off[:, on])
-                            for p, on in ((problems[k], active[k]) for k in order)], share)
+                            for p, on, *_ in (todo[k] for k in order)], share)
         for k, part in zip(order, parts):
-            p, on, (rounds, steps) = problems[k], active.pop(k), spent[k]
-            spent[k] = done = rounds + 1, steps + part.iterations
+            p, on, rounds, steps = todo.pop(k)
+            rounds, steps = rounds + 1, steps + part.iterations
             y = np.array([part.multipliers[c] for c in p.channels])
             violated = ~(slack_pivots(p, y) > 0.0).all(axis=0) & ~on
             if violated.any() and part.gap <= share:
-                active[k] = on | violated
+                todo[k] = p, on | violated, rounds, steps
                 continue
             bound = part.bound
             if violated.any():
                 y = y + gershgorin_lift(np.append(y, 1.0), p.slot, p.diag, p.off, violated)[:-1]
                 bound = float(np.array([tj + 1.0 for _, tj in p.channels]) @ y)
-            closures[k] = Closure("barrier", *done, part.objective, bound, bound - part.objective)
-            points[k] = (part.blocks, y)
-    return closures, points
+            out[k] = (Closure("barrier", rounds, steps, part.objective, bound,
+                              bound - part.objective), (part.blocks, y))
+    return out

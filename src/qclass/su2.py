@@ -56,13 +56,13 @@ HalfIntLike = Union[HalfInteger, int, str]
 
 
 def as_half(x: HalfIntLike) -> HalfInteger:
-    """Coerce an int, a string like ``"3/2"`` or a HalfInteger. Floats are rejected."""
+    """Coerce an integer, numpy's too, a string like ``"3/2"`` or a HalfInteger; no float."""
     if isinstance(x, HalfInteger):
         return x
     if isinstance(x, bool):
         raise ValueError("bool is not a quantum number")
-    if isinstance(x, int):
-        return HalfInteger(2 * x)
+    if isinstance(x, numbers.Integral):
+        return HalfInteger(2 * int(x))
     if isinstance(x, str):
         num, *den = x.strip().split("/")
         try:

@@ -204,7 +204,7 @@ def machines_suite(seed: int = 0) -> list[dict]:
                          0.0, dev, tol))
 
     dev = max(abs(blk.trace_norm(mixed.gamma_up_mixed(BlockLabel(HalfInteger(n), HalfInteger(n)),
-                                                      SpectrumParams(n, 1.0))) - n / (3 * (n + 1)))
+                                                      1.0)) - n / (3 * (n + 1)))
               for n in range(1, 9))
     checks.append(_check("gamma_trace_norm", "conditioned-operator norm n/(3(n+1))",
                          0.0, dev, 1e-10))
@@ -252,11 +252,10 @@ def mixed_suite(seed: int = 0) -> list[dict]:
     for ta, tc in ((1, 1), (2, 2), (2, 0), (3, 1)):
         for r in (0.3, 0.7, 1.0):
             label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
-            params = SpectrumParams(max(ta, tc) + 2, r)
-            s0, s1 = oracle._sigma_pair_block(label, params)
+            s0, s1 = oracle._sigma_pair_block(label, r)
             diff = oracle.conditioned_training_operator(s0 - s1, (ta + 1, 2, tc + 1), data_axis=1)
             V = oracle.coupling_isometry(ta, tc)
-            g = oracle.coupled_dense(mixed.gamma_up_mixed(label, params))
+            g = oracle.coupled_dense(mixed.gamma_up_mixed(label, r))
             worst = max(worst, float(np.abs(V @ diff @ V.T - g).max()))
     checks.append(_check("gamma_matches_conditioning",
                          "block operator equals the data-conditioned difference",
@@ -278,9 +277,9 @@ def mixed_suite(seed: int = 0) -> list[dict]:
         for tc in range(ta % 2, 6, 2):
             for r in (0.25, 0.65, 1.0):
                 label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
-                params = SpectrumParams(max(ta, tc) + 2, r)
-                dense = blk.trace_norm(oracle.average_state_diff_mixed(label, params))
-                worst = max(worst, abs(dense - mixed.block_trace_norm(label, params)))
+                dense = blk.trace_norm(oracle.average_state_diff_mixed(
+                    label, SpectrumParams(max(ta, tc) + 2, r)))
+                worst = max(worst, abs(dense - mixed.block_trace_norm(label, r)))
     checks.append(_check("spectral_norm_route", "sector-spectral norms match dense norms",
                          0.0, worst, 1e-12))
 

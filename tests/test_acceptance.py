@@ -32,7 +32,7 @@ import pytest
 
 from qclass import blocks as blk
 from qclass import machines, mixed, oracle
-from qclass.blocks import BlockLabel, SpectrumParams
+from qclass.blocks import BlockLabel
 from qclass.oracle import coupled_dense, coupling_isometry
 from qclass.su2 import HalfInteger
 
@@ -112,7 +112,7 @@ def _dense_gamma_norm(n: int) -> float:
 
 def _gamma_pure(n: int):
     """Conditioned training-set operator of n + n pure qubits: block (n/2, n/2) at r = 1."""
-    return mixed.gamma_up_mixed(BlockLabel(HalfInteger(n), HalfInteger(n)), SpectrumParams(n, 1.0))
+    return mixed.gamma_up_mixed(BlockLabel(HalfInteger(n), HalfInteger(n)), 1.0)
 
 
 def _gamma_pure_vs_dense() -> float:
@@ -141,7 +141,7 @@ def _gamma_mixed_vs_dense() -> float:
                 V = np.kron(schur[ta][0], schur[tc][0])
                 reduced = V.conj().T @ g_dense @ V
                 label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
-                g = mixed.gamma_up_mixed(label, SpectrumParams(n, r))
+                g = mixed.gamma_up_mixed(label, r)
                 iso = coupling_isometry(ta, tc)
                 want = probs[(ta, tc)] * iso.T @ coupled_dense(g) @ iso
                 worst = max(worst, float(np.abs(reduced - want).max()))

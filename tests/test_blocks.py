@@ -27,6 +27,20 @@ class TestSpectrumParams:
                 SpectrumParams(bad, 0.5)
 
 
+class TestSideFractions:
+    @pytest.mark.parametrize("r", [1.5, 0.0, math.nan])
+    def test_purity_checked_at_every_j(self, r):
+        # j = 0 has alpha = kappa = 0 at any r, yet a bad r is refused there too, so the
+        # block functions of (label, r) refuse it at every label
+        for tj in (0, 1, 2):
+            with pytest.raises(ValueError, match=r"^purity must lie in \(0, 1\], got "):
+                blk.side_fractions(tj, r)
+            label = BlockLabel(HalfInteger(tj), HalfInteger(tj))
+            for block_function in (mixed.gamma_up_mixed, mixed.block_trace_norm):
+                with pytest.raises(ValueError, match="^purity must lie in"):
+                    block_function(label, r)
+
+
 class TestBlockWeights:
     def test_pure_source_concentrates(self):
         ws = block_weights(SpectrumParams(2, 1.0))

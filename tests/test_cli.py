@@ -166,6 +166,11 @@ class TestDumpCommand:
         assert cli.main(args) == cli.EXIT_DOMAIN
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_gamma_rejects_purity_at_every_label(self, capsys):
+        for label in (["--jA", "0", "--jC", "0"], ["--jA", "1", "--jC", "0"]):
+            assert cli.main(["dump", "gamma", "--n", "2", "--r", "1.5", *label]) == cli.EXIT_DOMAIN
+            assert capsys.readouterr().err == "error: purity must lie in (0, 1], got 1.5\n"
+
     def test_gamma_accepts_every_label(self, capsys):
         for ta in (1, 3):
             for tc in (1, 3):

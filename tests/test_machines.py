@@ -5,7 +5,7 @@ import pytest
 
 from qclass import blocks as blk
 from qclass import mixed
-from qclass.blocks import BlockLabel, SpectrumParams
+from qclass.blocks import BlockLabel
 from qclass.machines import (
     MachineReport, SeedVector, baseline_error, ed_error_continuous,
     ed_error_n1_optimal, ed_shrink_factor, lm_error, lm_seed,
@@ -19,7 +19,7 @@ S2, S3 = math.sqrt(2.0), math.sqrt(3.0)
 
 def gamma_up(n: int):
     """Conditioned training-set operator of n + n pure qubits: block (n/2, n/2) at r = 1."""
-    return mixed.gamma_up_mixed(BlockLabel(HalfInteger(n), HalfInteger(n)), SpectrumParams(n, 1.0))
+    return mixed.gamma_up_mixed(BlockLabel(HalfInteger(n), HalfInteger(n)), 1.0)
 
 
 def programmable_error_asymptotic(n: int) -> float:

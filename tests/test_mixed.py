@@ -13,11 +13,11 @@ from qclass.su2 import HalfInteger, triangle_ok
 S3 = math.sqrt(3.0)
 
 
-def gamma_from_conditioning(label, params):
+def gamma_from_conditioning(label, r):
     """Dense tr over the data qubit of [up](sigma0 - sigma1), coupled basis."""
     ta, tc = label.jA.twice_value, label.jC.twice_value
     dA, dC = ta + 1, tc + 1
-    s0, s1 = oracle._sigma_pair_block(label, params)
+    s0, s1 = oracle._sigma_pair_block(label, r)
     diff = (s0 - s1).reshape(dA, 2, dC, dA, 2, dC)[:, 1, :, :, 1, :]
     V = oracle.coupling_isometry(ta, tc)
     return V @ diff.reshape(dA * dC, dA * dC) @ V.T
@@ -54,7 +54,7 @@ class TestGammaUpMixed:
     def test_pure_limit_recovers_balanced_form(self):
         for n in (1, 2, 3):
             label = BlockLabel(HalfInteger(n), HalfInteger(n))
-            gm = mixed.gamma_up_mixed(label, SpectrumParams(n, 1.0))
+            gm = mixed.gamma_up_mixed(label, 1.0)
             jzA, jzC = blk.coupled_jz(label, "A"), blk.coupled_jz(label, "C")
             scale = 1.0 / ((n + 1) ** 2 * (n + 2))  # (Jz_A - Jz_C) / (d_n^2 d_{n+1})
             assert list(gm.sectors) == list(jzA.sectors) and gm.index == jzA.index
@@ -65,13 +65,13 @@ class TestGammaUpMixed:
     def test_traceless(self):
         for ta, tc in ((1, 1), (2, 0), (3, 1)):
             label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
-            g = mixed.gamma_up_mixed(label, SpectrumParams(max(ta, tc) + 2, 0.7))
+            g = mixed.gamma_up_mixed(label, 0.7)
             assert g.trace() == pytest.approx(0.0, abs=1e-13)
 
     def test_hand_value_n1(self):
         # r <Jz>/(j (j+1)) = 0.5*0.25/0.75 on each side, scale 1/8, element 1/2 each
         label = BlockLabel.of("1/2", "1/2")
-        g = mixed.gamma_up_mixed(label, SpectrumParams(1, 0.5))
+        g = mixed.gamma_up_mixed(label, 0.5)
         assert g.sectors[0][1, 0] == pytest.approx(1 / 48, abs=1e-14)
         assert g.sectors[0][1, 0] == pytest.approx(0.020833, abs=1e-6)
 
@@ -79,9 +79,8 @@ class TestGammaUpMixed:
     @pytest.mark.parametrize("r", [0.3, 0.7, 1.0])
     def test_matches_dense_conditioning(self, ta, tc, r):
         label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
-        params = SpectrumParams(max(ta, tc) + 2, r)
-        np.testing.assert_allclose(gamma_from_conditioning(label, params),
-                                   oracle.coupled_dense(mixed.gamma_up_mixed(label, params)),
+        np.testing.assert_allclose(gamma_from_conditioning(label, r),
+                                   oracle.coupled_dense(mixed.gamma_up_mixed(label, r)),
                                    atol=1e-10)
 
     def test_kappa_reads_one_side(self, monkeypatch):
@@ -100,7 +99,7 @@ class TestGammaUpMixed:
                 assert list(alpha) == spectrum.alpha[:, tj // 2].tolist()
                 assert list(kappa) == spectrum.kappa[:, tj // 2].tolist()
         for ta, tc in ((1, 1), (0, 2), (3, 5), (6, 2)):
-            mixed.gamma_up_mixed(label_of(ta, tc), SpectrumParams(max(ta, tc) + 2, 0.7))
+            mixed.gamma_up_mixed(label_of(ta, tc), 0.7)
 
 
 class TestBlockTraceNorms:
@@ -111,7 +110,7 @@ class TestBlockTraceNorms:
                 label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
                 params = SpectrumParams(max(ta, tc) + 2, r)
                 dense = blk.trace_norm(oracle.average_state_diff_mixed(label, params))
-                assert mixed.block_trace_norm(label, params) == pytest.approx(dense, abs=1e-12)
+                assert mixed.block_trace_norm(label, r) == pytest.approx(dense, abs=1e-12)
 
     def test_recoupling_cosine_matches_6j(self):
         for ta in range(1, 41):
@@ -151,13 +150,12 @@ class TestBlockTraceNorms:
 def floor_label_loop(n, r, weight_cutoff=1e-15):
     """The floor's bias summed over every label product, two-sided alphas per
     label: the reference for the pruned loop of ``mixed_programmable_risk``."""
-    params = SpectrumParams(n, r)
     probs = mixed.block_probabilities(n, r)
     bias = 0.0
     for (ta, tc), p in probs.items():
         if ta > tc or p <= weight_cutoff:
             continue
-        norm = mixed.block_trace_norm(BlockLabel(HalfInteger(ta), HalfInteger(tc)), params)
+        norm = mixed.block_trace_norm(BlockLabel(HalfInteger(ta), HalfInteger(tc)), r)
         bias += p * norm if ta == tc else (p + probs[(tc, ta)]) * norm
     return 0.5 - bias / 4.0
 
@@ -271,12 +269,11 @@ class TestLabelByLabelSolve:
         # the problem reuses C[(ta, tc), -tm] for C[(tc, ta), tm] when jA > jC; every
         # block, mirrors included, must match its label built directly, in label order
         for n in range(1, 9):
-            params = SpectrumParams(n, r)
             probs = mixed.block_probabilities(n, r)
             want = []
             for label in mixed.block_labels(n):
                 xi = (label.jA.twice_value, label.jC.twice_value)
-                g = mixed.gamma_up_mixed(label, params)
+                g = mixed.gamma_up_mixed(label, r)
                 want += [(xi, tm, mat, g.index[tm], probs[xi]) for tm, mat in g.iter_sectors()]
             sectors = oracle.dense_seed_sectors(mixed.build_lm_problem(n, r))
             assert [key for key, *_ in sectors] == [(xi, tm) for xi, tm, *_ in want]
@@ -293,7 +290,7 @@ class TestLabelByLabelSolve:
             sectors = []
             for label in mixed.block_labels(n):
                 xi = (label.jA.twice_value, label.jC.twice_value)
-                g = mixed.gamma_up_mixed(label, SpectrumParams(n, r))
+                g = mixed.gamma_up_mixed(label, r)
                 sectors += [(xi, tm, mat, probs[xi], g.index[tm]) for tm, mat in g.iter_sectors()]
             dense, bands = oracle.dense_seed_problem(sectors), mixed.build_lm_problem(n, r)
             assert (dense.keys, dense.channels) == (bands.keys, bands.channels)
@@ -307,12 +304,14 @@ class TestLabelByLabelSolve:
             labels = [(t, t) for t in range(n % 2, n + 1, 2)]
             labels += [(0, t) for t in range(2, n + 1, 2) if n % 2 == 0]
             for ta, tc in labels:
-                unit = mixed._gamma(label_of(ta, tc), 1.0, 1.0)
+                (unit,) = mixed._label_bands(ta, tc, [(0.5, 1.0, 1.0)])  # kA = kC = 1
+                dense = blk.tridiagonal(unit.diag, unit.off)
                 for r in (0.12, 0.5, 0.9, 1.0):
-                    g = mixed.gamma_up_mixed(label_of(ta, tc), SpectrumParams(n, r))
+                    g = mixed.gamma_up_mixed(label_of(ta, tc), r)
                     k = blk.side_fractions(tc, r)[1]
-                    for tm, mat in g.iter_sectors():
-                        np.testing.assert_allclose(mat, k * unit.sectors[tm], rtol=0, atol=1e-16)
+                    for s, (tm, mat) in enumerate(g.iter_sectors()):
+                        np.testing.assert_allclose(mat, k * dense[s, -len(mat):, -len(mat):],
+                                                   rtol=0, atol=1e-16)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_joint_solve(self, n):
@@ -452,7 +451,7 @@ def close_label(xi, coeffs, share):
     sector or those the barrier solved; a zero cost has no point and no seed.
     """
     (p,) = mixed._label_bands(*xi, [coeffs])
-    (closure,), (point,) = sdp.close([[p]], share, [1.0])
+    ((closure, point),) = sdp.close([[(p, 1.0)]], share)
     if point is None:
         return closure, None
     if closure.how == "closed_form":
@@ -509,7 +508,7 @@ class TestClosedFormSeeds:
             rep = mixed.lm_risk(n, 1.0)
             assert rep.error_probability == pytest.approx(machines.lm_error(n), abs=1e-12)
             p = dict(label_problems(n, 1.0))[n, n]
-            (closure,), ((key, v, _),) = sdp.close([[p]], sdp.DEFAULT_TOL, [1.0])
+            ((closure, (key, v, _)),) = sdp.close([[(p, 1.0)]], sdp.DEFAULT_TOL)
             assert closure.how == "closed_form" and key == ((n, n), 0)
             np.testing.assert_allclose(np.abs(np.outer(v, v)),
                                        np.outer(*[machines.lm_seed(n).coefficients] * 2),
@@ -589,14 +588,13 @@ class TestClosedFormSeeds:
         # a closed-form label seed holds its one full sector and an active-set seed
         # the sectors its barrier solved, the others being 0; the assembled whole
         # seed lays out every sector of its problem and holds some of them
-        ((labels, closures, points),) = mixed._label_chunks(mixed._lane_spectrum(4, [0.5]),
-                                                             sdp.DEFAULT_TOL)
-        closed = [k for k, c in enumerate(closures) if c.how == "closed_form"]
-        for k in closed:  # one problem per label at one r
-            xi, coeffs, _ = labels[k]
-            (p,) = mixed._label_bands(*xi, coeffs)
-            ((best, *_),) = sdp.rank_one([p])
-            assert points[k][0] == p.keys[best]
+        (records,) = mixed._label_chunks(mixed._lane_spectrum(4, [0.5]), sdp.DEFAULT_TOL)
+        closed = [(xi, point) for xi, ((closure, point, _),) in records  # one r
+                  if closure.how == "closed_form"]
+        problems = dict(label_problems(4, 0.5))
+        for xi, point in closed:
+            ((best, *_),) = sdp.rank_one([problems[xi]])
+            assert point[0] == problems[xi].keys[best]
         assert len(closed) == 5
         n, r = 5, 0.1
         share = sdp.DEFAULT_TOL / len(mixed.block_labels(n))
@@ -746,6 +744,11 @@ class TestUnbalancedAsymptotic:
         with pytest.raises(ValueError, match=f"delta={delta} empties side {side} at n={n}$"):
             mixed.unbalanced_block_diff_asymptotic(n, 0.5, delta)
 
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_delta_refused(self, delta):
+        with pytest.raises(ValueError, match=f"^delta must be finite, got {delta}$"):
+            mixed.unbalanced_block_diff_asymptotic(50, 0.8, delta)
+
 
 class TestSweep:
     def small_config(self, tol=1e-7):
@@ -856,9 +859,8 @@ class TestSweep:
         def not_reached(*args, **kwargs):
             raise AssertionError("dense route used")
 
-        for module, name in ((mixed, "gamma_up_mixed"), (mixed, "_gamma"),
-                             (mixed, "build_lm_problem"), (blk, "coupled_jz_sector"),
-                             (oracle, "dense_seed_problem")):
+        for module, name in ((mixed, "gamma_up_mixed"), (mixed, "build_lm_problem"),
+                             (blk, "coupled_jz_sector"), (oracle, "dense_seed_problem")):
             monkeypatch.setattr(module, name, not_reached)
         assert mixed.run_sweep(config).to_csv() == want
 

@@ -214,7 +214,7 @@ class TestGammaConditioning:
         g_dense = oracle.conditioned_training_operator(
             s0.matrix - s1.matrix, s0.dims, data_axis=1)
         V = coupling_isometry(n, n)
-        g = mixed.gamma_up_mixed(BlockLabel(HalfInteger(n), HalfInteger(n)), SpectrumParams(n, 1.0))
+        g = mixed.gamma_up_mixed(BlockLabel(HalfInteger(n), HalfInteger(n)), 1.0)
         np.testing.assert_allclose(V @ g_dense @ V.T, coupled_dense(g), atol=1e-10)
 
     @pytest.mark.parametrize("r", [0.3, 0.7])
@@ -227,14 +227,13 @@ class TestGammaConditioning:
         g_dense = oracle.conditioned_training_operator(diff, s0.dims, data_axis=n)
         schur = schur_isometries(n)
         probs = mixed.block_probabilities(n, r)
-        params = SpectrumParams(n, r)
         for ta in (0, 2):
             for tc in (0, 2):
                 WA, WC = schur[ta][0], schur[tc][0]
                 V = np.kron(WA, WC)
                 reduced = V.conj().T @ g_dense @ V
                 label = BlockLabel(HalfInteger(ta), HalfInteger(tc))
-                g = mixed.gamma_up_mixed(label, params)
+                g = mixed.gamma_up_mixed(label, r)
                 iso = coupling_isometry(ta, tc)
                 full = coupled_dense(g)
                 nu = (probs[(ta, tc)]
@@ -316,6 +315,8 @@ class TestSimulation:
         ({"pre_rotation": 2 * np.eye(2)}, "unitary"),   # scales the kets: 0.514, not about 0.36
         ({"pre_rotation": np.eye(3)}, "2x2"),
         ({"pre_rotation": np.eye(2)[:, :1]}, "2x2"),
+        ({"trials": True}, "trials"),   # a bool is not a count, as check_count has it
+        ({"batch": True}, "batch"),
     ])
     def test_malformed_inputs_rejected_before_drawing(self, kwargs, match):
         kwargs = {"trials": 1000, **kwargs}

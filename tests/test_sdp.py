@@ -123,9 +123,8 @@ class TestSolve:
     def test_zero_cost(self, monkeypatch):
         # close is the one place a zero cost closes; the barrier refuses it before any step
         prob = oracle.dense_seed_problem([((1, 1), 0, np.zeros((2, 2)), 1.0, (0, 2))])
-        closures, points = sdp.close([[prob]], 1e-8, [1.0])
-        assert closures == [sdp.Closure("zero_cost", 0, 0, 0.0, 0.0, 0.0)]
-        assert points == [None]
+        assert sdp.close([[(prob, 1.0)]], 1e-8) == [
+            (sdp.Closure("zero_cost", 0, 0, 0.0, 0.0, 0.0), None)]
 
         def not_reached(parts):
             raise AssertionError("the barrier ran")
@@ -379,7 +378,7 @@ class TestRankOneSeed:
         assert bound - objective == pytest.approx(1e-12 * p.scale * 4, rel=1e-3)
         assert not violated.any() and (sdp.slack_pivots(p, y) > 0.0).all()
         assert bound == pytest.approx(solve(p, tol=1e-10).objective, abs=1e-10)
-        (closure,), ((key, v_closed, y_closed),) = sdp.close([[p]], 1e-10, [1.0])
+        ((closure, (key, v_closed, y_closed)),) = sdp.close([[(p, 1.0)]], 1e-10)
         assert closure == ("closed_form", 0, 0, objective, bound, bound - objective)
         assert key == p.keys[best]
         assert v_closed.tolist() == v.tolist() and y_closed.tolist() == y.tolist()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qclass.blocks import BlockLabel
 from qclass.su2 import (
     HalfInteger, as_half, clebsch_gordan, dim, multiplicity,
     recoupling_overlap, wigner_6j,
@@ -15,6 +16,13 @@ class TestHalfInteger:
         assert as_half("3/2").twice_value == 3
         assert as_half("-1/2").twice_value == -1
         assert as_half(HalfInteger(5)).twice_value == 5
+        # numpy integers pass as check_count lets them, stored as int
+        for x in (np.int64(1), np.int32(1), np.uint8(1)):
+            assert type(as_half(x).twice_value) is int and as_half(x) == as_half(1)
+        assert multiplicity(4, np.int64(1)) == multiplicity(4, 1)
+        assert clebsch_gordan(np.int64(1), 0, "1/2", "1/2", "3/2", "1/2") \
+            == clebsch_gordan(1, 0, "1/2", "1/2", "3/2", "1/2")
+        assert BlockLabel.of(np.int64(1), 0) == BlockLabel.of(1, 0)
         assert HalfInteger(3).value == 1.5
         assert str(HalfInteger(3)) == "3/2"
         assert str(HalfInteger(4)) == "2"
